@@ -1,0 +1,283 @@
+"""Command-line front end.
+
+Subcommands: gen (synthesize a dataset plus exact-moments sidecar), train
+(fit one model on one file), eval (score a saved model), cv (repeated
+k-fold benchmark of one method), bench (sweep a JSON list of cv configs).
+All inputs arrive as flags; nothing is read from the environment.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+from .data import (
+    GaussianSpec,
+    gen_gaussian,
+    load_libsvm,
+    load_moments,
+    normalize_zscore,
+    save_libsvm,
+    save_moments,
+)
+from .harness import (
+    METHODS,
+    MOMENT_SOURCES,
+    ExperimentConfig,
+    emit_report,
+    emit_trace,
+    run_experiment,
+)
+from .metrics import evaluate_model
+from .model import load_model, save_model
+from .moments import auc_moments, estimate_class_moments
+from .objectives import auc_objective, error_objective
+from .optimizer import LineSearchConfig, gd_backtracking, init_random, init_w0_error
+from .surrogates import hinge_objective, lda_fit, logistic_objective
+
+__all__ = ["main"]
+
+
+def _add_optimizer_flags(parser: argparse.ArgumentParser) -> None:
+    group = parser.add_argument_group("optimizer")
+    group.add_argument("--c", type=float, default=1e-4, help="Armijo sufficient-decrease constant")
+    group.add_argument("--beta", type=float, default=0.5, help="backtracking shrink factor")
+    group.add_argument("--alpha0", type=float, default=1.0, help="initial step size")
+    group.add_argument("--max-iters", type=int, default=250, help="maximum accepted steps")
+    group.add_argument("--grad-tol-rel", type=float, default=1e-7,
+                       help="stop when the gradient norm falls below this times its start value")
+    group.add_argument("--max-backtracks", type=int, default=60,
+                       help="maximum step shrinks per line search")
+
+
+def _optimizer_config(args: argparse.Namespace) -> LineSearchConfig:
+    return LineSearchConfig(
+        c=args.c,
+        beta=args.beta,
+        alpha0=args.alpha0,
+        max_iters=args.max_iters,
+        grad_tol_rel=args.grad_tol_rel,
+        max_backtracks=args.max_backtracks,
+    )
+
+
+def _cmd_gen(args: argparse.Namespace) -> int:
+    spec = GaussianSpec(
+        d=args.d,
+        n=args.n,
+        prior_pos=args.prior_pos,
+        outlier_pct=args.outlier_pct,
+        seed=args.seed,
+        mean_scale=args.mean_scale,
+        cov_scale=args.cov_scale,
+    )
+    dataset, moments = gen_gaussian(spec)
+    save_libsvm(dataset, args.out)
+    moments_out = args.moments_out or str(args.out) + ".moments"
+    save_moments(moments, moments_out)
+    print(f"wrote {dataset.n} samples (d={dataset.dim}, {dataset.n_pos} positive) to {args.out}")
+    print(f"wrote exact moments to {moments_out}")
+    return 0
+
+
+def _cmd_train(args: argparse.Namespace) -> int:
+    dataset = load_libsvm(args.data)
+    if args.normalize:
+        dataset, _ = normalize_zscore(dataset)
+    opt = _optimizer_config(args)
+    trace = None
+    if args.method == "lda":
+        model = lda_fit(estimate_class_moments(dataset))
+    elif args.method in ("error-direct", "auc-direct"):
+        if args.moment_source == "exact":
+            if not args.moments:
+                raise ValueError("--moment-source exact requires --moments SIDECAR")
+            moments = load_moments(args.moments)
+        else:
+            moments = estimate_class_moments(dataset)
+        w0 = init_w0_error(moments)
+        if args.method == "error-direct":
+            objective = error_objective(moments)
+        else:
+            objective = auc_objective(auc_moments(moments))
+        model, trace = gd_backtracking(objective, w0, opt)
+    elif args.method == "logistic":
+        lam = args.lam if args.lam is not None else 1.0 / dataset.n
+        w0 = init_random(dataset.dim, args.seed)
+        model, trace = gd_backtracking(objective=logistic_objective(dataset, lam), w0=w0, config=opt)
+    else:  # hinge
+        w0 = init_random(dataset.dim, args.seed)
+        model, trace = gd_backtracking(hinge_objective(dataset), w0, opt)
+    save_model(model, args.model_out)
+    print(f"wrote model to {args.model_out}")
+    if trace is not None:
+        print(f"stopped after {trace.iterations} iterations ({trace.reason}), "
+              f"objective {trace.final_value!r}")
+        if args.trace_out:
+            emit_trace(trace, args.trace_out)
+            print(f"wrote trace to {args.trace_out}")
+    elif args.trace_out:
+        print("lda is closed form; no trace to write", file=sys.stderr)
+    return 0
+
+
+def _cmd_eval(args: argparse.Namespace) -> int:
+    model = load_model(args.model)
+    dataset = load_libsvm(args.data)
+    if args.normalize:
+        dataset, _ = normalize_zscore(dataset)
+    result = evaluate_model(model, dataset, ties=args.ties)
+    print(f"accuracy {result.accuracy!r}")
+    print(f"auc {result.auc!r}")
+    print(f"n_pos {result.n_pos}")
+    print(f"n_neg {result.n_neg}")
+    return 0
+
+
+def _experiment_config(entry: dict) -> ExperimentConfig:
+    data = entry["data"]
+    if isinstance(data, dict):
+        data = GaussianSpec(**data)
+    optimizer = LineSearchConfig(**entry.get("optimizer", {}))
+    return ExperimentConfig(
+        method=entry["method"],
+        data=data,
+        moment_source=entry.get("moment_source", "empirical"),
+        moments_path=entry.get("moments_path"),
+        folds=entry.get("folds", 5),
+        repeats=entry.get("repeats", 4),
+        optimizer=optimizer,
+        seed=entry.get("seed", 0),
+        normalize=entry.get("normalize"),
+        per_fold_norm=entry.get("per_fold_norm", False),
+    )
+
+
+def _summary_line(report) -> str:
+    cfg = report.config
+    return (
+        f"{cfg.method} ({cfg.moment_source}): "
+        f"accuracy {report.mean_accuracy:.6f} +- {report.std_accuracy:.6f}, "
+        f"auc {report.mean_auc:.6f} +- {report.std_auc:.6f}, "
+        f"train {report.mean_seconds:.4f}s over {report.completed_runs}/{len(report.runs)} runs"
+    )
+
+
+def _cmd_cv(args: argparse.Namespace) -> int:
+    config = ExperimentConfig(
+        method=args.method,
+        data=args.data,
+        moment_source=args.moment_source,
+        moments_path=args.moments,
+        folds=args.folds,
+        repeats=args.repeats,
+        optimizer=_optimizer_config(args),
+        seed=args.seed,
+        normalize=args.normalize,
+        per_fold_norm=args.per_fold_norm,
+    )
+    report = run_experiment(config)
+    emit_report(report, args.report_out)
+    print(f"wrote report to {args.report_out}")
+    print(_summary_line(report))
+    return 0
+
+
+def _cmd_bench(args: argparse.Namespace) -> int:
+    with open(args.configs, "r", encoding="utf-8") as fh:
+        entries = json.load(fh)
+    if not isinstance(entries, list) or not entries:
+        raise ValueError("configs file must hold a non-empty JSON list")
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for i, entry in enumerate(entries):
+        config = _experiment_config(entry)
+        report = run_experiment(config)
+        name = entry.get("name", f"config_{i:02d}")
+        out_path = out_dir / f"{name}.csv"
+        emit_report(report, out_path)
+        print(f"[{i + 1}/{len(entries)}] {name}: {_summary_line(report)}")
+    return 0
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="momentclf",
+        description="Train and benchmark binary linear classifiers that directly "
+                    "minimize closed-form Gaussian-moment error and ranking objectives.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_gen = sub.add_parser("gen", help="sample a two-Gaussian dataset plus exact-moments sidecar")
+    p_gen.add_argument("--d", type=int, required=True, help="feature dimension")
+    p_gen.add_argument("--n", type=int, required=True, help="total sample count")
+    p_gen.add_argument("--prior-pos", type=float, required=True, help="positive-class probability")
+    p_gen.add_argument("--outlier-pct", type=float, default=0.0, help="percent of each class to label-flip")
+    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--mean-scale", type=float, default=1.0)
+    p_gen.add_argument("--cov-scale", type=float, default=1.0)
+    p_gen.add_argument("--out", required=True, help="output LIBSVM path")
+    p_gen.add_argument("--moments-out", default=None, help="sidecar path (default: OUT.moments)")
+    p_gen.set_defaults(func=_cmd_gen)
+
+    p_train = sub.add_parser("train", help="fit one model on one LIBSVM file")
+    p_train.add_argument("--method", choices=METHODS, required=True)
+    p_train.add_argument("--data", required=True, help="LIBSVM path")
+    p_train.add_argument("--moment-source", choices=MOMENT_SOURCES, default="empirical")
+    p_train.add_argument("--moments", default=None, help="exact-moments sidecar path")
+    p_train.add_argument("--normalize", action="store_true", help="z-score the data first")
+    p_train.add_argument("--lam", type=float, default=None,
+                         help="logistic ridge weight (default 1/n)")
+    p_train.add_argument("--seed", type=int, default=0, help="random-start seed")
+    p_train.add_argument("--model-out", required=True)
+    p_train.add_argument("--trace-out", default=None)
+    _add_optimizer_flags(p_train)
+    p_train.set_defaults(func=_cmd_train)
+
+    p_eval = sub.add_parser("eval", help="score a saved model on a LIBSVM file")
+    p_eval.add_argument("--model", required=True)
+    p_eval.add_argument("--data", required=True)
+    p_eval.add_argument("--normalize", action="store_true")
+    p_eval.add_argument("--ties", choices=("strict", "midrank"), default="strict")
+    p_eval.set_defaults(func=_cmd_eval)
+
+    p_cv = sub.add_parser("cv", help="repeated k-fold benchmark of one method")
+    p_cv.add_argument("--method", choices=METHODS, required=True)
+    p_cv.add_argument("--data", required=True, help="LIBSVM path")
+    p_cv.add_argument("--moment-source", choices=MOMENT_SOURCES, default="empirical")
+    p_cv.add_argument("--moments", default=None, help="exact-moments sidecar path")
+    p_cv.add_argument("--folds", type=int, default=5)
+    p_cv.add_argument("--repeats", type=int, default=4)
+    p_cv.add_argument("--seed", type=int, default=0)
+    norm = p_cv.add_mutually_exclusive_group()
+    norm.add_argument("--normalize", dest="normalize", action="store_const", const=True,
+                      default=None, help="z-score the whole file before CV (default for files)")
+    norm.add_argument("--no-normalize", dest="normalize", action="store_const", const=False)
+    norm.add_argument("--per-fold-norm", action="store_true",
+                      help="learn normalization on each training fold only")
+    p_cv.add_argument("--report-out", required=True)
+    _add_optimizer_flags(p_cv)
+    p_cv.set_defaults(func=_cmd_cv)
+
+    p_bench = sub.add_parser("bench", help="run a JSON list of cv configs")
+    p_bench.add_argument("--configs", required=True, help="JSON file with a list of config objects")
+    p_bench.add_argument("--out-dir", required=True, help="directory for per-config report CSVs")
+    p_bench.set_defaults(func=_cmd_bench)
+
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except Exception as exc:  # surface a clean diagnostic, not a traceback
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

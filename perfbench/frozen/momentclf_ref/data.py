@@ -1,0 +1,429 @@
+"""Datasets: the container, LIBSVM-format text I/O, z-score normalization,
+a two-Gaussian generator with exact moments, label-flip contamination, and
+seeded k-fold splitting.
+
+Every random operation takes an explicit integer seed and draws from
+numpy's default bit generator, so identical inputs reproduce identical
+bytes.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
+
+from .errors import ParseError
+from .moments import ClassMoments
+
+__all__ = [
+    "Dataset",
+    "NormalizationStats",
+    "GaussianSpec",
+    "parse_libsvm",
+    "format_libsvm",
+    "load_libsvm",
+    "save_libsvm",
+    "normalize_zscore",
+    "apply_zscore",
+    "gen_gaussian",
+    "inject_outliers",
+    "kfold_split",
+    "save_moments",
+    "load_moments",
+]
+
+# Columns whose standard deviation falls below this are centered but not
+# scaled (scale pinned to 1) during z-score normalization.
+_STD_EPS = 1e-12
+
+
+@dataclass(frozen=True)
+class Dataset:
+    """Dense feature matrix (n, d) with labels in {-1, +1}."""
+
+    features: np.ndarray
+    labels: np.ndarray
+
+    def __post_init__(self):
+        X = np.array(self.features, dtype=float)
+        y = np.array(self.labels)
+        if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
+            raise ValueError(f"features must be a non-empty 2-d matrix, got shape {X.shape}")
+        if not np.all(np.isfinite(X)):
+            raise ValueError("features contain non-finite entries")
+        if y.shape != (X.shape[0],):
+            raise ValueError(
+                f"labels must have shape ({X.shape[0]},), got {y.shape}"
+            )
+        y = y.astype(np.int64)
+        if not np.all((y == 1) | (y == -1)):
+            raise ValueError("labels must be -1 or +1")
+        X.setflags(write=False)
+        y.setflags(write=False)
+        object.__setattr__(self, "features", X)
+        object.__setattr__(self, "labels", y)
+
+    @property
+    def n(self) -> int:
+        return self.features.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.features.shape[1]
+
+    @cached_property
+    def pos_index(self) -> np.ndarray:
+        """Row indices of positive-class samples, ascending."""
+        idx = np.flatnonzero(self.labels == 1)
+        idx.setflags(write=False)
+        return idx
+
+    @cached_property
+    def neg_index(self) -> np.ndarray:
+        """Row indices of negative-class samples, ascending."""
+        idx = np.flatnonzero(self.labels == -1)
+        idx.setflags(write=False)
+        return idx
+
+    @property
+    def n_pos(self) -> int:
+        return self.pos_index.shape[0]
+
+    @property
+    def n_neg(self) -> int:
+        return self.neg_index.shape[0]
+
+    def subset(self, indices) -> Dataset:
+        """New dataset holding the given rows, in the given order."""
+        idx = np.asarray(indices, dtype=np.int64)
+        return Dataset(features=self.features[idx], labels=self.labels[idx])
+
+
+@dataclass(frozen=True)
+class NormalizationStats:
+    """Per-column centering and scaling learned by normalize_zscore."""
+
+    mean: np.ndarray
+    scale: np.ndarray
+
+    def __post_init__(self):
+        mean = np.array(self.mean, dtype=float)
+        scale = np.array(self.scale, dtype=float)
+        if mean.ndim != 1 or mean.shape != scale.shape:
+            raise ValueError("mean and scale must be 1-d with equal length")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(scale))):
+            raise ValueError("normalization stats contain non-finite entries")
+        if np.any(scale <= 0.0):
+            raise ValueError("scale entries must be positive")
+        mean.setflags(write=False)
+        scale.setflags(write=False)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "scale", scale)
+
+
+@dataclass(frozen=True)
+class GaussianSpec:
+    """Parameters of the two-Gaussian synthetic generator.
+
+    Class means are i.i.d. standard normal scaled by mean_scale; class
+    covariances are cov_scale * (A A'/d + I) with A a d x d standard
+    normal draw, so they are well conditioned at every d.  outlier_pct
+    percent of each class gets its label flipped after sampling.
+    """
+
+    d: int
+    n: int
+    prior_pos: float
+    outlier_pct: float = 0.0
+    seed: int = 0
+    mean_scale: float = 1.0
+    cov_scale: float = 1.0
+
+    def __post_init__(self):
+        if self.d < 1:
+            raise ValueError(f"d must be >= 1, got {self.d!r}")
+        if self.n < 1:
+            raise ValueError(f"n must be >= 1, got {self.n!r}")
+        if not 0.0 < self.prior_pos < 1.0:
+            raise ValueError(f"prior_pos must lie in (0, 1), got {self.prior_pos!r}")
+        if self.n * self.prior_pos < 2 or self.n * (1.0 - self.prior_pos) < 2:
+            raise ValueError("each class needs an expected count of at least 2")
+        if not 0.0 <= self.outlier_pct < 100.0:
+            raise ValueError(f"outlier_pct must lie in [0, 100), got {self.outlier_pct!r}")
+        if not self.mean_scale > 0.0:
+            raise ValueError(f"mean_scale must be positive, got {self.mean_scale!r}")
+        if not self.cov_scale > 0.0:
+            raise ValueError(f"cov_scale must be positive, got {self.cov_scale!r}")
+
+
+def _strip_comment(line: str) -> str:
+    cut = line.find("#")
+    return line if cut < 0 else line[:cut]
+
+
+def parse_libsvm(text: str | bytes) -> Dataset:
+    """Parse LIBSVM-format text into a dense dataset.
+
+    Each non-empty line is `<label> <index>:<value> ...` with 1-based,
+    strictly increasing indices; `#` starts a comment.  The width is the
+    largest index seen anywhere; unlisted entries are zero.  Exactly two
+    distinct raw label values must occur, and the numerically larger one
+    maps to +1.  Malformed input raises ParseError naming the line.
+    """
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    raw_labels: list[float] = []
+    rows: list[list[tuple[int, float]]] = []
+    max_index = 0
+    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+        line = _strip_comment(raw_line).strip()
+        if not line:
+            continue
+        tokens = line.split()
+        try:
+            label = float(tokens[0])
+        except ValueError:
+            raise ParseError(f"line {lineno}: label {tokens[0]!r} is not numeric") from None
+        if not math.isfinite(label):
+            raise ParseError(f"line {lineno}: label {tokens[0]!r} is not finite")
+        entries: list[tuple[int, float]] = []
+        previous = 0
+        for token in tokens[1:]:
+            index_str, sep, value_str = token.partition(":")
+            if not sep:
+                raise ParseError(f"line {lineno}: expected index:value, got {token!r}")
+            try:
+                index = int(index_str)
+                value = float(value_str)
+            except ValueError:
+                raise ParseError(f"line {lineno}: malformed entry {token!r}") from None
+            if index < 1:
+                raise ParseError(f"line {lineno}: index {index} is not >= 1")
+            if index <= previous:
+                raise ParseError(
+                    f"line {lineno}: index {index} does not increase (previous {previous})"
+                )
+            if not math.isfinite(value):
+                raise ParseError(f"line {lineno}: value {value_str!r} is not finite")
+            previous = index
+            entries.append((index, value))
+        max_index = max(max_index, previous)
+        raw_labels.append(label)
+        rows.append(entries)
+    if not rows:
+        raise ParseError("no samples found in input")
+    if max_index == 0:
+        raise ParseError("no feature entries found in input")
+    distinct = sorted(set(raw_labels))
+    if len(distinct) != 2:
+        raise ParseError(
+            f"expected exactly two distinct labels, found {len(distinct)}: {distinct}"
+        )
+    features = np.zeros((len(rows), max_index), dtype=float)
+    for i, entries in enumerate(rows):
+        for index, value in entries:
+            features[i, index - 1] = value
+    labels = np.where(np.array(raw_labels) == distinct[1], 1, -1)
+    return Dataset(features=features, labels=labels)
+
+
+def format_libsvm(dataset: Dataset) -> str:
+    """Serialize to LIBSVM text, one line per sample.
+
+    All entries are written, including zeros, with shortest round-trip
+    decimal representation, so parse_libsvm(format_libsvm(ds)) reproduces
+    the dataset bit for bit.
+    """
+    lines = []
+    for row, label in zip(dataset.features, dataset.labels):
+        parts = ["+1" if label == 1 else "-1"]
+        parts.extend(f"{j + 1}:{float(v)!r}" for j, v in enumerate(row))
+        lines.append(" ".join(parts))
+    lines.append("")
+    return "\n".join(lines)
+
+
+def load_libsvm(path) -> Dataset:
+    """Parse a LIBSVM file from disk."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_libsvm(fh.read())
+
+
+def save_libsvm(dataset: Dataset, path) -> None:
+    """Write a dataset to disk in LIBSVM format."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(format_libsvm(dataset))
+
+
+def normalize_zscore(dataset: Dataset) -> tuple[Dataset, NormalizationStats]:
+    """Center every column and scale it to unit population variance.
+
+    Columns with standard deviation below 1e-12 are centered only (their
+    scale is pinned to 1), so constant columns come out exactly zero
+    instead of amplifying noise.  Needs at least two samples.
+    """
+    if dataset.n < 2:
+        raise ValueError("normalization needs at least 2 samples")
+    X = dataset.features
+    mean = X.mean(axis=0)
+    std = X.std(axis=0)
+    scale = np.where(std < _STD_EPS, 1.0, std)
+    stats = NormalizationStats(mean=mean, scale=scale)
+    return apply_zscore(dataset, stats), stats
+
+
+def apply_zscore(dataset: Dataset, stats: NormalizationStats) -> Dataset:
+    """Apply previously learned normalization to another dataset."""
+    if stats.mean.shape[0] != dataset.dim:
+        raise ValueError(
+            f"stats are for d={stats.mean.shape[0]}, dataset has d={dataset.dim}"
+        )
+    features = (dataset.features - stats.mean) / stats.scale
+    return Dataset(features=features, labels=dataset.labels)
+
+
+def gen_gaussian(spec: GaussianSpec) -> tuple[Dataset, ClassMoments]:
+    """Sample a two-Gaussian dataset and return it with its exact moments.
+
+    The positive class gets round(n * prior_pos) samples, all positives
+    first.  The returned ClassMoments carry the generator's true means,
+    covariances, and spec priors, not empirical estimates; they describe
+    the clean distribution even when outlier_pct > 0 flips labels.
+    """
+    rng = np.random.default_rng(spec.seed)
+    d = spec.d
+    mu_pos = spec.mean_scale * rng.standard_normal(d)
+    mu_neg = spec.mean_scale * rng.standard_normal(d)
+    A = rng.standard_normal((d, d))
+    sigma_pos = spec.cov_scale * (A @ A.T / d + np.eye(d))
+    B = rng.standard_normal((d, d))
+    sigma_neg = spec.cov_scale * (B @ B.T / d + np.eye(d))
+    sigma_pos = 0.5 * (sigma_pos + sigma_pos.T)
+    sigma_neg = 0.5 * (sigma_neg + sigma_neg.T)
+    try:
+        chol_pos = np.linalg.cholesky(sigma_pos)
+        chol_neg = np.linalg.cholesky(sigma_neg)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"generated covariance failed to factorize: {exc}") from exc
+    n_pos = int(round(spec.n * spec.prior_pos))
+    n_neg = spec.n - n_pos
+    X_pos = mu_pos + rng.standard_normal((n_pos, d)) @ chol_pos.T
+    X_neg = mu_neg + rng.standard_normal((n_neg, d)) @ chol_neg.T
+    features = np.vstack([X_pos, X_neg])
+    labels = np.concatenate([np.ones(n_pos, dtype=np.int64), -np.ones(n_neg, dtype=np.int64)])
+    dataset = Dataset(features=features, labels=labels)
+    if spec.outlier_pct > 0.0:
+        dataset = inject_outliers(dataset, spec.outlier_pct, spec.seed)
+    moments = ClassMoments(
+        mu_pos=mu_pos,
+        mu_neg=mu_neg,
+        sigma_pos=sigma_pos,
+        sigma_neg=sigma_neg,
+        prior_pos=spec.prior_pos,
+        prior_neg=1.0 - spec.prior_pos,
+    )
+    return dataset, moments
+
+
+def inject_outliers(dataset: Dataset, pct: float, seed: int) -> Dataset:
+    """Flip the labels of floor(pct% of each class), chosen uniformly.
+
+    Features are untouched; only labels change, so the flipped points sit
+    deep inside the wrong class.  pct must lie in [0, 50); flipping half
+    a class or more would make the labeling meaningless.
+    """
+    pct = float(pct)
+    if not 0.0 <= pct < 50.0:
+        raise ValueError(f"pct must lie in [0, 50), got {pct!r}")
+    pos_idx = np.flatnonzero(dataset.labels == 1)
+    neg_idx = np.flatnonzero(dataset.labels == -1)
+    k_pos = int(math.floor(pct * pos_idx.shape[0] / 100.0))
+    k_neg = int(math.floor(pct * neg_idx.shape[0] / 100.0))
+    rng = np.random.default_rng(seed)
+    labels = np.array(dataset.labels)
+    if k_pos > 0:
+        labels[rng.choice(pos_idx, size=k_pos, replace=False)] = -1
+    if k_neg > 0:
+        labels[rng.choice(neg_idx, size=k_neg, replace=False)] = 1
+    return Dataset(features=dataset.features, labels=labels)
+
+
+def kfold_split(n: int, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Seeded k-fold partition of range(n) into (train, test) index pairs.
+
+    A seeded permutation is cut into k folds; the first n mod k folds get
+    the extra sample.  Index arrays come back sorted.  Every index lands
+    in exactly one test fold.
+    """
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k!r}")
+    if n < k:
+        raise ValueError(f"need n >= k, got n={n!r}, k={k!r}")
+    permutation = np.random.default_rng(seed).permutation(n)
+    folds = np.array_split(permutation, k)
+    splits = []
+    for i in range(k):
+        test = np.sort(folds[i])
+        train = np.sort(np.concatenate([folds[j] for j in range(k) if j != i]))
+        splits.append((train, test))
+    return splits
+
+
+def save_moments(moments: ClassMoments, path) -> None:
+    """Write a moment model as plain key-value text, full precision.
+
+    Keys: d, prior_pos, prior_neg, mu_pos, mu_neg, sigma_pos, sigma_neg;
+    matrices are row-major.  This is the sidecar format the generator
+    emits next to a dataset so exact moments survive the trip to disk.
+    """
+
+    def fmt(values) -> str:
+        return " ".join(repr(float(v)) for v in np.asarray(values).ravel())
+
+    lines = [
+        f"d {moments.dim}",
+        f"prior_pos {moments.prior_pos!r}",
+        f"prior_neg {moments.prior_neg!r}",
+        f"mu_pos {fmt(moments.mu_pos)}",
+        f"mu_neg {fmt(moments.mu_neg)}",
+        f"sigma_pos {fmt(moments.sigma_pos)}",
+        f"sigma_neg {fmt(moments.sigma_neg)}",
+        "",
+    ]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines))
+
+
+def load_moments(path) -> ClassMoments:
+    """Read a moment model written by save_moments."""
+    fields = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            key, _, rest = line.partition(" ")
+            if not rest:
+                raise ParseError(f"line {lineno}: expected 'key values', got {line!r}")
+            fields[key] = rest
+    try:
+        d = int(fields["d"])
+        prior_pos = float(fields["prior_pos"])
+        prior_neg = float(fields["prior_neg"])
+        mu_pos = np.array([float(t) for t in fields["mu_pos"].split()])
+        mu_neg = np.array([float(t) for t in fields["mu_neg"].split()])
+        sigma_pos = np.array([float(t) for t in fields["sigma_pos"].split()]).reshape(d, d)
+        sigma_neg = np.array([float(t) for t in fields["sigma_neg"].split()]).reshape(d, d)
+    except (KeyError, ValueError) as exc:
+        raise ParseError(f"moments file {path!s} is malformed: {exc}") from exc
+    return ClassMoments(
+        mu_pos=mu_pos,
+        mu_neg=mu_neg,
+        sigma_pos=sigma_pos,
+        sigma_neg=sigma_neg,
+        prior_pos=prior_pos,
+        prior_neg=prior_neg,
+    )

@@ -1,0 +1,34 @@
+"""Exception types shared across the package.
+
+Everything derives from ValueError so callers that only care about
+"bad input vs. bug" can catch one class, while tests and the harness
+can still tell the failure modes apart.
+"""
+
+
+class DegenerateProjectionError(ValueError):
+    """Projected variance w'Sw is numerically zero; the ratio mu_w/sigma_w is undefined."""
+
+
+class InsufficientDataError(ValueError):
+    """A class has too few samples to estimate its moments."""
+
+
+class InvalidModelError(ValueError):
+    """Supplied moment inputs are structurally inconsistent (shapes, symmetry, priors, definiteness)."""
+
+
+class SingularModelError(ValueError):
+    """A pooled covariance cannot be factorized even after diagonal jitter."""
+
+
+class DegenerateModelError(ValueError):
+    """A closed-form fit collapses to the zero classifier (equal class means)."""
+
+
+class NoInitializerError(ValueError):
+    """Both class means vanish, so no starting direction can be built from them."""
+
+
+class ParseError(ValueError):
+    """Malformed text input; the message names the offending line."""

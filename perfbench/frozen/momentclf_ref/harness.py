@@ -1,0 +1,331 @@
+"""Cross-validated benchmark runner and CSV reporting.
+
+run_experiment drives one (method, data source) pair through repeated
+k-fold cross-validation and collects per-run metrics plus optimizer
+traces; emit_report / emit_trace write the audit CSVs.  Everything is
+seeded, so a config reproduces the same numbers byte for byte (wall-clock
+columns excepted).
+"""
+
+from __future__ import annotations
+
+import time
+from dataclasses import dataclass, field
+from typing import Union
+
+import numpy as np
+
+from .data import (
+    Dataset,
+    GaussianSpec,
+    apply_zscore,
+    gen_gaussian,
+    kfold_split,
+    load_libsvm,
+    load_moments,
+    normalize_zscore,
+)
+from .metrics import empirical_accuracy, empirical_auc
+from .model import LinearModel
+from .moments import ClassMoments, auc_moments, estimate_class_moments
+from .objectives import auc_objective, error_objective
+from .optimizer import LineSearchConfig, OptimizationTrace, gd_backtracking, init_random, init_w0_error
+from .surrogates import hinge_objective, lda_fit, logistic_objective
+
+__all__ = [
+    "METHODS",
+    "MOMENT_SOURCES",
+    "ExperimentConfig",
+    "RunResult",
+    "ExperimentReport",
+    "run_experiment",
+    "emit_report",
+    "emit_trace",
+]
+
+METHODS = ("error-direct", "auc-direct", "logistic", "hinge", "lda")
+MOMENT_SOURCES = ("empirical", "exact")
+
+REPORT_HEADER = "method,moment_source,run,fold,repeat,accuracy,auc,train_seconds,reason"
+TRACE_HEADER = "iter,objective,grad_norm,step,seconds"
+
+DataSource = Union[GaussianSpec, str]
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """One benchmark cell: a method, a data source, and the CV protocol.
+
+    moment_source picks where the direct methods get their Gaussian
+    moments: "empirical" estimates them from each training fold, "exact"
+    uses generator truth, which requires either a GaussianSpec data source
+    or a moments sidecar path.  normalize=None means files are z-scored
+    once up front and generated data is left alone (scaling generated
+    features would break the exact moments).  per_fold_norm instead learns
+    normalization on each training fold and applies it to the test fold.
+    """
+
+    method: str
+    data: DataSource
+    moment_source: str = "empirical"
+    moments_path: str | None = None
+    folds: int = 5
+    repeats: int = 4
+    optimizer: LineSearchConfig = LineSearchConfig()
+    seed: int = 0
+    normalize: bool | None = None
+    per_fold_norm: bool = False
+
+    def __post_init__(self):
+        if self.method not in METHODS:
+            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+        if self.moment_source not in MOMENT_SOURCES:
+            raise ValueError(
+                f"moment_source must be one of {MOMENT_SOURCES}, got {self.moment_source!r}"
+            )
+        if not isinstance(self.data, GaussianSpec) and not isinstance(self.data, str):
+            raise ValueError("data must be a GaussianSpec or a file path string")
+        if self.moment_source == "exact":
+            if not isinstance(self.data, GaussianSpec) and self.moments_path is None:
+                raise ValueError(
+                    "exact moment source needs a GaussianSpec data source or a moments_path"
+                )
+        if self.folds < 2:
+            raise ValueError(f"folds must be >= 2, got {self.folds!r}")
+        if self.repeats < 1:
+            raise ValueError(f"repeats must be >= 1, got {self.repeats!r}")
+        if self.per_fold_norm and self.normalize:
+            raise ValueError("choose either whole-dataset or per-fold normalization, not both")
+
+
+@dataclass(frozen=True)
+class RunResult:
+    """Metrics of one (repeat, fold) run; failed runs carry a reason instead."""
+
+    run: int
+    fold: int
+    repeat: int
+    accuracy: float | None
+    auc: float | None
+    train_seconds: float | None
+    failed: bool = False
+    reason: str = ""
+
+
+@dataclass
+class ExperimentReport:
+    """All runs of one config plus aggregate statistics.
+
+    Aggregates are over completed runs only; std uses the (runs - 1)
+    denominator.  traces is parallel to runs (None for closed-form or
+    failed runs) so optimizer behavior stays auditable per run.
+    """
+
+    config: ExperimentConfig
+    runs: list[RunResult] = field(default_factory=list)
+    traces: list[OptimizationTrace | None] = field(default_factory=list)
+
+    def _completed(self, attr: str) -> np.ndarray:
+        return np.array(
+            [getattr(r, attr) for r in self.runs if not r.failed], dtype=float
+        )
+
+    @property
+    def completed_runs(self) -> int:
+        return sum(1 for r in self.runs if not r.failed)
+
+    def _mean(self, attr: str) -> float:
+        vals = self._completed(attr)
+        return float(vals.mean()) if vals.size else float("nan")
+
+    def _std(self, attr: str) -> float:
+        vals = self._completed(attr)
+        return float(vals.std(ddof=1)) if vals.size >= 2 else float("nan")
+
+    @property
+    def mean_accuracy(self) -> float:
+        return self._mean("accuracy")
+
+    @property
+    def std_accuracy(self) -> float:
+        return self._std("accuracy")
+
+    @property
+    def mean_auc(self) -> float:
+        return self._mean("auc")
+
+    @property
+    def std_auc(self) -> float:
+        return self._std("auc")
+
+    @property
+    def mean_seconds(self) -> float:
+        return self._mean("train_seconds")
+
+
+def _load_source(config: ExperimentConfig) -> tuple[Dataset, ClassMoments | None]:
+    if isinstance(config.data, GaussianSpec):
+        dataset, exact = gen_gaussian(config.data)
+    else:
+        dataset = load_libsvm(config.data)
+        exact = None
+    if config.moments_path is not None:
+        exact = load_moments(config.moments_path)
+        if exact.dim != dataset.dim:
+            raise ValueError(
+                f"moments d={exact.dim} does not match dataset d={dataset.dim}"
+            )
+    return dataset, exact
+
+
+def _train_one(
+    config: ExperimentConfig,
+    train: Dataset,
+    exact_moments: ClassMoments | None,
+    run_seed: int,
+) -> tuple[LinearModel, OptimizationTrace | None]:
+    method = config.method
+    if method == "lda":
+        return lda_fit(estimate_class_moments(train)), None
+    if method in ("error-direct", "auc-direct"):
+        if config.moment_source == "exact":
+            moments = exact_moments
+        else:
+            moments = estimate_class_moments(train)
+        w0 = init_w0_error(moments)
+        if method == "error-direct":
+            objective = error_objective(moments)
+        else:
+            objective = auc_objective(auc_moments(moments))
+    elif method == "logistic":
+        w0 = init_random(train.dim, run_seed)
+        objective = logistic_objective(train, lam=1.0 / train.n)
+    else:  # hinge
+        w0 = init_random(train.dim, run_seed)
+        objective = hinge_objective(train)
+    return gd_backtracking(objective, w0, config.optimizer)
+
+
+def run_experiment(config: ExperimentConfig) -> ExperimentReport:
+    """Run repeats x folds cross-validation for one config.
+
+    Fold permutations use seed + repeat index; per-run random starts use a
+    seed derived from (seed, run index).  A run that fails (degenerate
+    fold, singular model, ...) is recorded with its reason and skipped in
+    the aggregates rather than aborting the sweep.
+    """
+    dataset, exact_moments = _load_source(config)
+    if config.moment_source == "exact" and exact_moments is None:
+        raise ValueError("exact moment source requested but no exact moments available")
+    normalize = config.normalize
+    if normalize is None:
+        normalize = isinstance(config.data, str) and not config.per_fold_norm
+    if normalize:
+        dataset, _ = normalize_zscore(dataset)
+    report = ExperimentReport(config=config)
+    for repeat in range(config.repeats):
+        splits = kfold_split(dataset.n, config.folds, seed=config.seed + repeat)
+        for fold, (train_idx, test_idx) in enumerate(splits):
+            run_no = repeat * config.folds + fold
+            run_seed = config.seed + 7919 * (run_no + 1)
+            try:
+                train = dataset.subset(train_idx)
+                test = dataset.subset(test_idx)
+                if config.per_fold_norm:
+                    train, stats = normalize_zscore(train)
+                    test = apply_zscore(test, stats)
+                started = time.perf_counter()
+                model, trace = _train_one(config, train, exact_moments, run_seed)
+                train_seconds = time.perf_counter() - started
+                result = RunResult(
+                    run=run_no,
+                    fold=fold,
+                    repeat=repeat,
+                    accuracy=empirical_accuracy(model, test),
+                    auc=empirical_auc(model, test),
+                    train_seconds=train_seconds,
+                )
+            except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
+                result = RunResult(
+                    run=run_no,
+                    fold=fold,
+                    repeat=repeat,
+                    accuracy=None,
+                    auc=None,
+                    train_seconds=None,
+                    failed=True,
+                    reason=f"{type(exc).__name__}: {exc}",
+                )
+                trace = None
+            report.runs.append(result)
+            report.traces.append(trace)
+    return report
+
+
+def _fmt(value: float | None) -> str:
+    return "" if value is None else repr(float(value))
+
+
+def emit_report(report: ExperimentReport, path) -> None:
+    """Write per-run rows plus one summary row as CSV.
+
+    Row columns follow REPORT_HEADER; floats carry full round-trip
+    precision.  The final line is the aggregate
+    method,moment_source,mean_accuracy,std_accuracy,mean_auc,std_auc,mean_seconds.
+    Failed runs have empty metric fields and the reason in the last column.
+    """
+    lines = [REPORT_HEADER]
+    cfg = report.config
+    for run in report.runs:
+        reason = run.reason.replace("\n", " ").replace(",", ";")
+        lines.append(
+            ",".join(
+                [
+                    cfg.method,
+                    cfg.moment_source,
+                    str(run.run),
+                    str(run.fold),
+                    str(run.repeat),
+                    _fmt(run.accuracy),
+                    _fmt(run.auc),
+                    _fmt(run.train_seconds),
+                    reason,
+                ]
+            )
+        )
+    lines.append(
+        ",".join(
+            [
+                cfg.method,
+                cfg.moment_source,
+                _fmt(report.mean_accuracy),
+                _fmt(report.std_accuracy),
+                _fmt(report.mean_auc),
+                _fmt(report.std_auc),
+                _fmt(report.mean_seconds),
+            ]
+        )
+    )
+    lines.append("")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines))
+
+
+def emit_trace(trace: OptimizationTrace, path) -> None:
+    """Write one optimizer trace as CSV, one row per accepted iteration."""
+    lines = [TRACE_HEADER]
+    for record in trace.records:
+        lines.append(
+            ",".join(
+                [
+                    str(record.iteration),
+                    repr(record.value),
+                    repr(record.grad_norm),
+                    repr(record.step),
+                    repr(record.seconds),
+                ]
+            )
+        )
+    lines.append("")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines))

@@ -1,0 +1,213 @@
+"""Gaussian moment models: estimated from labeled data or supplied exactly.
+
+The training objectives never touch raw samples; they consume these
+containers, which is what makes their evaluation cost independent of
+sample count.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+import numpy as np
+
+from .errors import DegenerateProjectionError, InsufficientDataError, InvalidModelError
+
+if TYPE_CHECKING:
+    from .data import Dataset
+
+__all__ = [
+    "SIGMA_EPS",
+    "ClassMoments",
+    "AucMoments",
+    "estimate_class_moments",
+    "auc_moments",
+    "projected_stats",
+]
+
+# Floor on a projected standard deviation before the ratio mu_w/sigma_w
+# is considered undefined.
+SIGMA_EPS = 1e-12
+
+# Most negative eigenvalue tolerated in a pair-difference covariance before
+# the model is rejected as indefinite.
+_EIG_TOL = -1e-10
+
+_SYM_RTOL = 1e-10
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    out = np.array(a, dtype=float)
+    out.setflags(write=False)
+    return out
+
+
+def _check_vector(name: str, v: np.ndarray) -> None:
+    if v.ndim != 1 or v.shape[0] < 1:
+        raise InvalidModelError(f"{name} must be a 1-d vector, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise InvalidModelError(f"{name} contains non-finite entries")
+
+
+def _check_covariance(name: str, s: np.ndarray, d: int) -> None:
+    if s.shape != (d, d):
+        raise InvalidModelError(f"{name} must have shape ({d}, {d}), got {s.shape}")
+    if not np.all(np.isfinite(s)):
+        raise InvalidModelError(f"{name} contains non-finite entries")
+    scale = float(np.max(np.abs(s))) or 1.0
+    if np.max(np.abs(s - s.T)) > _SYM_RTOL * scale:
+        raise InvalidModelError(f"{name} is not symmetric")
+
+
+@dataclass(frozen=True)
+class ClassMoments:
+    """Per-class mean vectors and covariance matrices plus the class priors.
+
+    Covariances are stored exactly symmetrized; all arrays are read-only
+    copies so a model cannot drift after construction.
+    """
+
+    mu_pos: np.ndarray
+    mu_neg: np.ndarray
+    sigma_pos: np.ndarray
+    sigma_neg: np.ndarray
+    prior_pos: float
+    prior_neg: float
+
+    def __post_init__(self):
+        mu_pos = np.asarray(self.mu_pos, dtype=float)
+        mu_neg = np.asarray(self.mu_neg, dtype=float)
+        sigma_pos = np.asarray(self.sigma_pos, dtype=float)
+        sigma_neg = np.asarray(self.sigma_neg, dtype=float)
+        _check_vector("mu_pos", mu_pos)
+        _check_vector("mu_neg", mu_neg)
+        d = mu_pos.shape[0]
+        if mu_neg.shape[0] != d:
+            raise InvalidModelError(
+                f"mean dimensions disagree: {d} vs {mu_neg.shape[0]}"
+            )
+        _check_covariance("sigma_pos", sigma_pos, d)
+        _check_covariance("sigma_neg", sigma_neg, d)
+        prior_pos = float(self.prior_pos)
+        prior_neg = float(self.prior_neg)
+        if not (0.0 < prior_pos < 1.0 and 0.0 < prior_neg < 1.0):
+            raise InvalidModelError(
+                f"priors must lie strictly inside (0, 1), got {prior_pos}, {prior_neg}"
+            )
+        if abs(prior_pos + prior_neg - 1.0) > 1e-12:
+            raise InvalidModelError(
+                f"priors must sum to 1 within 1e-12, got {prior_pos + prior_neg!r}"
+            )
+        object.__setattr__(self, "mu_pos", _readonly(mu_pos))
+        object.__setattr__(self, "mu_neg", _readonly(mu_neg))
+        object.__setattr__(self, "sigma_pos", _readonly(0.5 * (sigma_pos + sigma_pos.T)))
+        object.__setattr__(self, "sigma_neg", _readonly(0.5 * (sigma_neg + sigma_neg.T)))
+        object.__setattr__(self, "prior_pos", prior_pos)
+        object.__setattr__(self, "prior_neg", prior_neg)
+
+    @property
+    def dim(self) -> int:
+        return self.mu_pos.shape[0]
+
+
+@dataclass(frozen=True)
+class AucMoments:
+    """Moments of the pair difference X- minus X+ used by the ranking objective."""
+
+    mu_hat: np.ndarray
+    sigma_hat: np.ndarray
+
+    def __post_init__(self):
+        mu_hat = np.asarray(self.mu_hat, dtype=float)
+        sigma_hat = np.asarray(self.sigma_hat, dtype=float)
+        _check_vector("mu_hat", mu_hat)
+        _check_covariance("sigma_hat", sigma_hat, mu_hat.shape[0])
+        object.__setattr__(self, "mu_hat", _readonly(mu_hat))
+        object.__setattr__(self, "sigma_hat", _readonly(0.5 * (sigma_hat + sigma_hat.T)))
+
+    @property
+    def dim(self) -> int:
+        return self.mu_hat.shape[0]
+
+
+def estimate_class_moments(dataset: Dataset) -> ClassMoments:
+    """Empirical per-class moments of a labeled dataset.
+
+    Means are sample means, covariances use the (n_class - 1) denominator,
+    priors are the empirical class fractions.  Each class must contribute
+    at least two samples or the covariance is undefined.
+    """
+    X = dataset.features
+    y = dataset.labels
+    out = {}
+    for label, tag in ((1, "pos"), (-1, "neg")):
+        Xc = X[y == label]
+        if Xc.shape[0] < 2:
+            raise InsufficientDataError(
+                f"class {label:+d} has {Xc.shape[0]} samples; need at least 2"
+            )
+        mu = Xc.mean(axis=0)
+        centered = Xc - mu
+        sigma = centered.T @ centered / (Xc.shape[0] - 1)
+        out[f"mu_{tag}"] = mu
+        out[f"sigma_{tag}"] = 0.5 * (sigma + sigma.T)
+        out[f"prior_{tag}"] = Xc.shape[0] / X.shape[0]
+    return ClassMoments(**out)
+
+
+def auc_moments(moments: ClassMoments, cross_cov: np.ndarray | None = None) -> AucMoments:
+    """Moments of the pair difference Z = w'(X- - X+) building block.
+
+    mu_hat = mu_neg - mu_pos and sigma_hat = sigma_neg + sigma_pos by
+    default, which treats the classes as uncorrelated.  When the
+    cross-covariance Cov(X+, X-) is known, pass it as `cross_cov`; the
+    result is then sigma_neg + sigma_pos - C - C'.  A result that is
+    indefinite beyond a -1e-10 eigenvalue tolerance is rejected.
+    """
+    mu_hat = moments.mu_neg - moments.mu_pos
+    sigma_hat = moments.sigma_neg + moments.sigma_pos
+    if cross_cov is not None:
+        C = np.asarray(cross_cov, dtype=float)
+        d = moments.dim
+        if C.shape != (d, d):
+            raise InvalidModelError(
+                f"cross_cov must have shape ({d}, {d}), got {C.shape}"
+            )
+        if not np.all(np.isfinite(C)):
+            raise InvalidModelError("cross_cov contains non-finite entries")
+        sigma_hat = sigma_hat - C - C.T
+        min_eig = float(np.linalg.eigvalsh(0.5 * (sigma_hat + sigma_hat.T))[0])
+        if min_eig < _EIG_TOL:
+            raise InvalidModelError(
+                f"pair-difference covariance is indefinite (min eigenvalue {min_eig:.3e})"
+            )
+    return AucMoments(mu_hat=mu_hat, sigma_hat=sigma_hat)
+
+
+def projected_stats(w: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> tuple[float, float]:
+    """Mean and standard deviation of the scalar projection w'X.
+
+    Returns (w'mu, sqrt(w'Sw)).  Rounding can push the quadratic form a
+    hair below zero for PSD sigma; that is clamped.  A projected standard
+    deviation below SIGMA_EPS raises DegenerateProjectionError because the
+    downstream ratio would be meaningless.
+    """
+    w = np.asarray(w, dtype=float)
+    mu = np.asarray(mu, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    if w.ndim != 1 or w.shape != mu.shape:
+        raise ValueError(f"w and mu must be 1-d with equal length, got {w.shape} and {mu.shape}")
+    d = w.shape[0]
+    if sigma.shape != (d, d):
+        raise ValueError(f"sigma must have shape ({d}, {d}), got {sigma.shape}")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("w contains non-finite entries")
+    mu_w = float(w @ mu)
+    q = float(w @ (sigma @ w))
+    sigma_w = np.sqrt(q) if q > 0.0 else 0.0
+    if sigma_w < SIGMA_EPS:
+        raise DegenerateProjectionError(
+            f"projected standard deviation {sigma_w:.3e} is below {SIGMA_EPS:.0e}"
+        )
+    return mu_w, float(sigma_w)

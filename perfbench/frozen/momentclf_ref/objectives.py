@@ -1,0 +1,123 @@
+"""Closed-form training objectives: expected error and expected ranking loss.
+
+Both objectives see the data only through Gaussian moment models, so one
+evaluation costs O(d^2) regardless of how many samples produced the
+moments.  Both are 0-homogeneous in w: scaling w leaves the value
+unchanged and the gradient is always orthogonal to w.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from .moments import AucMoments, ClassMoments, projected_stats
+from .normal import std_normal_cdf, std_normal_pdf
+
+__all__ = [
+    "RATIO_CLAMP",
+    "ObjectiveEval",
+    "Objective",
+    "f_error",
+    "grad_f_error",
+    "f_auc",
+    "grad_f_auc",
+    "error_objective",
+    "auc_objective",
+]
+
+# The ratio mu_w/sigma_w is clamped to this band before the CDF/density are
+# applied; outside it both have saturated in double precision and the true
+# gradient underflows to zero anyway.
+RATIO_CLAMP = 40.0
+
+
+@dataclass(frozen=True)
+class ObjectiveEval:
+    """Value and gradient of an objective at one point."""
+
+    value: float
+    gradient: np.ndarray
+
+
+# A training objective, as consumed by the optimizer.
+Objective = Callable[[np.ndarray], ObjectiveEval]
+
+
+def _ratio_stats(w, mu, sigma):
+    """Clamped ratio w'mu / sqrt(w'Sw) together with the projected sd."""
+    mu_w, sigma_w = projected_stats(w, mu, sigma)
+    ratio = mu_w / sigma_w
+    if ratio > RATIO_CLAMP:
+        ratio = RATIO_CLAMP
+    elif ratio < -RATIO_CLAMP:
+        ratio = -RATIO_CLAMP
+    return ratio, sigma_w
+
+
+def _cdf_chain_gradient(w, mu, sigma, ratio, sigma_w):
+    """Gradient of phi(w'mu / sqrt(w'Sw)) with respect to w."""
+    dens = std_normal_pdf(ratio)
+    if dens == 0.0:
+        return np.zeros_like(w)
+    return dens * (sigma_w * mu - ratio * (sigma @ w)) / (sigma_w * sigma_w)
+
+
+def f_error(w: np.ndarray, moments: ClassMoments) -> float:
+    """Expected misclassification rate of sign(w'x) under the moment model.
+
+    Equals prior_pos * (1 - phi(r_pos)) + prior_neg * phi(r_neg) where
+    r_c is the projected mean-to-sd ratio of class c.  Always in [0, 1].
+    """
+    w = np.asarray(w, dtype=float)
+    r_pos, _ = _ratio_stats(w, moments.mu_pos, moments.sigma_pos)
+    r_neg, _ = _ratio_stats(w, moments.mu_neg, moments.sigma_neg)
+    return moments.prior_pos * (1.0 - std_normal_cdf(r_pos)) + moments.prior_neg * std_normal_cdf(r_neg)
+
+
+def grad_f_error(w: np.ndarray, moments: ClassMoments) -> np.ndarray:
+    """Analytic gradient of f_error.  Orthogonal to w by 0-homogeneity."""
+    w = np.asarray(w, dtype=float)
+    r_pos, s_pos = _ratio_stats(w, moments.mu_pos, moments.sigma_pos)
+    r_neg, s_neg = _ratio_stats(w, moments.mu_neg, moments.sigma_neg)
+    g_pos = _cdf_chain_gradient(w, moments.mu_pos, moments.sigma_pos, r_pos, s_pos)
+    g_neg = _cdf_chain_gradient(w, moments.mu_neg, moments.sigma_neg, r_neg, s_neg)
+    return moments.prior_neg * g_neg - moments.prior_pos * g_pos
+
+
+def f_auc(w: np.ndarray, pair_moments: AucMoments) -> float:
+    """Expected ranking loss (one minus AUC) under the pair-difference model.
+
+    With Z = w'(X- - X+) Gaussian, the probability that a negative outscores
+    a positive is phi(mu_Z / sigma_Z).
+    """
+    w = np.asarray(w, dtype=float)
+    ratio, _ = _ratio_stats(w, pair_moments.mu_hat, pair_moments.sigma_hat)
+    return std_normal_cdf(ratio)
+
+
+def grad_f_auc(w: np.ndarray, pair_moments: AucMoments) -> np.ndarray:
+    """Analytic gradient of f_auc.  Orthogonal to w by 0-homogeneity."""
+    w = np.asarray(w, dtype=float)
+    ratio, sigma_w = _ratio_stats(w, pair_moments.mu_hat, pair_moments.sigma_hat)
+    return _cdf_chain_gradient(w, pair_moments.mu_hat, pair_moments.sigma_hat, ratio, sigma_w)
+
+
+def error_objective(moments: ClassMoments) -> Objective:
+    """Bind f_error and its gradient to a moment model for the optimizer."""
+
+    def evaluate(w: np.ndarray) -> ObjectiveEval:
+        return ObjectiveEval(value=f_error(w, moments), gradient=grad_f_error(w, moments))
+
+    return evaluate
+
+
+def auc_objective(pair_moments: AucMoments) -> Objective:
+    """Bind f_auc and its gradient to a pair-difference model for the optimizer."""
+
+    def evaluate(w: np.ndarray) -> ObjectiveEval:
+        return ObjectiveEval(value=f_auc(w, pair_moments), gradient=grad_f_auc(w, pair_moments))
+
+    return evaluate

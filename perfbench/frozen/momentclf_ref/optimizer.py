@@ -1,0 +1,218 @@
+"""Gradient descent with Armijo backtracking, plus starting-point rules.
+
+The loop is deliberately plain: steepest descent, geometric step shrinking,
+relative gradient-norm stopping.  Every accepted step is recorded so a run
+can be audited after the fact (the sufficient-decrease inequality is
+replayable from the trace alone).
+"""
+
+from __future__ import annotations
+
+import time
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .errors import NoInitializerError
+from .model import LinearModel
+from .moments import ClassMoments
+from .objectives import Objective
+
+__all__ = [
+    "LineSearchConfig",
+    "TraceRecord",
+    "OptimizationTrace",
+    "gd_backtracking",
+    "init_w0_error",
+    "init_random",
+]
+
+REASON_GRADIENT = "gradient-tolerance"
+REASON_MAX_ITERS = "max-iterations"
+REASON_LINE_SEARCH = "line-search-failure"
+
+
+@dataclass(frozen=True)
+class LineSearchConfig:
+    """Armijo backtracking parameters.
+
+    Defaults: sufficient-decrease constant c=1e-4, shrink factor beta=0.5,
+    unit initial step, 250 iterations, stopping when the gradient norm
+    falls below 1e-7 times its starting value, and at most 60 shrinks per
+    line search (0.5^60 ~ 1e-18, below any useful step).
+    """
+
+    c: float = 1e-4
+    beta: float = 0.5
+    alpha0: float = 1.0
+    max_iters: int = 250
+    grad_tol_rel: float = 1e-7
+    max_backtracks: int = 60
+
+    def __post_init__(self):
+        if not 0.0 < self.c < 1.0:
+            raise ValueError(f"c must lie in (0, 1), got {self.c!r}")
+        if not 0.0 < self.beta < 1.0:
+            raise ValueError(f"beta must lie in (0, 1), got {self.beta!r}")
+        if not self.alpha0 > 0.0:
+            raise ValueError(f"alpha0 must be positive, got {self.alpha0!r}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters!r}")
+        if not self.grad_tol_rel > 0.0:
+            raise ValueError(f"grad_tol_rel must be positive, got {self.grad_tol_rel!r}")
+        if self.max_backtracks < 1:
+            raise ValueError(f"max_backtracks must be >= 1, got {self.max_backtracks!r}")
+
+
+@dataclass(frozen=True)
+class TraceRecord:
+    """State after one accepted step.
+
+    iteration is 1-based; value and grad_norm describe the new iterate;
+    step is the accepted alpha; backtracks counts rejected trial steps
+    cumulatively; seconds is wall-clock time since the run started.
+    """
+
+    iteration: int
+    value: float
+    grad_norm: float
+    step: float
+    backtracks: int
+    seconds: float
+
+
+@dataclass
+class OptimizationTrace:
+    """Full audit record of one gd_backtracking run.
+
+    The starting objective value and gradient norm are kept alongside the
+    per-step records so the Armijo inequality
+    F_k+1 <= F_k - c * alpha_k+1 * ||grad_k||^2 can be re-verified for
+    every accepted step without re-running the objective.
+    """
+
+    initial_value: float
+    initial_grad_norm: float
+    records: list[TraceRecord] = field(default_factory=list)
+    reason: str = ""
+
+    @property
+    def iterations(self) -> int:
+        return len(self.records)
+
+    @property
+    def final_value(self) -> float:
+        return self.records[-1].value if self.records else self.initial_value
+
+    @property
+    def final_grad_norm(self) -> float:
+        return self.records[-1].grad_norm if self.records else self.initial_grad_norm
+
+
+def gd_backtracking(
+    objective: Objective,
+    w0: np.ndarray,
+    config: LineSearchConfig = LineSearchConfig(),
+) -> tuple[LinearModel, OptimizationTrace]:
+    """Minimize an objective by steepest descent with Armijo backtracking.
+
+    From the current iterate w the trial step alpha starts at alpha0 and
+    shrinks by beta until
+        F(w - alpha * g) <= F(w) - c * alpha * ||g||^2.
+    Termination: gradient norm below grad_tol_rel times its starting value
+    ("gradient-tolerance"), max_iters accepted steps ("max-iterations"), or
+    an exhausted line search ("line-search-failure", which returns the
+    incumbent iterate rather than raising).  If the objective itself raises
+    mid-run, the exception propagates with the partial trace attached as a
+    `partial_trace` attribute.
+    """
+    w = np.array(w0, dtype=float)
+    if w.ndim != 1 or w.shape[0] < 1:
+        raise ValueError(f"w0 must be a 1-d vector, got shape {w.shape}")
+    start = time.perf_counter()
+    current = objective(w)
+    grad = np.asarray(current.gradient, dtype=float)
+    grad_norm = float(np.linalg.norm(grad))
+    trace = OptimizationTrace(initial_value=float(current.value), initial_grad_norm=grad_norm)
+    threshold = config.grad_tol_rel * grad_norm
+    total_backtracks = 0
+    try:
+        while True:
+            if grad_norm <= threshold:
+                trace.reason = REASON_GRADIENT
+                break
+            if len(trace.records) >= config.max_iters:
+                trace.reason = REASON_MAX_ITERS
+                break
+            f_current = float(current.value)
+            decrease_slope = config.c * grad_norm * grad_norm
+            alpha = config.alpha0
+            accepted = None
+            for _ in range(config.max_backtracks + 1):
+                trial_w = w - alpha * grad
+                trial = objective(trial_w)
+                if float(trial.value) <= f_current - alpha * decrease_slope:
+                    accepted = (trial_w, trial, alpha)
+                    break
+                total_backtracks += 1
+                alpha *= config.beta
+            if accepted is None:
+                trace.reason = REASON_LINE_SEARCH
+                break
+            w, current, alpha = accepted
+            grad = np.asarray(current.gradient, dtype=float)
+            grad_norm = float(np.linalg.norm(grad))
+            trace.records.append(
+                TraceRecord(
+                    iteration=len(trace.records) + 1,
+                    value=float(current.value),
+                    grad_norm=grad_norm,
+                    step=alpha,
+                    backtracks=total_backtracks,
+                    seconds=time.perf_counter() - start,
+                )
+            )
+    except Exception as exc:
+        exc.partial_trace = trace
+        raise
+    return LinearModel(w=w, intercept=0.0), trace
+
+
+def init_w0_error(moments: ClassMoments) -> np.ndarray:
+    """Unit-norm start for the direct objectives.
+
+    Takes the positive mean with its projection onto the negative mean
+    removed, which already separates the projected class means when the
+    means are not collinear.  Falls back to the normalized positive mean
+    when that difference is numerically zero; if both means vanish there
+    is no usable direction.
+    """
+    mu_pos = moments.mu_pos
+    mu_neg = moments.mu_neg
+    neg_sq = float(mu_neg @ mu_neg)
+    if neg_sq > 0.0:
+        w = mu_pos - (float(mu_neg @ mu_pos) / neg_sq) * mu_neg
+    else:
+        w = np.array(mu_pos, dtype=float)
+    norm = float(np.linalg.norm(w))
+    if norm < 1e-12:
+        w = np.array(mu_pos, dtype=float)
+        norm = float(np.linalg.norm(w))
+        if norm < 1e-12:
+            raise NoInitializerError(
+                "both class means are numerically zero; no starting direction exists"
+            )
+    return w / norm
+
+
+def init_random(d: int, seed: int) -> np.ndarray:
+    """Seeded unit-norm standard normal direction in R^d."""
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d!r}")
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(d)
+    norm = float(np.linalg.norm(w))
+    while norm == 0.0:
+        w = rng.standard_normal(d)
+        norm = float(np.linalg.norm(w))
+    return w / norm
