@@ -43,29 +43,63 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_finite(name: str, a: np.ndarray) -> None:
+    if not np.all(np.isfinite(a)):
+        raise InvalidModelError(f"{name} contains non-finite entries")
+
+
 def _check_vector(name: str, v: np.ndarray) -> None:
     if v.ndim != 1 or v.shape[0] < 1:
         raise InvalidModelError(f"{name} must be a 1-d vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise InvalidModelError(f"{name} contains non-finite entries")
+    _check_finite(name, v)
 
 
 def _check_covariance(name: str, s: np.ndarray, d: int) -> None:
     if s.shape != (d, d):
         raise InvalidModelError(f"{name} must have shape ({d}, {d}), got {s.shape}")
-    if not np.all(np.isfinite(s)):
-        raise InvalidModelError(f"{name} contains non-finite entries")
+    _check_finite(name, s)
     scale = float(np.max(np.abs(s))) or 1.0
     if np.max(np.abs(s - s.T)) > _SYM_RTOL * scale:
         raise InvalidModelError(f"{name} is not symmetric")
+
+
+def _check_priors(prior_pos: float, prior_neg: float) -> None:
+    if not (0.0 < prior_pos < 1.0 and 0.0 < prior_neg < 1.0):
+        raise InvalidModelError(
+            f"priors must lie strictly inside (0, 1), got {prior_pos}, {prior_neg}"
+        )
+    if abs(prior_pos + prior_neg - 1.0) > 1e-12:
+        raise InvalidModelError(
+            f"priors must sum to 1 within 1e-12, got {prior_pos + prior_neg!r}"
+        )
+
+
+def _built(cls, **fields):
+    """Construct a moment container from arrays this module just computed.
+
+    They are fresh float64 arrays of the right shapes that no caller holds,
+    and their covariances are exactly symmetric, so the public constructor's
+    symmetry check, re-symmetrization and copy could not change them.  They
+    are checked for finiteness and frozen in place instead.  Callers check
+    the priors.
+    """
+    out = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            _check_finite(name, value)
+            value.setflags(write=False)
+        object.__setattr__(out, name, value)
+    return out
 
 
 @dataclass(frozen=True)
 class ClassMoments:
     """Per-class mean vectors and covariance matrices plus the class priors.
 
-    Covariances are stored exactly symmetrized; all arrays are read-only
-    copies so a model cannot drift after construction.
+    Covariances are stored exactly symmetrized and all arrays are read-only,
+    so a model cannot drift after construction.  The constructor validates
+    its input and stores copies; estimate_class_moments skips the
+    symmetrization and the copies for the arrays it has just built.
     """
 
     mu_pos: np.ndarray
@@ -91,14 +125,7 @@ class ClassMoments:
         _check_covariance("sigma_neg", sigma_neg, d)
         prior_pos = float(self.prior_pos)
         prior_neg = float(self.prior_neg)
-        if not (0.0 < prior_pos < 1.0 and 0.0 < prior_neg < 1.0):
-            raise InvalidModelError(
-                f"priors must lie strictly inside (0, 1), got {prior_pos}, {prior_neg}"
-            )
-        if abs(prior_pos + prior_neg - 1.0) > 1e-12:
-            raise InvalidModelError(
-                f"priors must sum to 1 within 1e-12, got {prior_pos + prior_neg!r}"
-            )
+        _check_priors(prior_pos, prior_neg)
         object.__setattr__(self, "mu_pos", _readonly(mu_pos))
         object.__setattr__(self, "mu_neg", _readonly(mu_neg))
         object.__setattr__(self, "sigma_pos", _readonly(0.5 * (sigma_pos + sigma_pos.T)))
@@ -153,7 +180,8 @@ def estimate_class_moments(dataset: Dataset) -> ClassMoments:
         out[f"mu_{tag}"] = mu
         out[f"sigma_{tag}"] = 0.5 * (sigma + sigma.T)
         out[f"prior_{tag}"] = Xc.shape[0] / X.shape[0]
-    return ClassMoments(**out)
+    _check_priors(out["prior_pos"], out["prior_neg"])
+    return _built(ClassMoments, **out)
 
 
 def auc_moments(moments: ClassMoments, cross_cov: np.ndarray | None = None) -> AucMoments:
@@ -167,21 +195,22 @@ def auc_moments(moments: ClassMoments, cross_cov: np.ndarray | None = None) -> A
     """
     mu_hat = moments.mu_neg - moments.mu_pos
     sigma_hat = moments.sigma_neg + moments.sigma_pos
-    if cross_cov is not None:
-        C = np.asarray(cross_cov, dtype=float)
-        d = moments.dim
-        if C.shape != (d, d):
-            raise InvalidModelError(
-                f"cross_cov must have shape ({d}, {d}), got {C.shape}"
-            )
-        if not np.all(np.isfinite(C)):
-            raise InvalidModelError("cross_cov contains non-finite entries")
-        sigma_hat = sigma_hat - C - C.T
-        min_eig = float(np.linalg.eigvalsh(0.5 * (sigma_hat + sigma_hat.T))[0])
-        if min_eig < _EIG_TOL:
-            raise InvalidModelError(
-                f"pair-difference covariance is indefinite (min eigenvalue {min_eig:.3e})"
-            )
+    if cross_cov is None:
+        # A sum of two exactly symmetric matrices is exactly symmetric.
+        return _built(AucMoments, mu_hat=mu_hat, sigma_hat=sigma_hat)
+    C = np.asarray(cross_cov, dtype=float)
+    d = moments.dim
+    if C.shape != (d, d):
+        raise InvalidModelError(
+            f"cross_cov must have shape ({d}, {d}), got {C.shape}"
+        )
+    _check_finite("cross_cov", C)
+    sigma_hat = sigma_hat - C - C.T
+    min_eig = float(np.linalg.eigvalsh(0.5 * (sigma_hat + sigma_hat.T))[0])
+    if min_eig < _EIG_TOL:
+        raise InvalidModelError(
+            f"pair-difference covariance is indefinite (min eigenvalue {min_eig:.3e})"
+        )
     return AucMoments(mu_hat=mu_hat, sigma_hat=sigma_hat)
 
 
@@ -193,6 +222,11 @@ def projected_stats(w: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> tuple[f
     deviation below SIGMA_EPS raises DegenerateProjectionError because the
     downstream ratio would be meaningless.
     """
+    return _projection(w, mu, sigma)[:2]
+
+
+def _projection(w, mu, sigma) -> tuple[float, float, np.ndarray]:
+    """projected_stats plus the product Sw, the one pass over sigma."""
     w = np.asarray(w, dtype=float)
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
@@ -204,10 +238,11 @@ def projected_stats(w: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> tuple[f
     if not np.all(np.isfinite(w)):
         raise ValueError("w contains non-finite entries")
     mu_w = float(w @ mu)
-    q = float(w @ (sigma @ w))
+    sigma_times_w = sigma @ w
+    q = float(w @ sigma_times_w)
     sigma_w = np.sqrt(q) if q > 0.0 else 0.0
     if sigma_w < SIGMA_EPS:
         raise DegenerateProjectionError(
             f"projected standard deviation {sigma_w:.3e} is below {SIGMA_EPS:.0e}"
         )
-    return mu_w, float(sigma_w)
+    return mu_w, float(sigma_w), sigma_times_w

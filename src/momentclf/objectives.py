@@ -2,8 +2,12 @@
 
 Both objectives see the data only through Gaussian moment models, so one
 evaluation costs O(d^2) regardless of how many samples produced the
-moments.  Both are 0-homogeneous in w: scaling w leaves the value
-unchanged and the gradient is always orthogonal to w.
+moments.  An evaluation returns value and gradient together and makes one
+matrix-vector product Sw per Gaussian (two for the error objective, one
+for the ranking objective); the gradient reuses it.  The public value and
+gradient functions are views of that same evaluation.  Both objectives
+are 0-homogeneous in w: scaling w leaves the value unchanged and the
+gradient is always orthogonal to w.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .moments import AucMoments, ClassMoments, projected_stats
+from .moments import AucMoments, ClassMoments, _projection
 from .normal import std_normal_cdf, std_normal_pdf
 
 __all__ = [
@@ -47,22 +51,41 @@ Objective = Callable[[np.ndarray], ObjectiveEval]
 
 
 def _ratio_stats(w, mu, sigma):
-    """Clamped ratio w'mu / sqrt(w'Sw) together with the projected sd."""
-    mu_w, sigma_w = projected_stats(w, mu, sigma)
+    """Clamped ratio w'mu / sqrt(w'Sw), the projected sd and the product Sw."""
+    mu_w, sigma_w, sigma_times_w = _projection(w, mu, sigma)
     ratio = mu_w / sigma_w
     if ratio > RATIO_CLAMP:
         ratio = RATIO_CLAMP
     elif ratio < -RATIO_CLAMP:
         ratio = -RATIO_CLAMP
-    return ratio, sigma_w
+    return ratio, sigma_w, sigma_times_w
 
 
-def _cdf_chain_gradient(w, mu, sigma, ratio, sigma_w):
-    """Gradient of phi(w'mu / sqrt(w'Sw)) with respect to w."""
+def _cdf_chain_gradient(mu, ratio, sigma_w, sigma_times_w):
+    """Gradient of phi(w'mu / sqrt(w'Sw)) with respect to w, given Sw."""
     dens = std_normal_pdf(ratio)
     if dens == 0.0:
-        return np.zeros_like(w)
-    return dens * (sigma_w * mu - ratio * (sigma @ w)) / (sigma_w * sigma_w)
+        return np.zeros_like(sigma_times_w)
+    return dens * (sigma_w * mu - ratio * sigma_times_w) / (sigma_w * sigma_w)
+
+
+def _error_eval(w, moments: ClassMoments) -> ObjectiveEval:
+    w = np.asarray(w, dtype=float)
+    r_pos, s_pos, sw_pos = _ratio_stats(w, moments.mu_pos, moments.sigma_pos)
+    r_neg, s_neg, sw_neg = _ratio_stats(w, moments.mu_neg, moments.sigma_neg)
+    value = moments.prior_pos * (1.0 - std_normal_cdf(r_pos)) + moments.prior_neg * std_normal_cdf(r_neg)
+    g_pos = _cdf_chain_gradient(moments.mu_pos, r_pos, s_pos, sw_pos)
+    g_neg = _cdf_chain_gradient(moments.mu_neg, r_neg, s_neg, sw_neg)
+    return ObjectiveEval(value=value, gradient=moments.prior_neg * g_neg - moments.prior_pos * g_pos)
+
+
+def _auc_eval(w, pair_moments: AucMoments) -> ObjectiveEval:
+    w = np.asarray(w, dtype=float)
+    ratio, sigma_w, sigma_times_w = _ratio_stats(w, pair_moments.mu_hat, pair_moments.sigma_hat)
+    return ObjectiveEval(
+        value=std_normal_cdf(ratio),
+        gradient=_cdf_chain_gradient(pair_moments.mu_hat, ratio, sigma_w, sigma_times_w),
+    )
 
 
 def f_error(w: np.ndarray, moments: ClassMoments) -> float:
@@ -71,20 +94,12 @@ def f_error(w: np.ndarray, moments: ClassMoments) -> float:
     Equals prior_pos * (1 - phi(r_pos)) + prior_neg * phi(r_neg) where
     r_c is the projected mean-to-sd ratio of class c.  Always in [0, 1].
     """
-    w = np.asarray(w, dtype=float)
-    r_pos, _ = _ratio_stats(w, moments.mu_pos, moments.sigma_pos)
-    r_neg, _ = _ratio_stats(w, moments.mu_neg, moments.sigma_neg)
-    return moments.prior_pos * (1.0 - std_normal_cdf(r_pos)) + moments.prior_neg * std_normal_cdf(r_neg)
+    return _error_eval(w, moments).value
 
 
 def grad_f_error(w: np.ndarray, moments: ClassMoments) -> np.ndarray:
     """Analytic gradient of f_error.  Orthogonal to w by 0-homogeneity."""
-    w = np.asarray(w, dtype=float)
-    r_pos, s_pos = _ratio_stats(w, moments.mu_pos, moments.sigma_pos)
-    r_neg, s_neg = _ratio_stats(w, moments.mu_neg, moments.sigma_neg)
-    g_pos = _cdf_chain_gradient(w, moments.mu_pos, moments.sigma_pos, r_pos, s_pos)
-    g_neg = _cdf_chain_gradient(w, moments.mu_neg, moments.sigma_neg, r_neg, s_neg)
-    return moments.prior_neg * g_neg - moments.prior_pos * g_pos
+    return _error_eval(w, moments).gradient
 
 
 def f_auc(w: np.ndarray, pair_moments: AucMoments) -> float:
@@ -93,23 +108,19 @@ def f_auc(w: np.ndarray, pair_moments: AucMoments) -> float:
     With Z = w'(X- - X+) Gaussian, the probability that a negative outscores
     a positive is phi(mu_Z / sigma_Z).
     """
-    w = np.asarray(w, dtype=float)
-    ratio, _ = _ratio_stats(w, pair_moments.mu_hat, pair_moments.sigma_hat)
-    return std_normal_cdf(ratio)
+    return _auc_eval(w, pair_moments).value
 
 
 def grad_f_auc(w: np.ndarray, pair_moments: AucMoments) -> np.ndarray:
     """Analytic gradient of f_auc.  Orthogonal to w by 0-homogeneity."""
-    w = np.asarray(w, dtype=float)
-    ratio, sigma_w = _ratio_stats(w, pair_moments.mu_hat, pair_moments.sigma_hat)
-    return _cdf_chain_gradient(w, pair_moments.mu_hat, pair_moments.sigma_hat, ratio, sigma_w)
+    return _auc_eval(w, pair_moments).gradient
 
 
 def error_objective(moments: ClassMoments) -> Objective:
     """Bind f_error and its gradient to a moment model for the optimizer."""
 
     def evaluate(w: np.ndarray) -> ObjectiveEval:
-        return ObjectiveEval(value=f_error(w, moments), gradient=grad_f_error(w, moments))
+        return _error_eval(w, moments)
 
     return evaluate
 
@@ -118,6 +129,6 @@ def auc_objective(pair_moments: AucMoments) -> Objective:
     """Bind f_auc and its gradient to a pair-difference model for the optimizer."""
 
     def evaluate(w: np.ndarray) -> ObjectiveEval:
-        return ObjectiveEval(value=f_auc(w, pair_moments), gradient=grad_f_auc(w, pair_moments))
+        return _auc_eval(w, pair_moments)
 
     return evaluate

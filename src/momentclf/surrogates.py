@@ -164,20 +164,19 @@ def lda_fit(moments: ClassMoments) -> LinearModel:
     if float(np.linalg.norm(diff)) < 1e-12:
         raise DegenerateModelError("class means coincide; the discriminant direction is zero")
     pooled = moments.prior_pos * moments.sigma_pos + moments.prior_neg * moments.sigma_neg
-    d = moments.dim
-    jitter = 1e-8 * float(np.trace(pooled)) / d
-    solve_matrix = None
-    for candidate in (pooled, pooled + jitter * np.eye(d)):
+    solve_matrix = pooled
+    try:
+        np.linalg.cholesky(solve_matrix)
+    except np.linalg.LinAlgError:
+        d = moments.dim
+        jitter = 1e-8 * float(np.trace(pooled)) / d
+        solve_matrix = pooled + jitter * np.eye(d)
         try:
-            np.linalg.cholesky(candidate)
+            np.linalg.cholesky(solve_matrix)
         except np.linalg.LinAlgError:
-            continue
-        solve_matrix = candidate
-        break
-    if solve_matrix is None:
-        raise SingularModelError(
-            "pooled covariance is singular even after diagonal jitter"
-        )
+            raise SingularModelError(
+                "pooled covariance is singular even after diagonal jitter"
+            ) from None
     w = np.linalg.solve(solve_matrix, diff)
     intercept = float(-0.5 * (w @ (moments.mu_pos + moments.mu_neg))
                       + math.log(moments.prior_pos / moments.prior_neg))

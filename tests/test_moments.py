@@ -12,6 +12,7 @@ from momentclf import (
     InvalidModelError,
     auc_moments,
     estimate_class_moments,
+    load_moments,
     projected_stats,
 )
 from momentclf.moments import SIGMA_EPS
@@ -174,6 +175,64 @@ class TestAucMoments:
             v = rng.normal(size=5)
             v /= np.linalg.norm(v)
             assert v @ a.sigma_hat @ v >= -1e-10
+
+
+class TestBuiltMoments:
+    """Moments the package builds itself skip re-validation but not its guarantees."""
+
+    def _estimated(self, d=20, n=120):
+        rng = np.random.default_rng(31)
+        y = np.where(np.arange(n) % 3 == 0, 1, -1)
+        return estimate_class_moments(Dataset(features=rng.normal(size=(n, d)) + y[:, None], labels=y))
+
+    def test_estimated_moments_frozen_symmetric_and_as_constructed(self):
+        m = self._estimated()
+        ref = ClassMoments(m.mu_pos, m.mu_neg, m.sigma_pos, m.sigma_neg, m.prior_pos, m.prior_neg)
+        for name in ("mu_pos", "mu_neg", "sigma_pos", "sigma_neg"):
+            built = getattr(m, name)
+            assert not built.flags.writeable
+            assert np.array_equal(built, getattr(ref, name))
+        assert np.array_equal(m.sigma_pos, m.sigma_pos.T)
+        assert np.array_equal(m.sigma_neg, m.sigma_neg.T)
+        assert (m.prior_pos, m.prior_neg) == (ref.prior_pos, ref.prior_neg)
+        with pytest.raises(ValueError):
+            m.sigma_pos[0, 1] = 9.0
+
+    def test_auc_moments_frozen_symmetric_and_as_constructed(self):
+        a = auc_moments(self._estimated())
+        ref = AucMoments(a.mu_hat, a.sigma_hat)
+        assert not a.mu_hat.flags.writeable
+        assert not a.sigma_hat.flags.writeable
+        assert np.array_equal(a.sigma_hat, a.sigma_hat.T)
+        assert np.array_equal(a.mu_hat, ref.mu_hat)
+        assert np.array_equal(a.sigma_hat, ref.sigma_hat)
+
+    def test_overflowing_estimate_rejected(self):
+        ds = Dataset(
+            features=np.array([[1e200], [-1e200], [0.0], [1.0]]),
+            labels=np.array([1, 1, -1, -1]),
+        )
+        with np.errstate(over="ignore"), pytest.raises(
+            InvalidModelError, match="sigma_pos contains non-finite entries"
+        ):
+            estimate_class_moments(ds)
+
+    def test_asymmetric_auc_moments_rejected(self):
+        with pytest.raises(InvalidModelError, match="not symmetric"):
+            AucMoments(np.ones(2), np.array([[1.0, 0.5], [0.1, 1.0]]))
+
+    def test_non_finite_auc_mean_rejected(self):
+        with pytest.raises(InvalidModelError, match="non-finite"):
+            AucMoments(np.array([np.inf, 0.0]), np.eye(2))
+
+    def test_asymmetric_sidecar_rejected(self, tmp_path):
+        path = tmp_path / "asym.moments"
+        path.write_text(
+            "d 2\nprior_pos 0.5\nprior_neg 0.5\nmu_pos 1.0 0.0\nmu_neg -1.0 0.0\n"
+            "sigma_pos 1.0 0.5 0.1 1.0\nsigma_neg 1.0 0.0 0.0 1.0\n"
+        )
+        with pytest.raises(InvalidModelError, match="sigma_pos is not symmetric"):
+            load_moments(path)
 
 
 class TestProjectedStats:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from momentclf import (
+    RATIO_CLAMP,
     ClassMoments,
     DegenerateProjectionError,
     auc_moments,
@@ -15,6 +16,7 @@ from momentclf import (
     f_error,
     grad_f_auc,
     grad_f_error,
+    projected_stats,
     std_normal_cdf,
 )
 
@@ -215,22 +217,48 @@ class TestSaturatedRegime:
 
 
 class TestObjectiveFactories:
+    """The fused closures must agree bit for bit with the public functions."""
+
     def test_error_objective_closure(self):
         rng = np.random.default_rng(12)
-        kw = oracles.random_class_moments(rng, d=3)
-        m = ClassMoments(**kw)
-        obj = error_objective(m)
-        w = rng.normal(size=3)
-        ev = obj(w)
-        assert ev.value == f_error(w, m)
-        assert np.array_equal(ev.gradient, grad_f_error(w, m))
+        for d in (3, 50, 400):
+            m = ClassMoments(**oracles.random_class_moments(rng, d=d))
+            obj = error_objective(m)
+            for _ in range(3):
+                w = rng.normal(size=d)
+                ev = obj(w)
+                assert ev.value == f_error(w, m)
+                assert np.array_equal(ev.gradient, grad_f_error(w, m))
 
     def test_auc_objective_closure(self):
         rng = np.random.default_rng(13)
-        kw = oracles.random_class_moments(rng, d=3)
-        a = auc_moments(ClassMoments(**kw))
-        obj = auc_objective(a)
-        w = rng.normal(size=3)
-        ev = obj(w)
-        assert ev.value == f_auc(w, a)
-        assert np.array_equal(ev.gradient, grad_f_auc(w, a))
+        for d in (3, 50, 400):
+            a = auc_moments(ClassMoments(**oracles.random_class_moments(rng, d=d)))
+            obj = auc_objective(a)
+            for _ in range(3):
+                w = rng.normal(size=d)
+                ev = obj(w)
+                assert ev.value == f_auc(w, a)
+                assert np.array_equal(ev.gradient, grad_f_auc(w, a))
+
+    def test_saturated_closures_give_zero_gradient(self):
+        d = 2
+        m = ClassMoments(np.array([1e6, 0.0]), np.array([-1e6, 0.0]), np.eye(d), np.eye(d), 0.3, 0.7)
+        a = auc_moments(m)
+        w = np.array([1.0, 0.5])
+        mu_w, sigma_w = projected_stats(w, m.mu_pos, m.sigma_pos)
+        assert mu_w / sigma_w > RATIO_CLAMP
+        for obj, f, grad, model in (
+            (error_objective(m), f_error, grad_f_error, m),
+            (auc_objective(a), f_auc, grad_f_auc, a),
+        ):
+            ev = obj(w)
+            assert ev.value == f(w, model)
+            assert np.array_equal(ev.gradient, grad(w, model))
+            assert np.array_equal(ev.gradient, np.zeros(d))
+
+    def test_zero_weights_raise_through_closures(self):
+        m = _moments_e1()
+        for obj in (error_objective(m), auc_objective(auc_moments(m))):
+            with pytest.raises(DegenerateProjectionError):
+                obj(np.zeros(3))
