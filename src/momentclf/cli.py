@@ -9,6 +9,7 @@ All inputs arrive as flags; nothing is read from the environment.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -17,7 +18,6 @@ from .data import (
     GaussianSpec,
     gen_gaussian,
     load_libsvm,
-    load_moments,
     normalize_zscore,
     save_libsvm,
     save_moments,
@@ -28,52 +28,42 @@ from .harness import (
     ExperimentConfig,
     emit_report,
     emit_trace,
+    fit,
+    load_source,
     run_experiment,
 )
 from .metrics import evaluate_model
 from .model import load_model, save_model
-from .moments import auc_moments, estimate_class_moments
-from .objectives import auc_objective, error_objective
-from .optimizer import LineSearchConfig, gd_backtracking, init_random, init_w0_error
-from .surrogates import hinge_objective, lda_fit, logistic_objective
+from .optimizer import LineSearchConfig
 
 __all__ = ["main"]
 
 
+OPTIMIZER_HELP = {
+    "c": "Armijo sufficient-decrease constant",
+    "beta": "backtracking shrink factor",
+    "alpha0": "initial step size",
+    "max_iters": "maximum accepted steps",
+    "grad_tol_rel": "stop when the gradient norm falls below this times its start value",
+    "max_backtracks": "maximum step shrinks per line search",
+}
+
+
 def _add_optimizer_flags(parser: argparse.ArgumentParser) -> None:
+    # one flag per LineSearchConfig field, named and defaulted by the field
     group = parser.add_argument_group("optimizer")
-    group.add_argument("--c", type=float, default=1e-4, help="Armijo sufficient-decrease constant")
-    group.add_argument("--beta", type=float, default=0.5, help="backtracking shrink factor")
-    group.add_argument("--alpha0", type=float, default=1.0, help="initial step size")
-    group.add_argument("--max-iters", type=int, default=250, help="maximum accepted steps")
-    group.add_argument("--grad-tol-rel", type=float, default=1e-7,
-                       help="stop when the gradient norm falls below this times its start value")
-    group.add_argument("--max-backtracks", type=int, default=60,
-                       help="maximum step shrinks per line search")
+    for f in dataclasses.fields(LineSearchConfig):
+        group.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                           default=f.default, help=OPTIMIZER_HELP[f.name])
 
 
-def _optimizer_config(args: argparse.Namespace) -> LineSearchConfig:
-    return LineSearchConfig(
-        c=args.c,
-        beta=args.beta,
-        alpha0=args.alpha0,
-        max_iters=args.max_iters,
-        grad_tol_rel=args.grad_tol_rel,
-        max_backtracks=args.max_backtracks,
-    )
+def _from_args(cls, args: argparse.Namespace):
+    """Build a config dataclass from the flags named after its fields."""
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    spec = GaussianSpec(
-        d=args.d,
-        n=args.n,
-        prior_pos=args.prior_pos,
-        outlier_pct=args.outlier_pct,
-        seed=args.seed,
-        mean_scale=args.mean_scale,
-        cov_scale=args.cov_scale,
-    )
-    dataset, moments = gen_gaussian(spec)
+    dataset, moments = gen_gaussian(_from_args(GaussianSpec, args))
     save_libsvm(dataset, args.out)
     moments_out = args.moments_out or str(args.out) + ".moments"
     save_moments(moments, moments_out)
@@ -83,33 +73,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    dataset = load_libsvm(args.data)
-    if args.normalize:
-        dataset, _ = normalize_zscore(dataset)
-    opt = _optimizer_config(args)
-    trace = None
-    if args.method == "lda":
-        model = lda_fit(estimate_class_moments(dataset))
-    elif args.method in ("error-direct", "auc-direct"):
-        if args.moment_source == "exact":
-            if not args.moments:
-                raise ValueError("--moment-source exact requires --moments SIDECAR")
-            moments = load_moments(args.moments)
-        else:
-            moments = estimate_class_moments(dataset)
-        w0 = init_w0_error(moments)
-        if args.method == "error-direct":
-            objective = error_objective(moments)
-        else:
-            objective = auc_objective(auc_moments(moments))
-        model, trace = gd_backtracking(objective, w0, opt)
-    elif args.method == "logistic":
-        lam = args.lam if args.lam is not None else 1.0 / dataset.n
-        w0 = init_random(dataset.dim, args.seed)
-        model, trace = gd_backtracking(objective=logistic_objective(dataset, lam), w0=w0, config=opt)
-    else:  # hinge
-        w0 = init_random(dataset.dim, args.seed)
-        model, trace = gd_backtracking(hinge_objective(dataset), w0, opt)
+    dataset, exact = load_source(args.data, args.moment_source, args.moments, args.normalize)
+    optimizer = _from_args(LineSearchConfig, args)
+    model, trace = fit(args.method, dataset, exact, optimizer, args.seed, lam=args.lam)
     save_model(model, args.model_out)
     print(f"wrote model to {args.model_out}")
     if trace is not None:
@@ -136,25 +102,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _experiment_config(entry: dict) -> ExperimentConfig:
-    data = entry["data"]
-    if isinstance(data, dict):
-        data = GaussianSpec(**data)
-    optimizer = LineSearchConfig(**entry.get("optimizer", {}))
-    return ExperimentConfig(
-        method=entry["method"],
-        data=data,
-        moment_source=entry.get("moment_source", "empirical"),
-        moments_path=entry.get("moments_path"),
-        folds=entry.get("folds", 5),
-        repeats=entry.get("repeats", 4),
-        optimizer=optimizer,
-        seed=entry.get("seed", 0),
-        normalize=entry.get("normalize"),
-        per_fold_norm=entry.get("per_fold_norm", False),
-    )
-
-
 def _summary_line(report) -> str:
     cfg = report.config
     return (
@@ -173,7 +120,7 @@ def _cmd_cv(args: argparse.Namespace) -> int:
         moments_path=args.moments,
         folds=args.folds,
         repeats=args.repeats,
-        optimizer=_optimizer_config(args),
+        optimizer=_from_args(LineSearchConfig, args),
         seed=args.seed,
         normalize=args.normalize,
         per_fold_norm=args.per_fold_norm,
@@ -190,15 +137,25 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         entries = json.load(fh)
     if not isinstance(entries, list) or not entries:
         raise ValueError("configs file must hold a non-empty JSON list")
+    # build every config first so a bad entry fails before any sweep runs
+    named = []
+    for i, entry in enumerate(entries):
+        fields = dict(entry)
+        name = fields.pop("name", f"config_{i:02d}")
+        try:
+            if isinstance(fields.get("data"), dict):
+                fields["data"] = GaussianSpec(**fields["data"])
+            if "optimizer" in fields:
+                fields["optimizer"] = LineSearchConfig(**fields["optimizer"])
+            named.append((name, ExperimentConfig(**fields)))
+        except TypeError as exc:  # unknown or missing key
+            raise ValueError(f"config {name}: {exc}") from None
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for i, entry in enumerate(entries):
-        config = _experiment_config(entry)
+    for i, (name, config) in enumerate(named):
         report = run_experiment(config)
-        name = entry.get("name", f"config_{i:02d}")
-        out_path = out_dir / f"{name}.csv"
-        emit_report(report, out_path)
-        print(f"[{i + 1}/{len(entries)}] {name}: {_summary_line(report)}")
+        emit_report(report, out_dir / f"{name}.csv")
+        print(f"[{i + 1}/{len(named)}] {name}: {_summary_line(report)}")
     return 0
 
 

@@ -38,6 +38,8 @@ __all__ = [
     "ExperimentConfig",
     "RunResult",
     "ExperimentReport",
+    "load_source",
+    "fit",
     "run_experiment",
     "emit_report",
     "emit_trace",
@@ -60,9 +62,10 @@ class ExperimentConfig:
     moments: "empirical" estimates them from each training fold, "exact"
     uses generator truth, which requires either a GaussianSpec data source
     or a moments sidecar path.  normalize=None means files are z-scored
-    once up front and generated data is left alone (scaling generated
-    features would break the exact moments).  per_fold_norm instead learns
-    normalization on each training fold and applies it to the test fold.
+    once up front while generated data and exact-moment runs are left
+    alone.  per_fold_norm instead learns normalization on each training
+    fold and applies it to the test fold.  Exact moments are in the raw
+    feature units, so either normalization together with them is rejected.
     """
 
     method: str
@@ -85,17 +88,13 @@ class ExperimentConfig:
             )
         if not isinstance(self.data, GaussianSpec) and not isinstance(self.data, str):
             raise ValueError("data must be a GaussianSpec or a file path string")
-        if self.moment_source == "exact":
-            if not isinstance(self.data, GaussianSpec) and self.moments_path is None:
-                raise ValueError(
-                    "exact moment source needs a GaussianSpec data source or a moments_path"
-                )
         if self.folds < 2:
             raise ValueError(f"folds must be >= 2, got {self.folds!r}")
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {self.repeats!r}")
-        if self.per_fold_norm and self.normalize:
-            raise ValueError("choose either whole-dataset or per-fold normalization, not both")
+        _resolve_normalize(
+            self.data, self.moment_source, self.moments_path, self.normalize, self.per_fold_norm
+        )
 
 
 @dataclass(frozen=True)
@@ -163,47 +162,94 @@ class ExperimentReport:
         return self._mean("train_seconds")
 
 
-def _load_source(config: ExperimentConfig) -> tuple[Dataset, ClassMoments | None]:
-    if isinstance(config.data, GaussianSpec):
-        dataset, exact = gen_gaussian(config.data)
+def _resolve_normalize(
+    data: DataSource,
+    moment_source: str,
+    moments_path: str | None,
+    normalize: bool | None,
+    per_fold_norm: bool,
+) -> bool:
+    """Check a data source against its moment source; return whether to z-score it whole.
+
+    Exact moments come from the generator or a sidecar and are in raw
+    feature units, so they rule out both normalizations.  normalize=None
+    z-scores files and leaves generated data and exact-moment runs alone.
+    """
+    if moment_source == "exact":
+        if not isinstance(data, GaussianSpec) and moments_path is None:
+            raise ValueError("exact moment source requires --moments SIDECAR or generated data")
+        if normalize or per_fold_norm:
+            raise ValueError(
+                "exact moments are in raw feature units; they cannot be combined with normalization"
+            )
+    if per_fold_norm and normalize:
+        raise ValueError("choose either whole-dataset or per-fold normalization, not both")
+    if normalize is None:
+        return isinstance(data, str) and not per_fold_norm and moment_source != "exact"
+    return normalize
+
+
+def load_source(
+    data: DataSource,
+    moment_source: str = "empirical",
+    moments_path: str | None = None,
+    normalize: bool | None = None,
+    per_fold_norm: bool = False,
+) -> tuple[Dataset, ClassMoments | None]:
+    """Load or generate a dataset and the exact moments a run should use.
+
+    A sidecar at moments_path must match the data's dimension.  The
+    returned moments are None unless moment_source is "exact"; the dataset
+    is z-scored whole when the normalization rule of ExperimentConfig says so.
+    """
+    normalize = _resolve_normalize(data, moment_source, moments_path, normalize, per_fold_norm)
+    if isinstance(data, GaussianSpec):
+        dataset, exact = gen_gaussian(data)
     else:
-        dataset = load_libsvm(config.data)
+        dataset = load_libsvm(data)
         exact = None
-    if config.moments_path is not None:
-        exact = load_moments(config.moments_path)
+    if moments_path is not None:
+        exact = load_moments(moments_path)
         if exact.dim != dataset.dim:
             raise ValueError(
                 f"moments d={exact.dim} does not match dataset d={dataset.dim}"
             )
-    return dataset, exact
+    if normalize:
+        dataset, _ = normalize_zscore(dataset)
+    return dataset, exact if moment_source == "exact" else None
 
 
-def _train_one(
-    config: ExperimentConfig,
+def fit(
+    method: str,
     train: Dataset,
     exact_moments: ClassMoments | None,
-    run_seed: int,
+    optimizer: LineSearchConfig,
+    seed: int,
+    lam: float | None = None,
 ) -> tuple[LinearModel, OptimizationTrace | None]:
-    method = config.method
+    """Train one method on one training set; the only method dispatch.
+
+    The direct methods use exact_moments when given and otherwise estimate
+    moments from train; lda always estimates.  Logistic and hinge start
+    from init_random(seed), and logistic's ridge weight lam defaults to
+    1/n.  Closed-form lda returns no trace.
+    """
     if method == "lda":
         return lda_fit(estimate_class_moments(train)), None
     if method in ("error-direct", "auc-direct"):
-        if config.moment_source == "exact":
-            moments = exact_moments
-        else:
-            moments = estimate_class_moments(train)
+        moments = exact_moments if exact_moments is not None else estimate_class_moments(train)
         w0 = init_w0_error(moments)
         if method == "error-direct":
             objective = error_objective(moments)
         else:
             objective = auc_objective(auc_moments(moments))
     elif method == "logistic":
-        w0 = init_random(train.dim, run_seed)
-        objective = logistic_objective(train, lam=1.0 / train.n)
+        w0 = init_random(train.dim, seed)
+        objective = logistic_objective(train, lam=1.0 / train.n if lam is None else lam)
     else:  # hinge
-        w0 = init_random(train.dim, run_seed)
+        w0 = init_random(train.dim, seed)
         objective = hinge_objective(train)
-    return gd_backtracking(objective, w0, config.optimizer)
+    return gd_backtracking(objective, w0, optimizer)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -214,14 +260,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     fold, singular model, ...) is recorded with its reason and skipped in
     the aggregates rather than aborting the sweep.
     """
-    dataset, exact_moments = _load_source(config)
-    if config.moment_source == "exact" and exact_moments is None:
-        raise ValueError("exact moment source requested but no exact moments available")
-    normalize = config.normalize
-    if normalize is None:
-        normalize = isinstance(config.data, str) and not config.per_fold_norm
-    if normalize:
-        dataset, _ = normalize_zscore(dataset)
+    dataset, exact_moments = load_source(
+        config.data, config.moment_source, config.moments_path,
+        config.normalize, config.per_fold_norm,
+    )
     report = ExperimentReport(config=config)
     for repeat in range(config.repeats):
         splits = kfold_split(dataset.n, config.folds, seed=config.seed + repeat)
@@ -235,7 +277,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                     train, stats = normalize_zscore(train)
                     test = apply_zscore(test, stats)
                 started = time.perf_counter()
-                model, trace = _train_one(config, train, exact_moments, run_seed)
+                model, trace = fit(config.method, train, exact_moments, config.optimizer, run_seed)
                 train_seconds = time.perf_counter() - started
                 result = RunResult(
                     run=run_no,

@@ -102,15 +102,12 @@ def _hinge_score_eval(sp: np.ndarray, sn: np.ndarray):
     return value, order_pos, signed_pos, order_neg, active_pos
 
 
-def pairwise_hinge_eval(w: np.ndarray, dataset, printed_orientation: bool = False) -> ObjectiveEval:
+def pairwise_hinge_eval(w: np.ndarray, dataset) -> ObjectiveEval:
     """Pairwise ranking hinge: mean over positive-negative pairs of
     max(0, 1 - (w'x_pos - w'x_neg)), with its (sub)gradient.
 
     This orientation penalizes a positive that fails to outscore a negative
-    by the unit margin, so minimizing it pushes AUC up.  Setting
-    `printed_orientation=True` evaluates the sign-flipped variant
-    max(0, 1 - (w'x_neg - w'x_pos)) instead; it exists for auditing the
-    difference and is not useful for training.
+    by the unit margin, so minimizing it pushes AUC up.
     """
     w = np.asarray(w, dtype=float)
     X = dataset.features
@@ -123,14 +120,7 @@ def pairwise_hinge_eval(w: np.ndarray, dataset, printed_orientation: bool = Fals
     # score the whole matrix once and split the score vector; copying the
     # class submatrices would move 8*n*d bytes per call
     scores = X @ w
-    sp = scores[pos]
-    sn = scores[neg]
-    if printed_orientation:
-        value, order_pos, count_pos, order_neg, count_neg = _hinge_score_eval(-sp, -sn)
-        scale = -float(pos.shape[0] * neg.shape[0])
-    else:
-        value, order_pos, count_pos, order_neg, count_neg = _hinge_score_eval(sp, sn)
-        scale = float(pos.shape[0] * neg.shape[0])
+    value, order_pos, count_pos, order_neg, count_neg = _hinge_score_eval(scores[pos], scores[neg])
     # scatter the sorted-rank counts straight to their dataset rows through
     # the composed permutations, then normalize on the d-vector rather
     # than per sample
@@ -138,15 +128,15 @@ def pairwise_hinge_eval(w: np.ndarray, dataset, printed_orientation: bool = Fals
     g_scores[pos[order_pos]] = count_pos
     g_scores[neg[order_neg]] = count_neg
     gradient = X.T @ g_scores
-    gradient /= scale
+    gradient /= float(pos.shape[0] * neg.shape[0])
     return ObjectiveEval(value=value, gradient=gradient)
 
 
-def hinge_objective(dataset, printed_orientation: bool = False) -> Objective:
+def hinge_objective(dataset) -> Objective:
     """Bind the pairwise hinge to a dataset for the optimizer."""
 
     def evaluate(w: np.ndarray) -> ObjectiveEval:
-        return pairwise_hinge_eval(w, dataset, printed_orientation)
+        return pairwise_hinge_eval(w, dataset)
 
     return evaluate
 

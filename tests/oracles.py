@@ -51,8 +51,7 @@ def fd_grad(f, w: np.ndarray, h: float = 1e-5) -> np.ndarray:
     return g
 
 
-def brute_hinge(w: np.ndarray, X_pos: np.ndarray, X_neg: np.ndarray,
-                printed_orientation: bool = False):
+def brute_hinge(w: np.ndarray, X_pos: np.ndarray, X_neg: np.ndarray):
     """O(n+ * n-) pairwise hinge value and gradient by direct enumeration."""
     w = np.asarray(w, dtype=float)
     sp = X_pos @ w
@@ -62,15 +61,10 @@ def brute_hinge(w: np.ndarray, X_pos: np.ndarray, X_neg: np.ndarray,
     grad = np.zeros_like(w)
     for i in range(sp.shape[0]):
         for j in range(sn.shape[0]):
-            if printed_orientation:
-                margin = 1.0 - (sn[j] - sp[i])
-                direction = X_pos[i] - X_neg[j]
-            else:
-                margin = 1.0 - (sp[i] - sn[j])
-                direction = X_neg[j] - X_pos[i]
+            margin = 1.0 - (sp[i] - sn[j])
             if margin > 0.0:
                 value += margin
-                grad += direction
+                grad += X_neg[j] - X_pos[i]
     return value / n_pairs, grad / n_pairs
 
 

@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from momentclf import load_libsvm, load_model, load_moments
-from momentclf.cli import main
+from momentclf import LineSearchConfig, load_libsvm, load_model, load_moments
+from momentclf.cli import _build_parser, _from_args, main
 from momentclf.harness import REPORT_HEADER, TRACE_HEADER
 
 
@@ -20,6 +20,28 @@ def generated(tmp_path_factory):
     ])
     assert rc == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def raw_units(tmp_path_factory):
+    """A d=10 file far from zero mean and unit variance, plus its sidecar."""
+    out = tmp_path_factory.mktemp("cli_raw") / "raw.libsvm"
+    rc = main(["gen", "--d", "10", "--n", "2000", "--prior-pos", "0.5",
+               "--seed", "3", "--out", str(out)])
+    assert rc == 0
+    return out
+
+
+def _masked_report(path):
+    lines = path.read_text().splitlines()
+    rows = []
+    for row in lines[1:-1]:
+        parts = row.split(",")
+        parts[7] = "MASK"
+        rows.append(",".join(parts))
+    summary = lines[-1].split(",")
+    summary[6] = "MASK"
+    return "\n".join([lines[0]] + rows + [",".join(summary)])
 
 
 class TestGen:
@@ -91,6 +113,30 @@ class TestTrain:
                    "--model-out", str(tmp_path / "m.model")])
         assert rc == 0
 
+    def test_exact_source_rejects_sidecar_of_other_dimension(self, generated, raw_units,
+                                                             tmp_path, capsys):
+        model_out = tmp_path / "m.model"
+        rc = main(["train", "--method", "error-direct", "--data", str(raw_units),
+                   "--moment-source", "exact", "--moments", str(generated) + ".moments",
+                   "--model-out", str(model_out)])
+        assert rc == 1
+        assert "error: moments d=4 does not match dataset d=10" in capsys.readouterr().err
+        assert not model_out.exists()
+
+    def test_exact_source_rejects_normalize(self, raw_units, tmp_path, capsys):
+        model_out = tmp_path / "m.model"
+        rc = main(["train", "--method", "error-direct", "--data", str(raw_units),
+                   "--moment-source", "exact", "--moments", str(raw_units) + ".moments",
+                   "--normalize", "--model-out", str(model_out)])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+        assert not model_out.exists()
+
+    def test_optimizer_flag_defaults_are_line_search_defaults(self, generated, tmp_path):
+        args = _build_parser().parse_args(["train", "--method", "hinge", "--data", str(generated),
+                                           "--model-out", str(tmp_path / "m.model")])
+        assert _from_args(LineSearchConfig, args) == LineSearchConfig()
+
     def test_optimizer_flags_respected(self, generated, tmp_path):
         trace_out = tmp_path / "short.trace.csv"
         rc = main(["train", "--method", "error-direct", "--data", str(generated),
@@ -135,17 +181,6 @@ class TestCv:
         assert "lda" in capsys.readouterr().out
 
     def test_deterministic_modulo_timing(self, generated, tmp_path):
-        def masked(path):
-            lines = path.read_text().splitlines()
-            rows = []
-            for row in lines[1:-1]:
-                parts = row.split(",")
-                parts[7] = "MASK"
-                rows.append(",".join(parts))
-            summary = lines[-1].split(",")
-            summary[6] = "MASK"
-            return "\n".join([lines[0]] + rows + [",".join(summary)])
-
         p1 = tmp_path / "r1.csv"
         p2 = tmp_path / "r2.csv"
         for path in (p1, p2):
@@ -153,7 +188,21 @@ class TestCv:
                        "--folds", "2", "--repeats", "2", "--seed", "9",
                        "--report-out", str(path)])
             assert rc == 0
-        assert masked(p1) == masked(p2)
+        assert _masked_report(p1) == _masked_report(p2)
+
+    def test_exact_source_leaves_features_in_raw_units(self, raw_units, tmp_path, capsys):
+        base = ["cv", "--method", "error-direct", "--data", str(raw_units),
+                "--moment-source", "exact", "--moments", str(raw_units) + ".moments",
+                "--folds", "2", "--repeats", "1"]
+        default = tmp_path / "default.csv"
+        raw = tmp_path / "raw.csv"
+        assert main(base + ["--report-out", str(default)]) == 0
+        assert main(base + ["--no-normalize", "--report-out", str(raw)]) == 0
+        assert _masked_report(default) == _masked_report(raw)
+        capsys.readouterr()
+        for flag in ("--normalize", "--per-fold-norm"):
+            assert main(base + [flag, "--report-out", str(tmp_path / "x.csv")]) == 1
+            assert "error:" in capsys.readouterr().err
 
     def test_normalize_flags_are_exclusive(self, generated, tmp_path):
         with pytest.raises(SystemExit):
@@ -200,3 +249,16 @@ class TestBench:
         rc = main(["bench", "--configs", str(cfg_path), "--out-dir", str(tmp_path / "r")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_unknown_key_fails_before_running(self, generated, tmp_path, capsys):
+        cfg_path = tmp_path / "typo.json"
+        cfg_path.write_text(json.dumps([
+            {"name": "ok", "method": "lda", "data": str(generated), "folds": 2, "repeats": 1},
+            {"name": "typo", "method": "lda", "data": str(generated), "fold": 10},
+        ]))
+        out_dir = tmp_path / "r"
+        rc = main(["bench", "--configs", str(cfg_path), "--out-dir", str(out_dir)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "fold" in err
+        assert not out_dir.exists()

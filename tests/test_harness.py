@@ -14,12 +14,13 @@ from momentclf import (
     emit_report,
     emit_trace,
     gd_backtracking,
+    gen_gaussian,
     run_experiment,
     save_libsvm,
     save_moments,
     std_normal_cdf,
 )
-from momentclf.harness import METHODS, REPORT_HEADER, TRACE_HEADER
+from momentclf.harness import METHODS, REPORT_HEADER, TRACE_HEADER, fit, load_source
 from momentclf.objectives import ObjectiveEval
 
 
@@ -44,6 +45,18 @@ def bayes_files(tmp_path_factory):
         np.array([1.0, 0.0]), np.array([-1.0, 0.0]), np.eye(2), np.eye(2), 0.5, 0.5
     )
     sidecar = tmp / "bayes.moments"
+    save_moments(truth, sidecar)
+    return data_path, sidecar
+
+
+@pytest.fixture(scope="module")
+def raw_files(tmp_path_factory):
+    """A d=10 generated file in raw units (far from z-scored) plus its sidecar."""
+    tmp = tmp_path_factory.mktemp("raw")
+    ds, truth = gen_gaussian(GaussianSpec(d=10, n=2000, prior_pos=0.5, seed=3))
+    data_path = tmp / "raw.libsvm"
+    sidecar = tmp / "raw.moments"
+    save_libsvm(ds, data_path)
     save_moments(truth, sidecar)
     return data_path, sidecar
 
@@ -77,6 +90,14 @@ class TestConfigValidation:
                 per_fold_norm=True,
             )
 
+    @pytest.mark.parametrize("norm", [{"normalize": True}, {"per_fold_norm": True}])
+    def test_exact_source_rejects_normalization(self, norm):
+        for data, path in ((GaussianSpec(d=2, n=40, prior_pos=0.5), None),
+                           ("some/file.libsvm", "some/file.moments")):
+            with pytest.raises(ValueError, match="raw feature units"):
+                ExperimentConfig(method="error-direct", data=data, moment_source="exact",
+                                 moments_path=path, **norm)
+
     def test_unknown_moment_source_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(
@@ -107,6 +128,18 @@ class TestRunExperiment:
             )
         )
         assert err.mean_accuracy >= lda.mean_accuracy
+
+    def test_exact_source_on_a_file_is_not_normalized(self, raw_files):
+        data_path, sidecar = raw_files
+        common = dict(method="error-direct", data=str(data_path), moment_source="exact",
+                      moments_path=str(sidecar), folds=2, repeats=1, seed=5)
+        default = run_experiment(ExperimentConfig(**common))
+        raw = run_experiment(ExperimentConfig(normalize=False, **common))
+        assert [r.accuracy for r in default.runs] == [r.accuracy for r in raw.runs]
+        assert [r.auc for r in default.runs] == [r.auc for r in raw.runs]
+        # the features really are far from z-scored, so mixing would show
+        dataset, _ = load_source(str(data_path), normalize=False)
+        assert np.abs(dataset.features.mean(axis=0)).max() > 0.5
 
     def test_direct_method_collects_traces(self, bayes_files):
         data_path, _ = bayes_files
@@ -174,6 +207,35 @@ class TestRunExperiment:
             )
         )
         assert all(not r.failed for r in report.runs)
+
+
+class TestLoadSourceAndFit:
+    def test_sidecar_dimension_checked(self, raw_files, bayes_files):
+        data_path, _ = raw_files
+        _, sidecar = bayes_files
+        with pytest.raises(ValueError, match="moments d=2 does not match dataset d=10"):
+            load_source(str(data_path), "exact", str(sidecar), normalize=False)
+
+    def test_exact_moments_returned_only_for_exact_source(self, raw_files):
+        data_path, sidecar = raw_files
+        _, exact = load_source(str(data_path), "exact", str(sidecar))
+        assert exact is not None and exact.dim == 10
+        _, empirical = load_source(str(data_path), "empirical", str(sidecar))
+        assert empirical is None
+
+    def test_lam_none_means_one_over_n(self):
+        ds, _ = gen_gaussian(GaussianSpec(d=3, n=120, prior_pos=0.5, seed=19))
+        cfg = LineSearchConfig(max_iters=20)
+        default, _ = fit("logistic", ds, None, cfg, seed=4)
+        explicit, _ = fit("logistic", ds, None, cfg, seed=4, lam=1.0 / ds.n)
+        other, _ = fit("logistic", ds, None, cfg, seed=4, lam=0.5)
+        assert default.w.tobytes() == explicit.w.tobytes()
+        assert default.w.tobytes() != other.w.tobytes()
+
+    def test_lda_has_no_trace(self):
+        ds, _ = gen_gaussian(GaussianSpec(d=3, n=120, prior_pos=0.5, seed=19))
+        _, trace = fit("lda", ds, None, LineSearchConfig(), seed=0)
+        assert trace is None
 
 
 class TestEmitReport:
