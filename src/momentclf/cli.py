@@ -24,7 +24,6 @@ from .data import (
 )
 from .harness import (
     METHODS,
-    MOMENT_SOURCES,
     ExperimentConfig,
     emit_report,
     emit_trace,
@@ -62,6 +61,11 @@ def _from_args(cls, args: argparse.Namespace):
     return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
 
 
+def _moment_source(args: argparse.Namespace) -> str:
+    # a sidecar is the only place exact moments of a file can come from
+    return "exact" if args.moments is not None else "empirical"
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     dataset, moments = gen_gaussian(_from_args(GaussianSpec, args))
     save_libsvm(dataset, args.out)
@@ -73,7 +77,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    dataset, exact = load_source(args.data, args.moment_source, args.moments, args.normalize)
+    dataset, exact = load_source(args.method, args.data, _moment_source(args), args.moments,
+                                 args.normalize)
     optimizer = _from_args(LineSearchConfig, args)
     model, trace = fit(args.method, dataset, exact, optimizer, args.seed, lam=args.lam)
     save_model(model, args.model_out)
@@ -116,7 +121,7 @@ def _cmd_cv(args: argparse.Namespace) -> int:
     config = ExperimentConfig(
         method=args.method,
         data=args.data,
-        moment_source=args.moment_source,
+        moment_source=_moment_source(args),
         moments_path=args.moments,
         folds=args.folds,
         repeats=args.repeats,
@@ -182,8 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="fit one model on one LIBSVM file")
     p_train.add_argument("--method", choices=METHODS, required=True)
     p_train.add_argument("--data", required=True, help="LIBSVM path")
-    p_train.add_argument("--moment-source", choices=MOMENT_SOURCES, default="empirical")
-    p_train.add_argument("--moments", default=None, help="exact-moments sidecar path")
+    p_train.add_argument("--moments", default=None, help="exact-moments sidecar; selects exact moments")
     p_train.add_argument("--normalize", action="store_true", help="z-score the data first")
     p_train.add_argument("--lam", type=float, default=None,
                          help="logistic ridge weight (default 1/n)")
@@ -203,8 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cv = sub.add_parser("cv", help="repeated k-fold benchmark of one method")
     p_cv.add_argument("--method", choices=METHODS, required=True)
     p_cv.add_argument("--data", required=True, help="LIBSVM path")
-    p_cv.add_argument("--moment-source", choices=MOMENT_SOURCES, default="empirical")
-    p_cv.add_argument("--moments", default=None, help="exact-moments sidecar path")
+    p_cv.add_argument("--moments", default=None, help="exact-moments sidecar; selects exact moments")
     p_cv.add_argument("--folds", type=int, default=5)
     p_cv.add_argument("--repeats", type=int, default=4)
     p_cv.add_argument("--seed", type=int, default=0)

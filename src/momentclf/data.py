@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, _read_key_values
 from .moments import ClassMoments
 
 __all__ = [
@@ -151,8 +151,8 @@ class GaussianSpec:
             raise ValueError(f"prior_pos must lie in (0, 1), got {self.prior_pos!r}")
         if self.n * self.prior_pos < 2 or self.n * (1.0 - self.prior_pos) < 2:
             raise ValueError("each class needs an expected count of at least 2")
-        if not 0.0 <= self.outlier_pct < 100.0:
-            raise ValueError(f"outlier_pct must lie in [0, 100), got {self.outlier_pct!r}")
+        if not 0.0 <= self.outlier_pct < 50.0:
+            raise ValueError(f"outlier_pct must lie in [0, 50), got {self.outlier_pct!r}")
         if not self.mean_scale > 0.0:
             raise ValueError(f"mean_scale must be positive, got {self.mean_scale!r}")
         if not self.cov_scale > 0.0:
@@ -338,16 +338,14 @@ def inject_outliers(dataset: Dataset, pct: float, seed: int) -> Dataset:
     pct = float(pct)
     if not 0.0 <= pct < 50.0:
         raise ValueError(f"pct must lie in [0, 50), got {pct!r}")
-    pos_idx = np.flatnonzero(dataset.labels == 1)
-    neg_idx = np.flatnonzero(dataset.labels == -1)
-    k_pos = int(math.floor(pct * pos_idx.shape[0] / 100.0))
-    k_neg = int(math.floor(pct * neg_idx.shape[0] / 100.0))
+    k_pos = int(math.floor(pct * dataset.n_pos / 100.0))
+    k_neg = int(math.floor(pct * dataset.n_neg / 100.0))
     rng = np.random.default_rng(seed)
     labels = np.array(dataset.labels)
     if k_pos > 0:
-        labels[rng.choice(pos_idx, size=k_pos, replace=False)] = -1
+        labels[rng.choice(dataset.pos_index, size=k_pos, replace=False)] = -1
     if k_neg > 0:
-        labels[rng.choice(neg_idx, size=k_neg, replace=False)] = 1
+        labels[rng.choice(dataset.neg_index, size=k_neg, replace=False)] = 1
     return Dataset(features=dataset.features, labels=labels)
 
 
@@ -399,31 +397,19 @@ def save_moments(moments: ClassMoments, path) -> None:
 
 def load_moments(path) -> ClassMoments:
     """Read a moment model written by save_moments."""
-    fields = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            key, _, rest = line.partition(" ")
-            if not rest:
-                raise ParseError(f"line {lineno}: expected 'key values', got {line!r}")
-            fields[key] = rest
-    try:
+
+    def parse(fields):
+        def vec(key):
+            return np.array([float(t) for t in fields[key].split()])
+
         d = int(fields["d"])
-        prior_pos = float(fields["prior_pos"])
-        prior_neg = float(fields["prior_neg"])
-        mu_pos = np.array([float(t) for t in fields["mu_pos"].split()])
-        mu_neg = np.array([float(t) for t in fields["mu_neg"].split()])
-        sigma_pos = np.array([float(t) for t in fields["sigma_pos"].split()]).reshape(d, d)
-        sigma_neg = np.array([float(t) for t in fields["sigma_neg"].split()]).reshape(d, d)
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"moments file {path!s} is malformed: {exc}") from exc
-    return ClassMoments(
-        mu_pos=mu_pos,
-        mu_neg=mu_neg,
-        sigma_pos=sigma_pos,
-        sigma_neg=sigma_neg,
-        prior_pos=prior_pos,
-        prior_neg=prior_neg,
-    )
+        return dict(
+            prior_pos=float(fields["prior_pos"]),
+            prior_neg=float(fields["prior_neg"]),
+            mu_pos=vec("mu_pos"),
+            mu_neg=vec("mu_neg"),
+            sigma_pos=vec("sigma_pos").reshape(d, d),
+            sigma_neg=vec("sigma_neg").reshape(d, d),
+        )
+
+    return ClassMoments(**_read_key_values(path, "moments", "key values", parse))

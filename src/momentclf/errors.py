@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its key-value text reader.
 
 Everything derives from ValueError so callers that only care about
 "bad input vs. bug" can catch one class, while tests and the harness
@@ -32,3 +32,24 @@ class NoInitializerError(ValueError):
 
 class ParseError(ValueError):
     """Malformed text input; the message names the offending line."""
+
+
+def _read_key_values(path, kind: str, expected: str, parse):
+    """Read the `key values` lines of a model or moments file; return parse(fields).
+
+    A line without values, and a KeyError or ValueError from parse, raise ParseError.
+    """
+    fields = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            key, _, rest = line.partition(" ")
+            if not rest:
+                raise ParseError(f"line {lineno}: expected {expected!r}, got {line!r}")
+            fields[key] = rest
+    try:
+        return parse(fields)
+    except (KeyError, ValueError) as exc:
+        raise ParseError(f"{kind} file {path!s} is malformed: {exc}") from exc

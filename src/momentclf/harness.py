@@ -25,7 +25,7 @@ from .data import (
     load_moments,
     normalize_zscore,
 )
-from .metrics import empirical_accuracy, empirical_auc
+from .metrics import evaluate_model
 from .model import LinearModel
 from .moments import ClassMoments, auc_moments, estimate_class_moments
 from .objectives import auc_objective, error_objective
@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 METHODS = ("error-direct", "auc-direct", "logistic", "hinge", "lda")
+# Methods that see the data only through class moments; only they can use exact ones.
+MOMENT_METHODS = ("error-direct", "auc-direct", "lda")
 MOMENT_SOURCES = ("empirical", "exact")
 
 REPORT_HEADER = "method,moment_source,run,fold,repeat,accuracy,auc,train_seconds,reason"
@@ -58,14 +60,15 @@ DataSource = Union[GaussianSpec, str]
 class ExperimentConfig:
     """One benchmark cell: a method, a data source, and the CV protocol.
 
-    moment_source picks where the direct methods get their Gaussian
-    moments: "empirical" estimates them from each training fold, "exact"
-    uses generator truth, which requires either a GaussianSpec data source
-    or a moments sidecar path.  normalize=None means files are z-scored
-    once up front while generated data and exact-moment runs are left
-    alone.  per_fold_norm instead learns normalization on each training
-    fold and applies it to the test fold.  Exact moments are in the raw
-    feature units, so either normalization together with them is rejected.
+    moment_source picks where the MOMENT_METHODS, the only methods that
+    take exact moments, get their Gaussian moments: "empirical" estimates
+    them from each training fold, "exact" uses generator truth from a
+    GaussianSpec data source or the sidecar at moments_path, which only
+    the exact source takes.  normalize=None means files are z-scored once
+    up front unless moments are exact; generated data is left alone.
+    per_fold_norm instead learns normalization on each training fold and
+    applies it to the test fold.  Exact moments are in the raw feature
+    units, so either normalization together with them is rejected.
     """
 
     method: str
@@ -92,9 +95,8 @@ class ExperimentConfig:
             raise ValueError(f"folds must be >= 2, got {self.folds!r}")
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {self.repeats!r}")
-        _resolve_normalize(
-            self.data, self.moment_source, self.moments_path, self.normalize, self.per_fold_norm
-        )
+        _check_source(self.method, self.data, self.moment_source, self.moments_path,
+                      self.normalize, self.per_fold_norm)
 
 
 @dataclass(frozen=True)
@@ -162,26 +164,33 @@ class ExperimentReport:
         return self._mean("train_seconds")
 
 
-def _resolve_normalize(
+def _check_source(
+    method: str,
     data: DataSource,
     moment_source: str,
     moments_path: str | None,
     normalize: bool | None,
     per_fold_norm: bool,
 ) -> bool:
-    """Check a data source against its moment source; return whether to z-score it whole.
+    """Check a method and data source against its moment source; return whether to z-score.
 
-    Exact moments come from the generator or a sidecar and are in raw
-    feature units, so they rule out both normalizations.  normalize=None
-    z-scores files and leaves generated data and exact-moment runs alone.
+    Exact moments come from the generator or a sidecar, feed only the
+    MOMENT_METHODS and are in raw feature units, so they rule out both
+    normalizations.  normalize=None z-scores files, except for exact-moment
+    runs, and leaves generated data alone.
     """
     if moment_source == "exact":
+        if method not in MOMENT_METHODS:
+            raise ValueError(f"{method} trains on samples, not moments; exact moments "
+                             f"apply only to {', '.join(MOMENT_METHODS)}")
         if not isinstance(data, GaussianSpec) and moments_path is None:
             raise ValueError("exact moment source requires --moments SIDECAR or generated data")
         if normalize or per_fold_norm:
             raise ValueError(
                 "exact moments are in raw feature units; they cannot be combined with normalization"
             )
+    elif moments_path is not None:
+        raise ValueError("a moments sidecar is exact moments; it needs moment_source='exact'")
     if per_fold_norm and normalize:
         raise ValueError("choose either whole-dataset or per-fold normalization, not both")
     if normalize is None:
@@ -190,19 +199,20 @@ def _resolve_normalize(
 
 
 def load_source(
+    method: str,
     data: DataSource,
     moment_source: str = "empirical",
     moments_path: str | None = None,
     normalize: bool | None = None,
     per_fold_norm: bool = False,
 ) -> tuple[Dataset, ClassMoments | None]:
-    """Load or generate a dataset and the exact moments a run should use.
+    """Load or generate a dataset and the exact moments method should use.
 
-    A sidecar at moments_path must match the data's dimension.  The
-    returned moments are None unless moment_source is "exact"; the dataset
-    is z-scored whole when the normalization rule of ExperimentConfig says so.
+    The checks and normalization rule are ExperimentConfig's, and a sidecar
+    at moments_path must match the data's dimension.  The returned moments
+    are None unless moment_source is "exact".
     """
-    normalize = _resolve_normalize(data, moment_source, moments_path, normalize, per_fold_norm)
+    normalize = _check_source(method, data, moment_source, moments_path, normalize, per_fold_norm)
     if isinstance(data, GaussianSpec):
         dataset, exact = gen_gaussian(data)
     else:
@@ -229,15 +239,15 @@ def fit(
 ) -> tuple[LinearModel, OptimizationTrace | None]:
     """Train one method on one training set; the only method dispatch.
 
-    The direct methods use exact_moments when given and otherwise estimate
-    moments from train; lda always estimates.  Logistic and hinge start
-    from init_random(seed), and logistic's ridge weight lam defaults to
-    1/n.  Closed-form lda returns no trace.
+    The MOMENT_METHODS use exact_moments when given and otherwise estimate
+    moments from train.  Logistic and hinge start from init_random(seed),
+    and logistic's ridge weight lam defaults to 1/n.  Closed-form lda
+    returns no trace.
     """
-    if method == "lda":
-        return lda_fit(estimate_class_moments(train)), None
-    if method in ("error-direct", "auc-direct"):
+    if method in MOMENT_METHODS:
         moments = exact_moments if exact_moments is not None else estimate_class_moments(train)
+        if method == "lda":
+            return lda_fit(moments), None
         w0 = init_w0_error(moments)
         if method == "error-direct":
             objective = error_objective(moments)
@@ -261,7 +271,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     the aggregates rather than aborting the sweep.
     """
     dataset, exact_moments = load_source(
-        config.data, config.moment_source, config.moments_path,
+        config.method, config.data, config.moment_source, config.moments_path,
         config.normalize, config.per_fold_norm,
     )
     report = ExperimentReport(config=config)
@@ -279,14 +289,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 started = time.perf_counter()
                 model, trace = fit(config.method, train, exact_moments, config.optimizer, run_seed)
                 train_seconds = time.perf_counter() - started
-                result = RunResult(
-                    run=run_no,
-                    fold=fold,
-                    repeat=repeat,
-                    accuracy=empirical_accuracy(model, test),
-                    auc=empirical_auc(model, test),
-                    train_seconds=train_seconds,
-                )
+                scored = evaluate_model(model, test)
+                result = RunResult(run=run_no, fold=fold, repeat=repeat, accuracy=scored.accuracy,
+                                   auc=scored.auc, train_seconds=train_seconds)
             except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
                 result = RunResult(
                     run=run_no,

@@ -21,25 +21,18 @@ class EvalResult:
     n_neg: int
 
 
+def _accuracy(scores: np.ndarray, labels: np.ndarray) -> float:
+    predicted = np.where(scores >= 0.0, 1, -1)
+    return float(np.mean(predicted == labels))
+
+
 def empirical_accuracy(model: LinearModel, dataset) -> float:
     """Fraction of samples whose score sign matches the label.
 
     A score of exactly zero predicts +1, so the value is 1 minus the
     empirical zero-one loss up to that tie rule.
     """
-    scores = model.scores(dataset.features)
-    predicted = np.where(scores >= 0.0, 1, -1)
-    return float(np.mean(predicted == dataset.labels))
-
-
-def _pair_counts(model: LinearModel, dataset):
-    scores = model.scores(dataset.features)
-    pos = dataset.labels == 1
-    sp = scores[pos]
-    sn = scores[~pos]
-    if sp.shape[0] == 0 or sn.shape[0] == 0:
-        raise ValueError("AUC needs at least one sample of each class")
-    return sp, sn
+    return _accuracy(model.scores(dataset.features), dataset.labels)
 
 
 def empirical_auc(model: LinearModel, dataset, ties: str = "strict") -> float:
@@ -50,24 +43,27 @@ def empirical_auc(model: LinearModel, dataset, ties: str = "strict") -> float:
     tied pair earns nothing; ties="midrank" credits half, matching the
     rank-sum convention.
     """
+    return evaluate_model(model, dataset, ties=ties).auc
+
+
+def evaluate_model(model: LinearModel, dataset, ties: str = "strict") -> EvalResult:
+    """Accuracy and AUC (as empirical_auc counts it) of one model from one scoring pass."""
     if ties not in ("strict", "midrank"):
         raise ValueError(f"ties must be 'strict' or 'midrank', got {ties!r}")
-    sp, sn = _pair_counts(model, dataset)
+    scores = model.scores(dataset.features)
+    sp = scores[dataset.pos_index]
+    sn = scores[dataset.neg_index]
+    if sp.shape[0] == 0 or sn.shape[0] == 0:
+        raise ValueError("AUC needs at least one sample of each class")
     sn_sorted = np.sort(sn)
     below = np.searchsorted(sn_sorted, sp, side="left")
     credit = float(below.sum())
     if ties == "midrank":
         below_or_equal = np.searchsorted(sn_sorted, sp, side="right")
         credit += 0.5 * float((below_or_equal - below).sum())
-    return credit / (sp.shape[0] * sn.shape[0])
-
-
-def evaluate_model(model: LinearModel, dataset, ties: str = "strict") -> EvalResult:
-    """Accuracy and AUC of one model on one dataset."""
-    sp, sn = _pair_counts(model, dataset)
     return EvalResult(
-        accuracy=empirical_accuracy(model, dataset),
-        auc=empirical_auc(model, dataset, ties=ties),
+        accuracy=_accuracy(scores, dataset.labels),
+        auc=credit / (sp.shape[0] * sn.shape[0]),
         n_pos=sp.shape[0],
         n_neg=sn.shape[0],
     )

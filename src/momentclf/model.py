@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, _read_key_values
 
 __all__ = ["LinearModel", "save_model", "load_model"]
 
@@ -59,22 +59,12 @@ def save_model(model: LinearModel, path) -> None:
 
 def load_model(path) -> LinearModel:
     """Read a model written by save_model."""
-    fields = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            key, _, rest = line.partition(" ")
-            if not rest:
-                raise ParseError(f"line {lineno}: expected 'key value', got {line!r}")
-            fields[key] = rest
-    try:
-        d = int(fields["d"])
-        intercept = float(fields["intercept"])
-        w = np.array([float(tok) for tok in fields["w"].split()], dtype=float)
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"model file {path!s} is malformed: {exc}") from exc
+
+    def parse(fields):
+        return (int(fields["d"]), float(fields["intercept"]),
+                np.array([float(tok) for tok in fields["w"].split()], dtype=float))
+
+    d, intercept, w = _read_key_values(path, "model", "key value", parse)
     if w.shape[0] != d:
         raise ParseError(f"model file declares d={d} but has {w.shape[0]} weights")
     return LinearModel(w=w, intercept=intercept)

@@ -166,10 +166,9 @@ def estimate_class_moments(dataset: Dataset) -> ClassMoments:
     at least two samples or the covariance is undefined.
     """
     X = dataset.features
-    y = dataset.labels
     out = {}
-    for label, tag in ((1, "pos"), (-1, "neg")):
-        Xc = X[y == label]
+    for label, tag, index in ((1, "pos", dataset.pos_index), (-1, "neg", dataset.neg_index)):
+        Xc = X[index]
         if Xc.shape[0] < 2:
             raise InsufficientDataError(
                 f"class {label:+d} has {Xc.shape[0]} samples; need at least 2"

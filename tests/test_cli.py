@@ -5,7 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from momentclf import LineSearchConfig, load_libsvm, load_model, load_moments
+from momentclf import (
+    LineSearchConfig,
+    empirical_accuracy,
+    kfold_split,
+    lda_fit,
+    load_libsvm,
+    load_model,
+    load_moments,
+)
 from momentclf.cli import _build_parser, _from_args, main
 from momentclf.harness import REPORT_HEADER, TRACE_HEADER
 
@@ -101,23 +109,34 @@ class TestTrain:
         assert lines[0] == TRACE_HEADER
         assert len(lines) >= 2
 
-    def test_exact_source_requires_sidecar(self, generated, tmp_path, capsys):
-        rc = main(["train", "--method", "error-direct", "--data", str(generated),
-                   "--moment-source", "exact", "--model-out", str(tmp_path / "m.model")])
-        assert rc == 1
-        assert "requires --moments" in capsys.readouterr().err
-
     def test_exact_source_with_sidecar(self, generated, tmp_path):
         rc = main(["train", "--method", "error-direct", "--data", str(generated),
-                   "--moment-source", "exact", "--moments", str(generated) + ".moments",
+                   "--moments", str(generated) + ".moments",
                    "--model-out", str(tmp_path / "m.model")])
         assert rc == 0
+
+    def test_sidecar_selects_exact_moments(self, generated, tmp_path):
+        model_out = tmp_path / "m.model"
+        rc = main(["train", "--method", "lda", "--data", str(generated),
+                   "--moments", str(generated) + ".moments", "--model-out", str(model_out)])
+        assert rc == 0
+        exact = lda_fit(load_moments(str(generated) + ".moments"))
+        assert load_model(model_out).w.tobytes() == exact.w.tobytes()
+
+    @pytest.mark.parametrize("method", ["logistic", "hinge"])
+    def test_sample_methods_reject_sidecar(self, generated, tmp_path, capsys, method):
+        model_out = tmp_path / "m.model"
+        rc = main(["train", "--method", method, "--data", str(generated),
+                   "--moments", str(generated) + ".moments", "--model-out", str(model_out)])
+        assert rc == 1
+        assert "error: " + method + " trains on samples" in capsys.readouterr().err
+        assert not model_out.exists()
 
     def test_exact_source_rejects_sidecar_of_other_dimension(self, generated, raw_units,
                                                              tmp_path, capsys):
         model_out = tmp_path / "m.model"
         rc = main(["train", "--method", "error-direct", "--data", str(raw_units),
-                   "--moment-source", "exact", "--moments", str(generated) + ".moments",
+                   "--moments", str(generated) + ".moments",
                    "--model-out", str(model_out)])
         assert rc == 1
         assert "error: moments d=4 does not match dataset d=10" in capsys.readouterr().err
@@ -126,7 +145,7 @@ class TestTrain:
     def test_exact_source_rejects_normalize(self, raw_units, tmp_path, capsys):
         model_out = tmp_path / "m.model"
         rc = main(["train", "--method", "error-direct", "--data", str(raw_units),
-                   "--moment-source", "exact", "--moments", str(raw_units) + ".moments",
+                   "--moments", str(raw_units) + ".moments",
                    "--normalize", "--model-out", str(model_out)])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
@@ -192,7 +211,7 @@ class TestCv:
 
     def test_exact_source_leaves_features_in_raw_units(self, raw_units, tmp_path, capsys):
         base = ["cv", "--method", "error-direct", "--data", str(raw_units),
-                "--moment-source", "exact", "--moments", str(raw_units) + ".moments",
+                "--moments", str(raw_units) + ".moments",
                 "--folds", "2", "--repeats", "1"]
         default = tmp_path / "default.csv"
         raw = tmp_path / "raw.csv"
@@ -203,6 +222,30 @@ class TestCv:
         for flag in ("--normalize", "--per-fold-norm"):
             assert main(base + [flag, "--report-out", str(tmp_path / "x.csv")]) == 1
             assert "error:" in capsys.readouterr().err
+
+    def test_sidecar_selects_exact_moments_for_lda(self, raw_units, tmp_path):
+        report_out = tmp_path / "lda.csv"
+        rc = main(["cv", "--method", "lda", "--data", str(raw_units),
+                   "--moments", str(raw_units) + ".moments", "--folds", "2", "--repeats", "1",
+                   "--seed", "4", "--report-out", str(report_out)])
+        assert rc == 0
+        # exact moments do not depend on the fold, so every fold scores one model
+        model = lda_fit(load_moments(str(raw_units) + ".moments"))
+        dataset = load_libsvm(raw_units)
+        rows = [line.split(",") for line in report_out.read_text().splitlines()[1:-1]]
+        assert len(rows) == 2
+        for row, (_, test_idx) in zip(rows, kfold_split(dataset.n, 2, seed=4)):
+            assert row[:2] == ["lda", "exact"]
+            assert float(row[5]) == empirical_accuracy(model, dataset.subset(test_idx))
+
+    @pytest.mark.parametrize("method", ["logistic", "hinge"])
+    def test_sample_methods_reject_sidecar(self, generated, tmp_path, capsys, method):
+        report_out = tmp_path / "cv.csv"
+        rc = main(["cv", "--method", method, "--data", str(generated),
+                   "--moments", str(generated) + ".moments", "--report-out", str(report_out)])
+        assert rc == 1
+        assert "error: " + method + " trains on samples" in capsys.readouterr().err
+        assert not report_out.exists()
 
     def test_normalize_flags_are_exclusive(self, generated, tmp_path):
         with pytest.raises(SystemExit):

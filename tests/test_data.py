@@ -188,8 +188,9 @@ class TestGaussianSpec:
             GaussianSpec(d=2, n=10, prior_pos=0.05)
 
     def test_rejects_bad_outlier_pct(self):
-        with pytest.raises(ValueError):
-            GaussianSpec(d=2, n=10, prior_pos=0.5, outlier_pct=100.0)
+        for pct in (100.0, 60.0):  # inject_outliers flips at most half a class
+            with pytest.raises(ValueError, match="outlier_pct"):
+                GaussianSpec(d=2, n=10, prior_pos=0.5, outlier_pct=pct)
 
     def test_rejects_nonpositive_scales(self):
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from momentclf import (
     emit_trace,
     gd_backtracking,
     gen_gaussian,
+    lda_fit,
     run_experiment,
     save_libsvm,
     save_moments,
@@ -98,6 +99,19 @@ class TestConfigValidation:
                 ExperimentConfig(method="error-direct", data=data, moment_source="exact",
                                  moments_path=path, **norm)
 
+    @pytest.mark.parametrize("method", ["logistic", "hinge"])
+    def test_exact_source_rejects_sample_methods(self, method):
+        for data, path in ((GaussianSpec(d=2, n=40, prior_pos=0.5), None),
+                           ("some/file.libsvm", "some/file.moments")):
+            with pytest.raises(ValueError, match=f"{method} trains on samples"):
+                ExperimentConfig(method=method, data=data, moment_source="exact",
+                                 moments_path=path)
+
+    def test_sidecar_needs_exact_source(self):
+        with pytest.raises(ValueError, match="moment_source='exact'"):
+            ExperimentConfig(method="error-direct", data="some/file.libsvm",
+                             moments_path="some/file.moments")
+
     def test_unknown_moment_source_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(
@@ -138,7 +152,7 @@ class TestRunExperiment:
         assert [r.accuracy for r in default.runs] == [r.accuracy for r in raw.runs]
         assert [r.auc for r in default.runs] == [r.auc for r in raw.runs]
         # the features really are far from z-scored, so mixing would show
-        dataset, _ = load_source(str(data_path), normalize=False)
+        dataset, _ = load_source("error-direct", str(data_path), normalize=False)
         assert np.abs(dataset.features.mean(axis=0)).max() > 0.5
 
     def test_direct_method_collects_traces(self, bayes_files):
@@ -214,13 +228,13 @@ class TestLoadSourceAndFit:
         data_path, _ = raw_files
         _, sidecar = bayes_files
         with pytest.raises(ValueError, match="moments d=2 does not match dataset d=10"):
-            load_source(str(data_path), "exact", str(sidecar), normalize=False)
+            load_source("error-direct", str(data_path), "exact", str(sidecar), normalize=False)
 
     def test_exact_moments_returned_only_for_exact_source(self, raw_files):
         data_path, sidecar = raw_files
-        _, exact = load_source(str(data_path), "exact", str(sidecar))
+        _, exact = load_source("error-direct", str(data_path), "exact", str(sidecar))
         assert exact is not None and exact.dim == 10
-        _, empirical = load_source(str(data_path), "empirical", str(sidecar))
+        _, empirical = load_source("error-direct", str(data_path), "empirical")
         assert empirical is None
 
     def test_lam_none_means_one_over_n(self):
@@ -231,6 +245,13 @@ class TestLoadSourceAndFit:
         other, _ = fit("logistic", ds, None, cfg, seed=4, lam=0.5)
         assert default.w.tobytes() == explicit.w.tobytes()
         assert default.w.tobytes() != other.w.tobytes()
+
+    def test_lda_uses_exact_moments(self):
+        ds, exact = gen_gaussian(GaussianSpec(d=3, n=120, prior_pos=0.5, seed=19))
+        model, trace = fit("lda", ds, exact, LineSearchConfig(), seed=0)
+        assert trace is None
+        assert model.w.tobytes() == lda_fit(exact).w.tobytes()
+        assert model.intercept == lda_fit(exact).intercept
 
     def test_lda_has_no_trace(self):
         ds, _ = gen_gaussian(GaussianSpec(d=3, n=120, prior_pos=0.5, seed=19))
