@@ -10,6 +10,7 @@ bytes.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -159,6 +160,12 @@ class GaussianSpec:
             raise ValueError(f"cov_scale must be positive, got {self.cov_scale!r}")
 
 
+# One line of a dense file: a label, then index:value tokens with one colon
+# each.  Only the characters of plain decimal numbers are admitted, so no
+# comment, nan, inf, hex digit or underscore passes.
+_DENSE_LINE = re.compile(r"[ \t]*[-+.0-9eE]+(?:[ \t]+[1-9][0-9]*:[-+.0-9eE]+)+[ \t]*")
+
+
 def _strip_comment(line: str) -> str:
     cut = line.find("#")
     return line if cut < 0 else line[:cut]
@@ -172,7 +179,47 @@ def parse_libsvm(text: str | bytes) -> Dataset:
     largest index seen anywhere; unlisted entries are zero.  Exactly two
     distinct raw label values must occur, and the numerically larger one
     maps to +1.  Malformed input raises ParseError naming the line.
+
+    Dense text, every line `<label> 1:v 2:v ... d:v` as format_libsvm
+    writes it, is parsed in one pass; anything else, or anything that pass
+    rejects, goes through the per-line parser, so results and errors are
+    the same either way.
     """
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    dataset = _parse_dense(text)
+    return dataset if dataset is not None else _parse_lines(text)
+
+
+def _parse_dense(text: str) -> Dataset | None:
+    """Parse dense LIBSVM text with numpy's C reader; None if it is not dense.
+
+    On the numbers _DENSE_LINE admits the reader converts exactly as
+    float() does, so a result equals the per-line parser's.
+    """
+    lines = text.splitlines()
+    if not lines or not all(map(_DENSE_LINE.fullmatch, lines)):
+        return None
+    try:
+        # the reader also rejects lines whose token counts differ
+        table = np.loadtxt([line.replace(":", " ") for line in lines], ndmin=2)
+    except ValueError:
+        return None
+    raw_labels = table[:, 0]
+    distinct = np.unique(raw_labels)
+    d = table.shape[1] // 2
+    if (
+        len(distinct) != 2
+        or not np.all(table[:, 1::2] == np.arange(1, d + 1))
+        or not np.all(np.isfinite(table))
+    ):
+        return None
+    labels = np.where(raw_labels == distinct[1], 1, -1)
+    return Dataset(features=table[:, 2::2], labels=labels)
+
+
+def _parse_lines(text: str | bytes) -> Dataset:
+    """The per-line LIBSVM parser behind parse_libsvm."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     raw_labels: list[float] = []
@@ -237,11 +284,11 @@ def format_libsvm(dataset: Dataset) -> str:
     decimal representation, so parse_libsvm(format_libsvm(ds)) reproduces
     the dataset bit for bit.
     """
-    lines = []
-    for row, label in zip(dataset.features, dataset.labels):
-        parts = ["+1" if label == 1 else "-1"]
-        parts.extend(f"{j + 1}:{float(v)!r}" for j, v in enumerate(row))
-        lines.append(" ".join(parts))
+    prefixes = [f" {j}:" for j in range(1, dataset.dim + 1)]
+    lines = [
+        ("+1" if label == 1 else "-1") + "".join(map(str.__add__, prefixes, map(repr, row)))
+        for row, label in zip(dataset.features.tolist(), dataset.labels.tolist())
+    ]
     lines.append("")
     return "\n".join(lines)
 

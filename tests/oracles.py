@@ -153,3 +153,12 @@ def mc_ranking_loss(w: np.ndarray, moments, n_per_class: int, rng: np.random.Gen
     sn_sorted = np.sort(sn)
     above = np.searchsorted(sn_sorted, sp, side="left").sum()
     return 1.0 - float(above) / (n_per_class * n_per_class)
+
+
+def libsvm_text(features: np.ndarray, labels: np.ndarray) -> str:
+    """Dense LIBSVM text written entry by entry, each value as its shortest repr."""
+    lines = []
+    for row, label in zip(features, labels):
+        entries = " ".join(f"{j + 1}:{float(v)!r}" for j, v in enumerate(row))
+        lines.append(f"{'+1' if label == 1 else '-1'} {entries}\n")
+    return "".join(lines)

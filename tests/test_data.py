@@ -21,6 +21,7 @@ from momentclf import (
     save_libsvm,
     save_moments,
 )
+from momentclf import data as data_module
 
 import oracles
 
@@ -119,6 +120,13 @@ class TestRoundTrip:
         assert back.features.tobytes() == ds.features.tobytes()
         assert np.array_equal(back.labels, ds.labels)
 
+    def test_writer_matches_entry_by_entry_reference(self):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(20, 50)) * 10.0 ** rng.integers(-300, 300, size=(20, 50))
+        X[0, :3] = [0.0, -0.0, 5e-324]
+        ds = Dataset(features=X, labels=np.array([1, -1] * 10))
+        assert format_libsvm(ds) == oracles.libsvm_text(ds.features, ds.labels)
+
     def test_trailing_zero_column_survives(self):
         ds = Dataset(
             features=np.array([[1.0, 0.0], [2.0, 0.0]]),
@@ -138,6 +146,108 @@ class TestRoundTrip:
         back = load_libsvm(path)
         assert back.features.tobytes() == ds.features.tobytes()
         assert np.array_equal(back.labels, ds.labels)
+
+
+def _outcome(parse, text):
+    """What a parser makes of text: the parsed bytes, or the ParseError message."""
+    try:
+        ds = parse(text)
+    except ParseError as exc:
+        return "error", str(exc)
+    return ds.features.shape, ds.features.tobytes(), ds.labels.tobytes()
+
+
+def _dense(value="0.5", index="2", label="+1"):
+    # a small dense file with one token of its first line replaced
+    return f"{label} 1:-1.25 {index}:{value} 3:7\n-1 1:3 2:0.125 3:-0.0\n+1 1:2e-3 2:4 3:1\n"
+
+
+class TestDenseFastPath:
+    """parse_libsvm's one-pass reader of dense files against the per-line parser."""
+
+    EDGE_CASES = [
+        _dense(),
+        "+1 1:5:2 7\n-1 1:3 2:4\n",
+        _dense(index="1.0"),
+        _dense(index="01"),
+        _dense(index="+1"),
+        _dense(index="1_0"),
+        _dense(index="20"),
+        _dense(value="1_0.5"),
+        _dense(value="nan"),
+        _dense(value="inf"),
+        _dense(value="-inf"),
+        _dense(value="1e400"),
+        _dense(value="1e-400"),
+        _dense(value="0x10"),
+        _dense(value="1e"),
+        _dense(value=".5"),
+        _dense(label="1:0"),
+        _dense(label="nan"),
+        _dense(label="1e400"),
+        _dense(label="2"),
+        "+1\t1:1\t2:2\n-1 1:3\t2:4\n",
+        "+1 1:1 2:2\r\n-1 1:3 2:4\r\n",
+        "+1 1:1 2:2\r-1 1:3 2:4\r",
+        "+1 1:1 2:2  \n  -1 1:3 2:4 \n",
+        "+1 1:1 2:2\n\n-1 1:3 2:4\n\n",
+        "\n\n",
+        "",
+        "# header\n+1 1:1 2:2\n-1 1:3 2:4\n",
+        "+1 1:1 2:2\n-1 1:3 2:4 # note\n",
+        "+1 1:1 2:2\n-1\n",
+        "+1\n-1\n",
+        "+1 1:1 2:2\n-1 1:3\n",
+        "+1 1:1\n-1 1:3 2:4\n",
+        "+1 1:1 2:2\n-1 1:3 2:4\n+1 1:5 2:6 3:7\n",
+        "+1 1:1 2:2\n+1 1:3 2:4\n",
+        "1 1:1\n2 1:1\n3 1:1\n",
+        "0 1:1\n-0.0 1:2\n1 1:3\n",
+        "+1 1:1 2:2\n-1 1:3 2:4\n",
+        "+1 1:1 2:2\u00a0\n-1 1:3 2:4\n",
+        "+1 1:1 2:2\n-1 1:\u0663 2:4\n",
+        b"+1 1:1 2:2\n-1 1:3 2:4\n",
+    ]
+
+    @pytest.mark.parametrize("text", EDGE_CASES)
+    def test_edge_cases_agree_with_line_parser(self, text):
+        assert _outcome(parse_libsvm, text) == _outcome(data_module._parse_lines, text)
+
+    def test_mutations_agree_with_line_parser(self):
+        rng = np.random.default_rng(11)
+        ds = Dataset(features=rng.normal(size=(4, 3)), labels=np.array([1, -1, -1, 1]))
+        base = format_libsvm(ds)
+        alphabet = " :#\t\r.x1-"
+        parsed = 0
+        for _ in range(300):
+            at = int(rng.integers(len(base)))
+            char = alphabet[rng.integers(len(alphabet))]
+            kind = rng.integers(3)
+            if kind == 0:
+                text = base[:at] + char + base[at + 1:]
+            elif kind == 1:
+                text = base[:at] + char + base[at:]
+            else:
+                text = base[:at] + base[at + 1:]
+            expected = _outcome(data_module._parse_lines, text)
+            assert _outcome(parse_libsvm, text) == expected, repr(text)
+            parsed += expected[0] != "error"
+        assert 0 < parsed < 300  # both accepted and rejected texts were tried
+
+    def test_formatted_file_takes_the_fast_path(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        ds = Dataset(
+            features=rng.normal(size=(40, 50)) * 10.0 ** rng.integers(-8, 9, size=(40, 50)),
+            labels=np.array([1, -1] * 20),
+        )
+
+        def refuse(text):
+            raise AssertionError("per-line parser called on a dense file")
+
+        monkeypatch.setattr(data_module, "_parse_lines", refuse)
+        back = parse_libsvm(format_libsvm(ds))
+        assert back.features.tobytes() == ds.features.tobytes()
+        assert back.labels.tobytes() == ds.labels.tobytes()
 
 
 class TestNormalize:
