@@ -55,9 +55,6 @@ TRACE_HEADER = "iter,objective,grad_norm,step,seconds"
 
 DataSource = Union[GaussianSpec, str]
 
-# Errors that fail one run instead of the sweep.
-_FIT_ERRORS = (ValueError, RuntimeError, np.linalg.LinAlgError)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -104,11 +101,7 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Metrics of one (repeat, fold) run; failed runs carry a reason instead.
-
-    train_seconds times the run's fit; with exact moments every run shares
-    one fit, so every row carries that one fit's seconds.
-    """
+    """Metrics of one (repeat, fold) run; failed runs carry a reason instead."""
 
     run: int
     fold: int
@@ -273,48 +266,33 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run repeats x folds cross-validation for one config.
 
     Fold permutations use seed + repeat index; per-run random starts use a
-    seed derived from (seed, run index).  With exact moments the fit sees
-    nothing of the fold, so it is done once and that model is scored on
-    every test fold.  A run that fails (degenerate fold, singular model,
-    ...) is recorded with its reason and skipped in the aggregates rather
-    than aborting the sweep.
+    seed derived from (seed, run index).  A run that fails (degenerate
+    fold, singular model, ...) is recorded with its reason and skipped in
+    the aggregates rather than aborting the sweep.
     """
     dataset, exact_moments = load_source(
         config.method, config.data, config.moment_source, config.moments_path,
         config.normalize, config.per_fold_norm,
     )
     report = ExperimentReport(config=config)
-    shared = None  # the one fit on exact moments, or the error it raised
-    if exact_moments is not None:
-        started = time.perf_counter()
-        try:
-            model, trace = fit(config.method, dataset, exact_moments, config.optimizer, config.seed)
-            shared = model, trace, time.perf_counter() - started
-        except _FIT_ERRORS as exc:
-            shared = exc
     for repeat in range(config.repeats):
         splits = kfold_split(dataset.n, config.folds, seed=config.seed + repeat)
         for fold, (train_idx, test_idx) in enumerate(splits):
             run_no = repeat * config.folds + fold
             run_seed = config.seed + 7919 * (run_no + 1)
             try:
-                if isinstance(shared, Exception):
-                    raise shared
+                train = dataset.subset(train_idx)
                 test = dataset.subset(test_idx)
-                if shared is None:
-                    train = dataset.subset(train_idx)
-                    if config.per_fold_norm:
-                        train, stats = normalize_zscore(train)
-                        test = apply_zscore(test, stats)
-                    started = time.perf_counter()
-                    model, trace = fit(config.method, train, None, config.optimizer, run_seed)
-                    train_seconds = time.perf_counter() - started
-                else:
-                    model, trace, train_seconds = shared
+                if config.per_fold_norm:
+                    train, stats = normalize_zscore(train)
+                    test = apply_zscore(test, stats)
+                started = time.perf_counter()
+                model, trace = fit(config.method, train, exact_moments, config.optimizer, run_seed)
+                train_seconds = time.perf_counter() - started
                 scored = evaluate_model(model, test)
                 result = RunResult(run=run_no, fold=fold, repeat=repeat, accuracy=scored.accuracy,
                                    auc=scored.auc, train_seconds=train_seconds)
-            except _FIT_ERRORS as exc:
+            except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
                 result = RunResult(
                     run=run_no,
                     fold=fold,
@@ -342,8 +320,6 @@ def emit_report(report: ExperimentReport, path) -> None:
     precision.  The final line is the aggregate
     method,moment_source,mean_accuracy,std_accuracy,mean_auc,std_auc,mean_seconds.
     Failed runs have empty metric fields and the reason in the last column.
-    With exact moments all runs score one fit, and train_seconds is that
-    fit's seconds on every row.
     """
     lines = [REPORT_HEADER]
     cfg = report.config

@@ -13,10 +13,8 @@ from momentclf import (
     LineSearchConfig,
     emit_report,
     emit_trace,
-    evaluate_model,
     gd_backtracking,
     gen_gaussian,
-    kfold_split,
     lda_fit,
     run_experiment,
     save_libsvm,
@@ -156,26 +154,6 @@ class TestRunExperiment:
         # the features really are far from z-scored, so mixing would show
         dataset, _ = load_source("error-direct", str(data_path), normalize=False)
         assert np.abs(dataset.features.mean(axis=0)).max() > 0.5
-
-    def test_exact_moments_fit_once_for_every_fold(self, monkeypatch):
-        spec = GaussianSpec(d=3, n=120, prior_pos=0.5, seed=13)
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return fit(*args, **kwargs)
-
-        monkeypatch.setattr("momentclf.harness.fit", counted)
-        report = run_experiment(ExperimentConfig(method="error-direct", data=spec,
-                                                 moment_source="exact", folds=3, repeats=2))
-        assert calls == ["error-direct"]
-        dataset, exact = gen_gaussian(spec)
-        model, _ = fit("error-direct", dataset, exact, LineSearchConfig(), seed=0)
-        for run in report.runs:
-            test = kfold_split(dataset.n, 3, seed=run.repeat)[run.fold][1]
-            assert run.accuracy == evaluate_model(model, dataset.subset(test)).accuracy
-        assert len({r.train_seconds for r in report.runs}) == 1
-        assert all(t is report.traces[0] for t in report.traces)
 
     def test_failed_exact_fit_fails_every_fold(self, bayes_files, tmp_path):
         data_path, _ = bayes_files
