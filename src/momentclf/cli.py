@@ -109,6 +109,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _summary_line(report) -> str:
     cfg = report.config
+    if report.completed_runs == 0:
+        return f"{cfg.method} ({cfg.moment_source}): no run completed (0/{len(report.runs)} runs)"
     return (
         f"{cfg.method} ({cfg.moment_source}): "
         f"accuracy {report.mean_accuracy:.6f} +- {report.std_accuracy:.6f}, "

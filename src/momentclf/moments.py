@@ -30,10 +30,6 @@ __all__ = [
 # is considered undefined.
 SIGMA_EPS = 1e-12
 
-# Most negative eigenvalue tolerated in a pair-difference covariance before
-# the model is rejected as indefinite.
-_EIG_TOL = -1e-10
-
 _SYM_RTOL = 1e-10
 
 
@@ -183,34 +179,18 @@ def estimate_class_moments(dataset: Dataset) -> ClassMoments:
     return _built(ClassMoments, **out)
 
 
-def auc_moments(moments: ClassMoments, cross_cov: np.ndarray | None = None) -> AucMoments:
+def auc_moments(moments: ClassMoments) -> AucMoments:
     """Moments of the pair difference Z = w'(X- - X+) building block.
 
-    mu_hat = mu_neg - mu_pos and sigma_hat = sigma_neg + sigma_pos by
-    default, which treats the classes as uncorrelated.  When the
-    cross-covariance Cov(X+, X-) is known, pass it as `cross_cov`; the
-    result is then sigma_neg + sigma_pos - C - C'.  A result that is
-    indefinite beyond a -1e-10 eigenvalue tolerance is rejected.
+    mu_hat = mu_neg - mu_pos and sigma_hat = sigma_neg + sigma_pos: the
+    pair model draws the positive and the negative independently.
     """
-    mu_hat = moments.mu_neg - moments.mu_pos
-    sigma_hat = moments.sigma_neg + moments.sigma_pos
-    if cross_cov is None:
-        # A sum of two exactly symmetric matrices is exactly symmetric.
-        return _built(AucMoments, mu_hat=mu_hat, sigma_hat=sigma_hat)
-    C = np.asarray(cross_cov, dtype=float)
-    d = moments.dim
-    if C.shape != (d, d):
-        raise InvalidModelError(
-            f"cross_cov must have shape ({d}, {d}), got {C.shape}"
-        )
-    _check_finite("cross_cov", C)
-    sigma_hat = sigma_hat - C - C.T
-    min_eig = float(np.linalg.eigvalsh(0.5 * (sigma_hat + sigma_hat.T))[0])
-    if min_eig < _EIG_TOL:
-        raise InvalidModelError(
-            f"pair-difference covariance is indefinite (min eigenvalue {min_eig:.3e})"
-        )
-    return AucMoments(mu_hat=mu_hat, sigma_hat=sigma_hat)
+    # A sum of two exactly symmetric matrices is exactly symmetric.
+    return _built(
+        AucMoments,
+        mu_hat=moments.mu_neg - moments.mu_pos,
+        sigma_hat=moments.sigma_neg + moments.sigma_pos,
+    )
 
 
 def projected_stats(w: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> tuple[float, float]:

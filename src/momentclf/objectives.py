@@ -2,17 +2,16 @@
 
 Both objectives see the data only through Gaussian moment models, so one
 evaluation costs O(d^2) regardless of how many samples produced the
-moments.  An evaluation returns value and gradient together and makes one
-matrix-vector product Sw per Gaussian (two for the error objective, one
-for the ranking objective); the gradient reuses it.  The public value and
-gradient functions are views of that same evaluation.  Both objectives
-are 0-homogeneous in w: scaling w leaves the value unchanged and the
-gradient is always orthogonal to w.
+moments.  An evaluation computes the value and makes one matrix-vector
+product Sw per Gaussian (two for the error objective, one for the ranking
+objective); the gradient, a few d-vector operations on that product, is
+built in the same call.  The public value and gradient functions are views
+of that same evaluation.  Both objectives are 0-homogeneous in w: scaling
+w leaves the value unchanged and the gradient is always orthogonal to w.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -38,12 +37,27 @@ __all__ = [
 RATIO_CLAMP = 40.0
 
 
-@dataclass(frozen=True)
 class ObjectiveEval:
-    """Value and gradient of an objective at one point."""
+    """Value and gradient of an objective at one point.
 
-    value: float
-    gradient: np.ndarray
+    `gradient` is given either as an array or as a zero-argument function
+    that builds it.  A function runs on the first read of `.gradient` and
+    its result is kept, so a caller that only compares values (a rejected
+    line-search trial) never pays for the gradient.  Such a function may
+    read only what the evaluation itself built or what cannot change.
+    """
+
+    __slots__ = ("value", "_gradient")
+
+    def __init__(self, value: float, gradient: np.ndarray | Callable[[], np.ndarray]):
+        self.value = value
+        self._gradient = gradient
+
+    @property
+    def gradient(self) -> np.ndarray:
+        if callable(self._gradient):
+            self._gradient = self._gradient()
+        return self._gradient
 
 
 # A training objective, as consumed by the optimizer.

@@ -119,6 +119,9 @@ def gd_backtracking(
     From the current iterate w the trial step alpha starts at alpha0 and
     shrinks by beta until
         F(w - alpha * g) <= F(w) - c * alpha * ||g||^2.
+    The gradient is read only at the start and at accepted points, so a
+    rejected trial costs one objective value and, for an objective whose
+    gradient is built lazily (see ObjectiveEval), nothing more.
     Termination: gradient norm below grad_tol_rel times its starting value
     ("gradient-tolerance"), max_iters accepted steps ("max-iterations"), or
     an exhausted line search ("line-search-failure", which returns the

@@ -36,7 +36,8 @@ def logistic_eval(w: np.ndarray, dataset, lam: float) -> ObjectiveEval:
 
     The per-sample term log(1 + exp(-y_i w'x_i)) is computed as
     logaddexp(0, -y_i w'x_i), which is exact in both tails instead of
-    overflowing for strongly misclassified samples.
+    overflowing for strongly misclassified samples.  The gradient (a
+    sigmoid per sample and X'c) is built on first read.
     """
     lam = float(lam)
     if lam < 0.0 or not math.isfinite(lam):
@@ -49,8 +50,13 @@ def logistic_eval(w: np.ndarray, dataset, lam: float) -> ObjectiveEval:
     n = X.shape[0]
     t = -y * (X @ w)
     value = float(np.logaddexp(0.0, t).mean() + lam * (w @ w))
-    coef = _stable_sigmoid(t) * (-y) / n
-    gradient = X.T @ coef + 2.0 * lam * w
+    # taken now, so a caller that later writes to w cannot move the gradient
+    ridge = 2.0 * lam * w
+
+    def gradient() -> np.ndarray:
+        coef = _stable_sigmoid(t) * (-y) / n
+        return X.T @ coef + ridge
+
     return ObjectiveEval(value=value, gradient=gradient)
 
 
@@ -64,22 +70,20 @@ def logistic_objective(dataset, lam: float) -> Objective:
 
 
 def _hinge_score_eval(sp: np.ndarray, sn: np.ndarray):
-    """Value and unnormalized per-score pair counts of the bipartite hinge.
+    """Value of the bipartite hinge and the active-pair counts of its gradient.
 
     For positive scores sp and negative scores sn, computes the mean over
-    all pairs of max(0, 1 - (sp_i - sn_j)) in O(n log n) via sorting,
-    prefix sums, and per-score active-pair counts.  Returns
-    (value, order_pos, signed_pos, order_neg, active_pos): the count array
-    entries belong to the scores picked out by the matching order array,
-    and the caller divides the assembled gradient by the pair count once.
+    all pairs of max(0, 1 - (sp_i - sn_j)) in O(n log n) via sorting and
+    prefix sums.  Returns (value, active_pos), where active_pos[k] counts
+    the positives in an active pair with the k-th smallest negative.  Only
+    sorted values are needed here; the gradient redoes the sort as argsort,
+    which orders the values the same way.
     """
     n_pos = sp.shape[0]
     n_neg = sn.shape[0]
     n_pairs = n_pos * n_neg
-    order_pos = np.argsort(sp)
-    order_neg = np.argsort(sn)
-    sp_sorted = sp[order_pos]
-    thresholds = sn[order_neg]
+    sp_sorted = np.sort(sp)
+    thresholds = np.sort(sn)
     thresholds += 1.0
     # pair (i, j) is active iff sp_i < sn_j + 1; both count directions
     # compare against the one shifted array, and the queries are sorted so
@@ -93,13 +97,7 @@ def _hinge_score_eval(sp: np.ndarray, sn: np.ndarray):
         (np.einsum("i,i->", active_pos, thresholds) - prefix[active_pos].sum())
         / n_pairs
     )
-    # the reverse-direction counts are the staircase inverse of active_pos:
-    # t_k <= sp at sorted rank r exactly when active_pos[k] <= r, so a
-    # cumulative histogram of active_pos gives them without a second search
-    covered = np.cumsum(np.bincount(active_pos, minlength=n_pos + 1))
-    signed_pos = covered[:n_pos]
-    signed_pos -= n_neg
-    return value, order_pos, signed_pos, order_neg, active_pos
+    return value, active_pos
 
 
 def pairwise_hinge_eval(w: np.ndarray, dataset) -> ObjectiveEval:
@@ -107,7 +105,8 @@ def pairwise_hinge_eval(w: np.ndarray, dataset) -> ObjectiveEval:
     max(0, 1 - (w'x_pos - w'x_neg)), with its (sub)gradient.
 
     This orientation penalizes a positive that fails to outscore a negative
-    by the unit margin, so minimizing it pushes AUC up.
+    by the unit margin, so minimizing it pushes AUC up.  The gradient (the
+    pair counts and X'g) is built on first read.
     """
     w = np.asarray(w, dtype=float)
     X = dataset.features
@@ -120,15 +119,30 @@ def pairwise_hinge_eval(w: np.ndarray, dataset) -> ObjectiveEval:
     # score the whole matrix once and split the score vector; copying the
     # class submatrices would move 8*n*d bytes per call
     scores = X @ w
-    value, order_pos, count_pos, order_neg, count_neg = _hinge_score_eval(scores[pos], scores[neg])
-    # scatter the sorted-rank counts straight to their dataset rows through
-    # the composed permutations, then normalize on the d-vector rather
-    # than per sample
-    g_scores = np.empty_like(scores)
-    g_scores[pos[order_pos]] = count_pos
-    g_scores[neg[order_neg]] = count_neg
-    gradient = X.T @ g_scores
-    gradient /= float(pos.shape[0] * neg.shape[0])
+    sp = scores[pos]
+    sn = scores[neg]
+    n_pos = sp.shape[0]
+    value, active_pos = _hinge_score_eval(sp, sn)
+
+    def gradient() -> np.ndarray:
+        # the positives' signed counts are the staircase inverse of
+        # active_pos: t_k <= sp at sorted rank r exactly when
+        # active_pos[k] <= r, so a cumulative histogram of active_pos gives
+        # them without a second search
+        covered = np.cumsum(np.bincount(active_pos, minlength=n_pos + 1))
+        signed_pos = covered[:n_pos]
+        signed_pos -= sn.shape[0]
+        # scatter the sorted-rank counts straight to their dataset rows
+        # through the composed permutations (tied scores share a count, so
+        # any sorting permutation gives the same result), then normalize on
+        # the d-vector rather than per sample
+        g_scores = np.empty_like(scores)
+        g_scores[pos[np.argsort(sp)]] = signed_pos
+        g_scores[neg[np.argsort(sn)]] = active_pos
+        grad = X.T @ g_scores
+        grad /= float(n_pos * sn.shape[0])
+        return grad
+
     return ObjectiveEval(value=value, gradient=gradient)
 
 

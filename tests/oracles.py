@@ -5,7 +5,9 @@ containers), and the numerical routes are deliberately different: the CDF
 oracle integrates the density with Gauss-Legendre panels instead of using
 the error function, gradients come from central differences, pair losses
 from O(n^2) enumeration, covariances from explicit two-pass loops, and
-expectations from Monte-Carlo sampling.
+expectations from Monte-Carlo sampling.  The exceptions are the eager
+surrogate gradients: they repeat the package's formulas operation for
+operation, so that its lazily built gradients can be compared bit for bit.
 """
 
 from __future__ import annotations
@@ -66,6 +68,49 @@ def brute_hinge(w: np.ndarray, X_pos: np.ndarray, X_neg: np.ndarray):
                 value += margin
                 grad += X_neg[j] - X_pos[i]
     return value / n_pairs, grad / n_pairs
+
+
+def eager_hinge_gradient(w: np.ndarray, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Sorted-count pairwise hinge gradient, computed in one go.
+
+    The argsort orders double as the scatter permutations.  The package's
+    lazily built hinge gradient must equal this bit for bit.
+    """
+    w = np.asarray(w, dtype=float)
+    pos = np.flatnonzero(labels == 1)
+    neg = np.flatnonzero(labels == -1)
+    scores = features @ w
+    sp = scores[pos]
+    sn = scores[neg]
+    order_pos = np.argsort(sp)
+    order_neg = np.argsort(sn)
+    thresholds = sn[order_neg]
+    thresholds += 1.0
+    active_pos = np.searchsorted(sp[order_pos], thresholds, side="left")
+    covered = np.cumsum(np.bincount(active_pos, minlength=sp.shape[0] + 1))
+    signed_pos = covered[: sp.shape[0]]
+    signed_pos -= sn.shape[0]
+    g_scores = np.empty_like(scores)
+    g_scores[pos[order_pos]] = signed_pos
+    g_scores[neg[order_neg]] = active_pos
+    gradient = features.T @ g_scores
+    gradient /= float(pos.shape[0] * neg.shape[0])
+    return gradient
+
+
+def eager_logistic_gradient(w: np.ndarray, features: np.ndarray, labels: np.ndarray,
+                            lam: float) -> np.ndarray:
+    """Regularized logistic gradient in the operation order of the eager formula."""
+    w = np.asarray(w, dtype=float)
+    y = labels.astype(float)
+    t = -y * (features @ w)
+    sigmoid = np.empty_like(t)
+    up = t >= 0
+    sigmoid[up] = 1.0 / (1.0 + np.exp(-t[up]))
+    e = np.exp(t[~up])
+    sigmoid[~up] = e / (1.0 + e)
+    coef = sigmoid * (-y) / features.shape[0]
+    return features.T @ coef + 2.0 * lam * w
 
 
 def brute_auc(scores_pos: np.ndarray, scores_neg: np.ndarray, ties: str = "strict") -> float:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from momentclf import (
+    ClassMoments,
     LineSearchConfig,
     empirical_accuracy,
     kfold_split,
@@ -13,6 +14,7 @@ from momentclf import (
     load_libsvm,
     load_model,
     load_moments,
+    save_moments,
 )
 from momentclf.cli import _build_parser, _from_args, main
 from momentclf.harness import REPORT_HEADER, TRACE_HEADER
@@ -237,6 +239,18 @@ class TestCv:
         for row, (_, test_idx) in zip(rows, kfold_split(dataset.n, 2, seed=4)):
             assert row[:2] == ["lda", "exact"]
             assert float(row[5]) == empirical_accuracy(model, dataset.subset(test_idx))
+
+    def test_summary_says_when_no_run_completed(self, generated, tmp_path, capsys):
+        # coinciding class means give lda no direction, so every fold fails
+        sidecar = tmp_path / "same-means.moments"
+        mu = np.zeros(4)
+        save_moments(ClassMoments(mu, mu, np.eye(4), np.eye(4), 0.5, 0.5), sidecar)
+        report_out = tmp_path / "cv.csv"
+        rc = main(["cv", "--method", "lda", "--data", str(generated), "--moments", str(sidecar),
+                   "--folds", "3", "--repeats", "2", "--report-out", str(report_out)])
+        assert rc == 0
+        summary = capsys.readouterr().out.splitlines()[-1]
+        assert summary == "lda (exact): no run completed (0/6 runs)"
 
     @pytest.mark.parametrize("method", ["logistic", "hinge"])
     def test_sample_methods_reject_sidecar(self, generated, tmp_path, capsys, method):

@@ -153,20 +153,6 @@ class TestAucMoments:
             a = auc_moments(ClassMoments(**kw))
             assert np.max(np.abs(a.sigma_hat - a.sigma_hat.T)) <= 1e-14
 
-    def test_cross_covariance_is_subtracted(self):
-        d = 2
-        m = _simple_moments(d)
-        c = np.array([[0.2, 0.0], [0.0, 0.1]])
-        a = auc_moments(m, cross_cov=c)
-        assert np.allclose(a.sigma_hat, 2.0 * np.eye(d) - c - c.T)
-
-    def test_indefinite_sigma_hat_rejected(self):
-        d = 2
-        m = _simple_moments(d)
-        # C + C^T = 4I makes sigma_hat = -2I, far beyond the -1e-10 tolerance.
-        with pytest.raises(InvalidModelError):
-            auc_moments(m, cross_cov=2.0 * np.eye(d))
-
     def test_sigma_hat_nearly_psd_for_random_unit_directions(self):
         rng = np.random.default_rng(17)
         kw = oracles.random_class_moments(rng, d=5)

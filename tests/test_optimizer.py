@@ -177,6 +177,63 @@ class TestGdBacktracking:
         assert all(s >= 0.0 for s in secs)
 
 
+class TestLazyGradient:
+    def test_function_runs_once_on_first_read(self):
+        calls = []
+
+        def build():
+            calls.append(1)
+            return np.array([1.0, 2.0])
+
+        ev = ObjectiveEval(value=0.5, gradient=build)
+        assert calls == []
+        first = ev.gradient
+        second = ev.gradient
+        assert second is first
+        assert np.array_equal(first, [1.0, 2.0])
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("w0", [[1.5], [3.0], [-2.0]])
+    def test_gradient_built_only_at_start_and_accepted_points(self, w0):
+        evals = []
+        built = []
+
+        def counting(w):
+            # a lazy quartic that records which evaluation built a gradient
+            x = float(w[0])
+            index = len(evals)
+            evals.append(x)
+
+            def gradient():
+                built.append(index)
+                return np.array([4.0 * x**3])
+
+            return ObjectiveEval(value=x**4, gradient=gradient)
+
+        _, trace = gd_backtracking(counting, np.array(w0), LineSearchConfig(max_iters=40))
+        assert trace.records[-1].backtracks > 0
+        assert len(built) == trace.iterations + 1
+        # the k-th accepted point is evaluation k + (backtracks so far)
+        accepted = [0] + [r.iteration + r.backtracks for r in trace.records]
+        assert built == accepted
+        assert len(evals) == accepted[-1] + 1
+
+    def test_failed_line_search_builds_only_the_start_gradient(self):
+        built = []
+
+        def stubborn(w):
+            def gradient():
+                built.append(1)
+                return np.ones_like(w)
+
+            return ObjectiveEval(value=1.0, gradient=gradient)
+
+        _, trace = gd_backtracking(stubborn, np.array([0.25, -0.5]),
+                                   LineSearchConfig(max_backtracks=10))
+        assert trace.reason == REASON_LINE_SEARCH
+        assert len(built) == 1
+
+
 class TestInitW0Error:
     def _moments(self, mu_pos, mu_neg):
         d = len(mu_pos)
