@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ParseError, _read_key_values
-from .moments import ClassMoments
+from .moments import ClassMoments, _built, _check_priors
 
 __all__ = [
     "Dataset",
@@ -41,6 +41,13 @@ __all__ = [
 _STD_EPS = 1e-12
 
 
+def _check_features(X: np.ndarray) -> None:
+    if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
+        raise ValueError(f"features must be a non-empty 2-d matrix, got shape {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("features contain non-finite entries")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Dense feature matrix (n, d) with labels in {-1, +1}."""
@@ -51,10 +58,7 @@ class Dataset:
     def __post_init__(self):
         X = np.array(self.features, dtype=float)
         y = np.array(self.labels)
-        if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
-            raise ValueError(f"features must be a non-empty 2-d matrix, got shape {X.shape}")
-        if not np.all(np.isfinite(X)):
-            raise ValueError("features contain non-finite entries")
+        _check_features(X)
         if y.shape != (X.shape[0],):
             raise ValueError(
                 f"labels must have shape ({X.shape[0]},), got {y.shape}"
@@ -66,6 +70,25 @@ class Dataset:
         y.setflags(write=False)
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "labels", y)
+
+    @classmethod
+    def _built(cls, features: np.ndarray, labels: np.ndarray) -> Dataset:
+        """Construct a dataset from arrays the package has just built.
+
+        They are a float64 (n, d) matrix and an int64 vector of -1/+1
+        labels of matching length, and no caller may write to them, so the
+        public constructor's conversions, label checks and copies could
+        not change them.  Features are checked to be non-empty and finite;
+        both arrays are frozen in place and kept as they are, and may be
+        shared with another dataset.  The counterpart of moments._built.
+        """
+        _check_features(features)
+        features.setflags(write=False)
+        labels.setflags(write=False)
+        out = object.__new__(cls)
+        object.__setattr__(out, "features", features)
+        object.__setattr__(out, "labels", labels)
+        return out
 
     @property
     def n(self) -> int:
@@ -100,7 +123,7 @@ class Dataset:
     def subset(self, indices) -> Dataset:
         """New dataset holding the given rows, in the given order."""
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(features=self.features[idx], labels=self.labels[idx])
+        return Dataset._built(self.features[idx], self.labels[idx])
 
 
 @dataclass(frozen=True)
@@ -328,8 +351,9 @@ def apply_zscore(dataset: Dataset, stats: NormalizationStats) -> Dataset:
         raise ValueError(
             f"stats are for d={stats.mean.shape[0]}, dataset has d={dataset.dim}"
         )
-    features = (dataset.features - stats.mean) / stats.scale
-    return Dataset(features=features, labels=dataset.labels)
+    features = dataset.features - stats.mean
+    features /= stats.scale
+    return Dataset._built(features, dataset.labels)
 
 
 def gen_gaussian(spec: GaussianSpec) -> tuple[Dataset, ClassMoments]:
@@ -339,38 +363,56 @@ def gen_gaussian(spec: GaussianSpec) -> tuple[Dataset, ClassMoments]:
     first.  The returned ClassMoments carry the generator's true means,
     covariances, and spec priors, not empirical estimates; they describe
     the clean distribution even when outlier_pct > 0 flips labels.
+
+    Each covariance is allocated once, by A @ A', and finished in place.
+    numpy computes that product with a symmetric rank-k update, which
+    fills both triangles from the same values, so it is exactly symmetric
+    without a symmetrization.  Each class is sampled straight into its
+    rows of the feature matrix, and the dataset and moments take these
+    arrays without copying them.
     """
     rng = np.random.default_rng(spec.seed)
     d = spec.d
     mu_pos = spec.mean_scale * rng.standard_normal(d)
     mu_neg = spec.mean_scale * rng.standard_normal(d)
-    A = rng.standard_normal((d, d))
-    sigma_pos = spec.cov_scale * (A @ A.T / d + np.eye(d))
-    B = rng.standard_normal((d, d))
-    sigma_neg = spec.cov_scale * (B @ B.T / d + np.eye(d))
-    sigma_pos = 0.5 * (sigma_pos + sigma_pos.T)
-    sigma_neg = 0.5 * (sigma_neg + sigma_neg.T)
-    try:
-        chol_pos = np.linalg.cholesky(sigma_pos)
-        chol_neg = np.linalg.cholesky(sigma_neg)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"generated covariance failed to factorize: {exc}") from exc
+    sigmas = []
+    for _ in range(2):
+        A = rng.standard_normal((d, d))
+        sigma = A @ A.T
+        del A
+        sigma /= d
+        sigma.flat[:: d + 1] += 1.0
+        sigma *= spec.cov_scale
+        sigmas.append(sigma)
     n_pos = int(round(spec.n * spec.prior_pos))
-    n_neg = spec.n - n_pos
-    X_pos = mu_pos + rng.standard_normal((n_pos, d)) @ chol_pos.T
-    X_neg = mu_neg + rng.standard_normal((n_neg, d)) @ chol_neg.T
-    features = np.vstack([X_pos, X_neg])
-    labels = np.concatenate([np.ones(n_pos, dtype=np.int64), -np.ones(n_neg, dtype=np.int64)])
-    dataset = Dataset(features=features, labels=labels)
+    features = np.empty((spec.n, d))
+    for rows, mu, sigma in (
+        (features[:n_pos], mu_pos, sigmas[0]),
+        (features[n_pos:], mu_neg, sigmas[1]),
+    ):
+        try:
+            chol = np.linalg.cholesky(sigma)
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError(f"generated covariance failed to factorize: {exc}") from exc
+        np.matmul(rng.standard_normal((rows.shape[0], d)), chol.T, out=rows)
+        del chol
+        rows += mu
+    labels = np.ones(spec.n, dtype=np.int64)
+    labels[n_pos:] = -1
+    dataset = Dataset._built(features, labels)
     if spec.outlier_pct > 0.0:
         dataset = inject_outliers(dataset, spec.outlier_pct, spec.seed)
-    moments = ClassMoments(
+    prior_pos = float(spec.prior_pos)
+    prior_neg = 1.0 - prior_pos
+    _check_priors(prior_pos, prior_neg)
+    moments = _built(
+        ClassMoments,
         mu_pos=mu_pos,
         mu_neg=mu_neg,
-        sigma_pos=sigma_pos,
-        sigma_neg=sigma_neg,
-        prior_pos=spec.prior_pos,
-        prior_neg=1.0 - spec.prior_pos,
+        sigma_pos=sigmas[0],
+        sigma_neg=sigmas[1],
+        prior_pos=prior_pos,
+        prior_neg=prior_neg,
     )
     return dataset, moments
 
@@ -379,8 +421,9 @@ def inject_outliers(dataset: Dataset, pct: float, seed: int) -> Dataset:
     """Flip the labels of floor(pct% of each class), chosen uniformly.
 
     Features are untouched; only labels change, so the flipped points sit
-    deep inside the wrong class.  pct must lie in [0, 50); flipping half
-    a class or more would make the labeling meaningless.
+    deep inside the wrong class.  The result shares the input's read-only
+    feature matrix.  pct must lie in [0, 50); flipping half a class or
+    more would make the labeling meaningless.
     """
     pct = float(pct)
     if not 0.0 <= pct < 50.0:
@@ -393,7 +436,7 @@ def inject_outliers(dataset: Dataset, pct: float, seed: int) -> Dataset:
         labels[rng.choice(dataset.pos_index, size=k_pos, replace=False)] = -1
     if k_neg > 0:
         labels[rng.choice(dataset.neg_index, size=k_neg, replace=False)] = 1
-    return Dataset(features=dataset.features, labels=labels)
+    return Dataset._built(dataset.features, labels)
 
 
 def kfold_split(n: int, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:

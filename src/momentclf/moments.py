@@ -39,6 +39,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _symmetrized(s: np.ndarray) -> np.ndarray:
+    """(s + s') / 2 as a fresh read-only matrix, built in one buffer."""
+    out = s + s.T
+    out *= 0.5
+    out.setflags(write=False)
+    return out
+
+
 def _check_finite(name: str, a: np.ndarray) -> None:
     if not np.all(np.isfinite(a)):
         raise InvalidModelError(f"{name} contains non-finite entries")
@@ -54,8 +62,10 @@ def _check_covariance(name: str, s: np.ndarray, d: int) -> None:
     if s.shape != (d, d):
         raise InvalidModelError(f"{name} must have shape ({d}, {d}), got {s.shape}")
     _check_finite(name, s)
-    scale = float(np.max(np.abs(s))) or 1.0
-    if np.max(np.abs(s - s.T)) > _SYM_RTOL * scale:
+    scale = max(float(s.max()), -float(s.min())) or 1.0
+    asymmetry = s - s.T
+    np.abs(asymmetry, out=asymmetry)
+    if asymmetry.max() > _SYM_RTOL * scale:
         raise InvalidModelError(f"{name} is not symmetric")
 
 
@@ -77,7 +87,10 @@ def _built(cls, **fields):
     and their covariances are exactly symmetric, so the public constructor's
     symmetry check, re-symmetrization and copy could not change them.  They
     are checked for finiteness and frozen in place instead.  Callers check
-    the priors.
+    the priors.  The exact symmetry comes from how the covariances are
+    built: numpy computes a product X' @ X of one buffer with a symmetric
+    rank-k update (BLAS syrk), which fills both triangles from the same
+    values, and sums and scalings of such matrices stay symmetric.
     """
     out = object.__new__(cls)
     for name, value in fields.items():
@@ -94,8 +107,9 @@ class ClassMoments:
 
     Covariances are stored exactly symmetrized and all arrays are read-only,
     so a model cannot drift after construction.  The constructor validates
-    its input and stores copies; estimate_class_moments skips the
-    symmetrization and the copies for the arrays it has just built.
+    its input and stores copies; estimate_class_moments and gen_gaussian
+    skip the symmetrization and the copies for the arrays they have just
+    built.
     """
 
     mu_pos: np.ndarray
@@ -124,8 +138,8 @@ class ClassMoments:
         _check_priors(prior_pos, prior_neg)
         object.__setattr__(self, "mu_pos", _readonly(mu_pos))
         object.__setattr__(self, "mu_neg", _readonly(mu_neg))
-        object.__setattr__(self, "sigma_pos", _readonly(0.5 * (sigma_pos + sigma_pos.T)))
-        object.__setattr__(self, "sigma_neg", _readonly(0.5 * (sigma_neg + sigma_neg.T)))
+        object.__setattr__(self, "sigma_pos", _symmetrized(sigma_pos))
+        object.__setattr__(self, "sigma_neg", _symmetrized(sigma_neg))
         object.__setattr__(self, "prior_pos", prior_pos)
         object.__setattr__(self, "prior_neg", prior_neg)
 
@@ -147,7 +161,7 @@ class AucMoments:
         _check_vector("mu_hat", mu_hat)
         _check_covariance("sigma_hat", sigma_hat, mu_hat.shape[0])
         object.__setattr__(self, "mu_hat", _readonly(mu_hat))
-        object.__setattr__(self, "sigma_hat", _readonly(0.5 * (sigma_hat + sigma_hat.T)))
+        object.__setattr__(self, "sigma_hat", _symmetrized(sigma_hat))
 
     @property
     def dim(self) -> int:
@@ -170,11 +184,14 @@ def estimate_class_moments(dataset: Dataset) -> ClassMoments:
                 f"class {label:+d} has {Xc.shape[0]} samples; need at least 2"
             )
         mu = Xc.mean(axis=0)
-        centered = Xc - mu
-        sigma = centered.T @ centered / (Xc.shape[0] - 1)
+        # Xc is a fresh copy of the class rows, so it is centered in place
+        Xc -= mu
+        sigma = Xc.T @ Xc
+        del Xc
+        sigma /= index.shape[0] - 1
         out[f"mu_{tag}"] = mu
-        out[f"sigma_{tag}"] = 0.5 * (sigma + sigma.T)
-        out[f"prior_{tag}"] = Xc.shape[0] / X.shape[0]
+        out[f"sigma_{tag}"] = sigma
+        out[f"prior_{tag}"] = index.shape[0] / X.shape[0]
     _check_priors(out["prior_pos"], out["prior_neg"])
     return _built(ClassMoments, **out)
 

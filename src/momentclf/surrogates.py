@@ -147,7 +147,13 @@ def pairwise_hinge_eval(w: np.ndarray, dataset) -> ObjectiveEval:
 
 
 def hinge_objective(dataset) -> Objective:
-    """Bind the pairwise hinge to a dataset for the optimizer."""
+    """Bind the pairwise hinge to a dataset for the optimizer.
+
+    The hinge is piecewise linear, so its subgradient does not shrink near
+    a minimizer and gd_backtracking's relative-gradient stop cannot fire.
+    Unless every pair clears the margin (zero loss, zero subgradient), a
+    hinge fit ends on max-iterations by construction.
+    """
 
     def evaluate(w: np.ndarray) -> ObjectiveEval:
         return pairwise_hinge_eval(w, dataset)
@@ -167,21 +173,21 @@ def lda_fit(moments: ClassMoments) -> LinearModel:
     diff = moments.mu_pos - moments.mu_neg
     if float(np.linalg.norm(diff)) < 1e-12:
         raise DegenerateModelError("class means coincide; the discriminant direction is zero")
-    pooled = moments.prior_pos * moments.sigma_pos + moments.prior_neg * moments.sigma_neg
-    solve_matrix = pooled
+    pooled = moments.prior_pos * moments.sigma_pos
+    pooled += moments.prior_neg * moments.sigma_neg
     try:
-        np.linalg.cholesky(solve_matrix)
+        np.linalg.cholesky(pooled)
     except np.linalg.LinAlgError:
         d = moments.dim
         jitter = 1e-8 * float(np.trace(pooled)) / d
-        solve_matrix = pooled + jitter * np.eye(d)
+        pooled.flat[:: d + 1] += jitter
         try:
-            np.linalg.cholesky(solve_matrix)
+            np.linalg.cholesky(pooled)
         except np.linalg.LinAlgError:
             raise SingularModelError(
                 "pooled covariance is singular even after diagonal jitter"
             ) from None
-    w = np.linalg.solve(solve_matrix, diff)
+    w = np.linalg.solve(pooled, diff)
     intercept = float(-0.5 * (w @ (moments.mu_pos + moments.mu_neg))
                       + math.log(moments.prior_pos / moments.prior_neg))
     return LinearModel(w=w, intercept=intercept)

@@ -6,8 +6,11 @@ oracle integrates the density with Gauss-Legendre panels instead of using
 the error function, gradients come from central differences, pair losses
 from O(n^2) enumeration, covariances from explicit two-pass loops, and
 expectations from Monte-Carlo sampling.  The exceptions are the eager
-surrogate gradients: they repeat the package's formulas operation for
-operation, so that its lazily built gradients can be compared bit for bit.
+surrogate gradients, and the generator, moment estimator and discriminant
+as first written, with an identity matrix, an explicit symmetrization and
+a fresh array per step: they repeat the package's formulas operation for
+operation, so that its lazily built gradients and its in-place moment
+path can be compared bit for bit.
 """
 
 from __future__ import annotations
@@ -207,3 +210,65 @@ def libsvm_text(features: np.ndarray, labels: np.ndarray) -> str:
         entries = " ".join(f"{j + 1}:{float(v)!r}" for j, v in enumerate(row))
         lines.append(f"{'+1' if label == 1 else '-1'} {entries}\n")
     return "".join(lines)
+
+
+def allocating_gen_gaussian(d, n, prior_pos, outlier_pct=0.0, seed=0, mean_scale=1.0,
+                            cov_scale=1.0):
+    """Two-Gaussian sample and exact moments, one fresh array per step.
+
+    Returns (features, labels, mu_pos, mu_neg, sigma_pos, sigma_neg) with
+    the draw order of the package's generator and its label flips.
+    """
+    rng = np.random.default_rng(seed)
+    mu_pos = mean_scale * rng.standard_normal(d)
+    mu_neg = mean_scale * rng.standard_normal(d)
+    A = rng.standard_normal((d, d))
+    sigma_pos = cov_scale * (A @ A.T / d + np.eye(d))
+    B = rng.standard_normal((d, d))
+    sigma_neg = cov_scale * (B @ B.T / d + np.eye(d))
+    sigma_pos = 0.5 * (sigma_pos + sigma_pos.T)
+    sigma_neg = 0.5 * (sigma_neg + sigma_neg.T)
+    chol_pos = np.linalg.cholesky(sigma_pos)
+    chol_neg = np.linalg.cholesky(sigma_neg)
+    n_pos = int(round(n * prior_pos))
+    n_neg = n - n_pos
+    X_pos = mu_pos + rng.standard_normal((n_pos, d)) @ chol_pos.T
+    X_neg = mu_neg + rng.standard_normal((n_neg, d)) @ chol_neg.T
+    features = np.vstack([X_pos, X_neg])
+    labels = np.concatenate([np.ones(n_pos, dtype=np.int64), -np.ones(n_neg, dtype=np.int64)])
+    if outlier_pct > 0.0:
+        flip_rng = np.random.default_rng(seed)
+        flipped = labels.copy()
+        for label, count in ((1, n_pos), (-1, n_neg)):
+            k = int(math.floor(float(outlier_pct) * count / 100.0))
+            if k > 0:
+                flipped[flip_rng.choice(np.flatnonzero(labels == label), size=k,
+                                        replace=False)] = -label
+        labels = flipped
+    return features, labels, mu_pos, mu_neg, sigma_pos, sigma_neg
+
+
+def allocating_class_moments(features: np.ndarray, labels: np.ndarray):
+    """Per-class (mean, covariance) with a centered copy and a symmetrization."""
+    out = []
+    for label in (1, -1):
+        Xc = features[labels == label]
+        mu = Xc.mean(axis=0)
+        centered = Xc - mu
+        sigma = centered.T @ centered / (Xc.shape[0] - 1)
+        out.append((mu, 0.5 * (sigma + sigma.T)))
+    return out
+
+
+def allocating_lda(mu_pos, mu_neg, sigma_pos, sigma_neg, prior_pos, prior_neg):
+    """Pooled-covariance discriminant (w, intercept), jittered by an added identity."""
+    pooled = prior_pos * sigma_pos + prior_neg * sigma_neg
+    solve_matrix = pooled
+    try:
+        np.linalg.cholesky(solve_matrix)
+    except np.linalg.LinAlgError:
+        d = pooled.shape[0]
+        solve_matrix = pooled + 1e-8 * float(np.trace(pooled)) / d * np.eye(d)
+    w = np.linalg.solve(solve_matrix, mu_pos - mu_neg)
+    intercept = float(-0.5 * (w @ (mu_pos + mu_neg)) + math.log(prior_pos / prior_neg))
+    return w, intercept

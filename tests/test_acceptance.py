@@ -260,20 +260,37 @@ def test_criterion_07_error_direct_beats_lda_under_outliers(lda_benchmark):
     assert int(np.sum(lda_benchmark["ours"] > lda_benchmark["lda"])) >= 15
 
 
-def _median_step_seconds(objective, w0, iters):
-    """Per-iteration cost: median of successive trace-time deltas.
+def _step_seconds(objective, w0, iters):
+    """Per-iteration cost of one run: median of successive trace-time deltas.
 
-    The first delta is discarded (cache and allocator warmup) and the
-    fastest of three runs wins, which strips scheduler noise.
+    The first delta is discarded (cache and allocator warmup).
     """
     config = LineSearchConfig(max_iters=iters, grad_tol_rel=1e-300)
-    best = np.inf
-    for _ in range(3):
-        _, trace = gd_backtracking(objective, w0, config)
-        deltas = np.diff([rec.seconds for rec in trace.records])
-        assert len(deltas) >= 3
-        best = min(best, float(np.median(deltas[1:])))
-    return best
+    _, trace = gd_backtracking(objective, w0, config)
+    deltas = np.diff([rec.seconds for rec in trace.records])
+    assert len(deltas) >= 3
+    return float(np.median(deltas[1:]))
+
+
+def _median_step_ratio(small, large, iters, rounds=7):
+    """Median over rounds of the large run's per-iteration cost over the small's.
+
+    small and large are (objective, w0) pairs.  Each round times the two
+    back to back, alternating which goes first, so both sides of a round
+    run at the same CPU speed unless a speed switch falls inside it, and
+    the median of the per-round ratios discards the few rounds a switch
+    splits.
+    """
+    ratios = []
+    for r in range(rounds):
+        if r % 2 == 0:
+            t_small = _step_seconds(*small, iters)
+            t_large = _step_seconds(*large, iters)
+        else:
+            t_large = _step_seconds(*large, iters)
+            t_small = _step_seconds(*small, iters)
+        ratios.append(t_large / t_small)
+    return float(np.median(ratios))
 
 
 def test_criterion_08_direct_training_time_is_n_independent():
@@ -281,17 +298,15 @@ def test_criterion_08_direct_training_time_is_n_independent():
     small, _ = gen_gaussian(GaussianSpec(d=d, n=1_000, prior_pos=0.5, seed=81, mean_scale=0.5))
     large, _ = gen_gaussian(GaussianSpec(d=d, n=100_000, prior_pos=0.5, seed=82, mean_scale=0.5))
 
-    def direct_step(ds):
+    def direct(ds):
         moments = estimate_class_moments(ds)
-        return _median_step_seconds(error_objective(moments), init_w0_error(moments), iters=40)
+        return error_objective(moments), init_w0_error(moments)
 
-    def logistic_step(ds):
-        return _median_step_seconds(
-            logistic_objective(ds, 1.0 / ds.n), init_random(d, seed=88), iters=12
-        )
+    def logistic(ds):
+        return logistic_objective(ds, 1.0 / ds.n), init_random(d, seed=88)
 
-    assert direct_step(large) < 2.0 * direct_step(small)
-    assert logistic_step(large) > 10.0 * logistic_step(small)
+    assert _median_step_ratio(direct(small), direct(large), iters=40) < 2.0
+    assert _median_step_ratio(logistic(small), logistic(large), iters=12) > 10.0
 
 
 def test_criterion_09_optimizer_contract(outlier_benchmark, lda_benchmark):

@@ -408,6 +408,58 @@ class TestInjectOutliers:
             inject_outliers(ds, -1.0, 0)
 
 
+class TestBuiltDatasets:
+    """Datasets the package builds are frozen in place, not copied; caller
+    arrays still are."""
+
+    def _ds(self):
+        ds, _ = gen_gaussian(GaussianSpec(d=3, n=40, prior_pos=0.5, seed=21))
+        return ds
+
+    def test_overflowing_generator_still_rejects_non_finite_features(self):
+        spec = GaussianSpec(d=5, n=50, prior_pos=0.5, cov_scale=1e308)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match="features contain non-finite entries"
+        ):
+            gen_gaussian(spec)
+
+    def test_package_built_datasets_are_read_only(self):
+        ds = self._ds()
+        built = {
+            "gen_gaussian": ds,
+            "subset": ds.subset([3, 1, 2, 30]),
+            "inject_outliers": inject_outliers(ds, 10.0, 4),
+            "apply_zscore": normalize_zscore(ds)[0],
+        }
+        for name, out in built.items():
+            for array in (out.features, out.labels):
+                assert not array.flags.writeable, name
+                with pytest.raises(ValueError):
+                    array[0] = 0
+
+    def test_inject_outliers_shares_features_and_leaves_input_labels(self):
+        ds = self._ds()
+        labels_before = ds.labels.copy()
+        out = inject_outliers(ds, 20.0, 4)
+        assert out.features is ds.features
+        assert np.array_equal(ds.labels, labels_before)
+        assert not np.array_equal(out.labels, ds.labels)
+
+    def test_empty_subset_rejected(self):
+        with pytest.raises(ValueError, match="non-empty 2-d matrix"):
+            self._ds().subset([])
+
+    def test_public_constructor_copies_caller_arrays(self):
+        X = np.arange(6, dtype=float).reshape(3, 2)
+        y = np.array([1, -1, 1], dtype=np.int64)
+        ds = Dataset(features=X, labels=y)
+        X[0, 0] = 99.0
+        y[0] = -1
+        assert ds.features[0, 0] == 0.0
+        assert ds.labels[0] == 1
+        assert X.flags.writeable and y.flags.writeable
+
+
 class TestKfoldSplit:
     def test_five_folds_of_ten(self):
         folds = kfold_split(10, 5, 0)
