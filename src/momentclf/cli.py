@@ -85,7 +85,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     print(f"wrote model to {args.model_out}")
     if trace is not None:
         print(f"stopped after {trace.iterations} iterations ({trace.reason}), "
-              f"objective {trace.final_value!r}")
+              f"objective {trace.final_value!r}, {trace.evaluations} evaluations")
         if args.trace_out:
             emit_trace(trace, args.trace_out)
             print(f"wrote trace to {args.trace_out}")

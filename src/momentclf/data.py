@@ -224,10 +224,13 @@ def _parse_dense(text: str) -> Dataset | None:
     if not lines or not all(map(_DENSE_LINE.fullmatch, lines)):
         return None
     try:
-        # the reader also rejects lines whose token counts differ
-        table = np.loadtxt([line.replace(":", " ") for line in lines], ndmin=2)
+        # the reader also rejects lines whose token counts differ; fed
+        # from a generator, it holds one replaced line at a time
+        table = np.loadtxt((line.replace(":", " ") for line in lines), ndmin=2)
     except ValueError:
         return None
+    # the split text is as large as the table; free it before the checks
+    del lines
     raw_labels = table[:, 0]
     distinct = np.unique(raw_labels)
     d = table.shape[1] // 2
@@ -237,8 +240,9 @@ def _parse_dense(text: str) -> Dataset | None:
         or not np.all(np.isfinite(table))
     ):
         return None
-    labels = np.where(raw_labels == distinct[1], 1, -1)
-    return Dataset(features=table[:, 2::2], labels=labels)
+    labels = np.where(raw_labels == distinct[1], 1, -1).astype(np.int64, copy=False)
+    # one contiguous copy of the value columns; the table is freed on return
+    return Dataset._built(np.ascontiguousarray(table[:, 2::2]), labels)
 
 
 def _parse_lines(text: str | bytes) -> Dataset:

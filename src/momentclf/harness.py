@@ -51,7 +51,7 @@ MOMENT_METHODS = ("error-direct", "auc-direct", "lda")
 MOMENT_SOURCES = ("empirical", "exact")
 
 REPORT_HEADER = "method,moment_source,run,fold,repeat,accuracy,auc,train_seconds,reason"
-TRACE_HEADER = "iter,objective,grad_norm,step,seconds"
+TRACE_HEADER = "iter,objective,grad_norm,step,backtracks,seconds"
 
 DataSource = Union[GaussianSpec, str]
 
@@ -369,6 +369,7 @@ def emit_trace(trace: OptimizationTrace, path) -> None:
                     repr(record.value),
                     repr(record.grad_norm),
                     repr(record.step),
+                    str(record.backtracks),
                     repr(record.seconds),
                 ]
             )

@@ -45,13 +45,20 @@ class ObjectiveEval:
     its result is kept, so a caller that only compares values (a rejected
     line-search trial) never pays for the gradient.  Such a function may
     read only what the evaluation itself built or what cannot change.
+
+    `convex` says the objective is convex in w.  gd_backtracking then
+    starts each line search at the previous accepted step, which finds the
+    same step with fewer trials; an objective that is not convex, or not
+    known to be, leaves it False and every search starts at alpha0.
     """
 
-    __slots__ = ("value", "_gradient")
+    __slots__ = ("value", "_gradient", "convex")
 
-    def __init__(self, value: float, gradient: np.ndarray | Callable[[], np.ndarray]):
+    def __init__(self, value: float, gradient: np.ndarray | Callable[[], np.ndarray],
+                 convex: bool = False):
         self.value = value
         self._gradient = gradient
+        self.convex = convex
 
     @property
     def gradient(self) -> np.ndarray:

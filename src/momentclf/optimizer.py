@@ -1,15 +1,16 @@
 """Gradient descent with Armijo backtracking, plus starting-point rules.
 
-The loop is deliberately plain: steepest descent, geometric step shrinking,
-relative gradient-norm stopping.  Every accepted step is recorded so a run
-can be audited after the fact (the sufficient-decrease inequality is
-replayable from the trace alone).
+The loop is deliberately plain: steepest descent, Armijo steps from a
+geometric ladder, relative gradient-norm stopping.  Every accepted step is
+recorded so a run can be audited after the fact (the sufficient-decrease
+inequality is replayable from the trace alone).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -69,8 +70,10 @@ class TraceRecord:
     """State after one accepted step.
 
     iteration is 1-based; value and grad_norm describe the new iterate;
-    step is the accepted alpha; backtracks counts rejected trial steps
-    cumulatively; seconds is wall-clock time since the run started.
+    step is the accepted alpha; backtracks counts, cumulatively, the trial
+    steps that were evaluated but not taken (for an objective that is not
+    convex, exactly the steps rejected on the way down from alpha0);
+    seconds is wall-clock time since the run started.
     """
 
     iteration: int
@@ -88,13 +91,16 @@ class OptimizationTrace:
     The starting objective value and gradient norm are kept alongside the
     per-step records so the Armijo inequality
     F_k+1 <= F_k - c * alpha_k+1 * ||grad_k||^2 can be re-verified for
-    every accepted step without re-running the objective.
+    every accepted step without re-running the objective.  evaluations
+    counts objective calls: the one at the start, every trial step, and
+    the trials of a line search that failed.
     """
 
     initial_value: float
     initial_grad_norm: float
     records: list[TraceRecord] = field(default_factory=list)
     reason: str = ""
+    evaluations: int = 0
 
     @property
     def iterations(self) -> int:
@@ -109,6 +115,45 @@ class OptimizationTrace:
         return self.records[-1].grad_norm if self.records else self.initial_grad_norm
 
 
+# A test failed by less than this fraction of |F(w)| may have failed through
+# rounding alone, so it is not taken as evidence that every larger step
+# fails too.  It is 256 to 512 units in the last place of F(w); the hinge
+# and logistic values carry a few, and on stalled hinge fits a slack of 4
+# to 8 units let a rounding failure change the accepted step.
+_ROUNDING = 2.0**-44
+
+
+def _first_passing_rung(margin_at, first, last, slack):
+    """The smallest k in 0..last with margin_at(k) <= 0, or None.
+
+    margin_at(k) evaluates the Armijo test at rung k (step alpha0*beta^k)
+    and returns how far the trial value lies above the line.  The rungs
+    from first up to larger steps are tried until one fails by more than
+    slack, then the rungs below first in order.  For a convex objective the
+    margin is a convex function of the step that is 0 at step 0, so once
+    positive it grows at least in proportion to the step: a failure by
+    more than slack rules out every larger step, while a failure within
+    slack may be rounding and rules out nothing.  From first=0 this is the
+    plain search from alpha0 down.  Rungs ruled out are tried last, so a
+    search that finds nothing has tried every rung once.
+    """
+    found = None
+    ruled_out = 0
+    for k in range(first, -1, -1):
+        margin = margin_at(k)
+        if margin <= 0.0:
+            found = k
+        elif margin > slack:
+            ruled_out = k
+            break
+    if found is not None:
+        return found
+    for k in chain(range(first + 1, last + 1), range(ruled_out)):
+        if margin_at(k) <= 0.0:
+            return k
+    return None
+
+
 def gd_backtracking(
     objective: Objective,
     w0: np.ndarray,
@@ -116,9 +161,17 @@ def gd_backtracking(
 ) -> tuple[LinearModel, OptimizationTrace]:
     """Minimize an objective by steepest descent with Armijo backtracking.
 
-    From the current iterate w the trial step alpha starts at alpha0 and
-    shrinks by beta until
-        F(w - alpha * g) <= F(w) - c * alpha * ||g||^2.
+    From the current iterate w the accepted step is the first alpha of the
+    ladder alpha0, alpha0*beta, ..., alpha0*beta^max_backtracks with
+        F(w - alpha * g) <= F(w) - c * alpha * ||g||^2,
+    so alpha0 is the largest step ever tried.  A search that starts at
+    alpha0 and shrinks finds it.  When the evaluation says the objective is
+    convex (ObjectiveEval.convex), the steps that pass form an interval
+    [0, alpha*], so the same step is found from any rung: the search then
+    starts at the previous iteration's accepted rung and climbs while the
+    test holds, or descends until it does (see _first_passing_rung for the
+    failures near rounding level that it does not trust).  A failed search
+    costs max_backtracks + 1 evaluations either way.
     The gradient is read only at the start and at accepted points, so a
     rejected trial costs one objective value and, for an objective whose
     gradient is built lazily (see ObjectiveEval), nothing more.
@@ -132,13 +185,34 @@ def gd_backtracking(
     w = np.array(w0, dtype=float)
     if w.ndim != 1 or w.shape[0] < 1:
         raise ValueError(f"w0 must be a 1-d vector, got shape {w.shape}")
+    # the rungs by repeated multiplication, as a shrinking alpha visits them
+    alphas = [config.alpha0]
+    for _ in range(config.max_backtracks):
+        alphas.append(alphas[-1] * config.beta)
     start = time.perf_counter()
     current = objective(w)
     grad = np.asarray(current.gradient, dtype=float)
     grad_norm = float(np.linalg.norm(grad))
-    trace = OptimizationTrace(initial_value=float(current.value), initial_grad_norm=grad_norm)
+    trace = OptimizationTrace(initial_value=float(current.value), initial_grad_norm=grad_norm,
+                              evaluations=1)
     threshold = config.grad_tol_rel * grad_norm
     total_backtracks = 0
+    rung = 0
+    passed = {}
+
+    def margin_at(k):
+        # how far the value at rung k lies above the Armijo line, 0 for a
+        # rung that passes, which keeps its trial point and evaluation
+        trace.evaluations += 1
+        trial_w = w - alphas[k] * grad
+        trial = objective(trial_w)
+        value = float(trial.value)
+        bound = f_current - alphas[k] * decrease_slope
+        if value <= bound:
+            passed[k] = (trial_w, trial)
+            return 0.0
+        return value - bound
+
     try:
         while True:
             if grad_norm <= threshold:
@@ -149,20 +223,16 @@ def gd_backtracking(
                 break
             f_current = float(current.value)
             decrease_slope = config.c * grad_norm * grad_norm
-            alpha = config.alpha0
-            accepted = None
-            for _ in range(config.max_backtracks + 1):
-                trial_w = w - alpha * grad
-                trial = objective(trial_w)
-                if float(trial.value) <= f_current - alpha * decrease_slope:
-                    accepted = (trial_w, trial, alpha)
-                    break
-                total_backtracks += 1
-                alpha *= config.beta
-            if accepted is None:
+            evaluations_before = trace.evaluations
+            passed.clear()
+            rung = _first_passing_rung(margin_at, rung if current.convex else 0,
+                                       config.max_backtracks, _ROUNDING * abs(f_current))
+            if rung is None:
                 trace.reason = REASON_LINE_SEARCH
                 break
-            w, current, alpha = accepted
+            accepted = passed[rung]
+            total_backtracks += trace.evaluations - evaluations_before - 1
+            w, current = accepted
             grad = np.asarray(current.gradient, dtype=float)
             grad_norm = float(np.linalg.norm(grad))
             trace.records.append(
@@ -170,7 +240,7 @@ def gd_backtracking(
                     iteration=len(trace.records) + 1,
                     value=float(current.value),
                     grad_norm=grad_norm,
-                    step=alpha,
+                    step=alphas[rung],
                     backtracks=total_backtracks,
                     seconds=time.perf_counter() - start,
                 )

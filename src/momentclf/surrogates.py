@@ -37,7 +37,8 @@ def logistic_eval(w: np.ndarray, dataset, lam: float) -> ObjectiveEval:
     The per-sample term log(1 + exp(-y_i w'x_i)) is computed as
     logaddexp(0, -y_i w'x_i), which is exact in both tails instead of
     overflowing for strongly misclassified samples.  The gradient (a
-    sigmoid per sample and X'c) is built on first read.
+    sigmoid per sample and X'c) is built on first read.  With lam >= 0
+    the criterion is convex, and the evaluation says so.
     """
     lam = float(lam)
     if lam < 0.0 or not math.isfinite(lam):
@@ -57,7 +58,7 @@ def logistic_eval(w: np.ndarray, dataset, lam: float) -> ObjectiveEval:
         coef = _stable_sigmoid(t) * (-y) / n
         return X.T @ coef + ridge
 
-    return ObjectiveEval(value=value, gradient=gradient)
+    return ObjectiveEval(value=value, gradient=gradient, convex=True)
 
 
 def logistic_objective(dataset, lam: float) -> Objective:
@@ -106,7 +107,8 @@ def pairwise_hinge_eval(w: np.ndarray, dataset) -> ObjectiveEval:
 
     This orientation penalizes a positive that fails to outscore a negative
     by the unit margin, so minimizing it pushes AUC up.  The gradient (the
-    pair counts and X'g) is built on first read.
+    pair counts and X'g) is built on first read.  A mean of maxima of
+    affine functions of w is convex, and the evaluation says so.
     """
     w = np.asarray(w, dtype=float)
     X = dataset.features
@@ -143,7 +145,7 @@ def pairwise_hinge_eval(w: np.ndarray, dataset) -> ObjectiveEval:
         grad /= float(n_pos * sn.shape[0])
         return grad
 
-    return ObjectiveEval(value=value, gradient=gradient)
+    return ObjectiveEval(value=value, gradient=gradient, convex=True)
 
 
 def hinge_objective(dataset) -> Objective:

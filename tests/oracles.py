@@ -6,11 +6,12 @@ oracle integrates the density with Gauss-Legendre panels instead of using
 the error function, gradients come from central differences, pair losses
 from O(n^2) enumeration, covariances from explicit two-pass loops, and
 expectations from Monte-Carlo sampling.  The exceptions are the eager
-surrogate gradients, and the generator, moment estimator and discriminant
+surrogate gradients, the generator, moment estimator and discriminant
 as first written, with an identity matrix, an explicit symmetrization and
-a fresh array per step: they repeat the package's formulas operation for
-operation, so that its lazily built gradients and its in-place moment
-path can be compared bit for bit.
+a fresh array per step, and the line search as first written, from alpha0
+down on every iteration: they repeat the package's formulas operation for
+operation, so that its lazily built gradients, its in-place moment path
+and its warm-started line search can be compared bit for bit.
 """
 
 from __future__ import annotations
@@ -114,6 +115,50 @@ def eager_logistic_gradient(w: np.ndarray, features: np.ndarray, labels: np.ndar
     sigmoid[~up] = e / (1.0 + e)
     coef = sigmoid * (-y) / features.shape[0]
     return features.T @ coef + 2.0 * lam * w
+
+
+def cold_backtracking(objective, w0: np.ndarray, config):
+    """Steepest descent whose every Armijo search starts at alpha0.
+
+    Each trial step is alpha0 shrunk by beta once per rejected trial, until
+    F(w - alpha g) <= F(w) - c alpha ||g||^2 or max_backtracks + 1 trials
+    have failed; the stops are those of the package's optimizer.  Returns
+    the final w, one (value, grad_norm, step, backtracks) tuple per
+    accepted step with cumulative rejected trials, the stop reason and the
+    number of objective calls.
+    """
+    w = np.array(w0, dtype=float)
+    current = objective(w)
+    evaluations = 1
+    grad = np.asarray(current.gradient, dtype=float)
+    grad_norm = float(np.linalg.norm(grad))
+    threshold = config.grad_tol_rel * grad_norm
+    records = []
+    backtracks = 0
+    while True:
+        if grad_norm <= threshold:
+            return w, records, "gradient-tolerance", evaluations
+        if len(records) >= config.max_iters:
+            return w, records, "max-iterations", evaluations
+        f_current = float(current.value)
+        decrease_slope = config.c * grad_norm * grad_norm
+        alpha = config.alpha0
+        accepted = None
+        for _ in range(config.max_backtracks + 1):
+            trial_w = w - alpha * grad
+            trial = objective(trial_w)
+            evaluations += 1
+            if float(trial.value) <= f_current - alpha * decrease_slope:
+                accepted = (trial_w, trial, alpha)
+                break
+            backtracks += 1
+            alpha *= config.beta
+        if accepted is None:
+            return w, records, "line-search-failure", evaluations
+        w, current, alpha = accepted
+        grad = np.asarray(current.gradient, dtype=float)
+        grad_norm = float(np.linalg.norm(grad))
+        records.append((float(current.value), grad_norm, alpha, backtracks))
 
 
 def brute_auc(scores_pos: np.ndarray, scores_neg: np.ndarray, ties: str = "strict") -> float:

@@ -111,6 +111,23 @@ class TestTrain:
         assert lines[0] == TRACE_HEADER
         assert len(lines) >= 2
 
+    def test_stop_line_counts_evaluations(self, generated, tmp_path, capsys):
+        trace_out = tmp_path / "hinge.trace.csv"
+        rc = main(["train", "--method", "hinge", "--data", str(generated), "--max-iters", "30",
+                   "--model-out", str(tmp_path / "m.model"), "--trace-out", str(trace_out)])
+        assert rc == 0
+        stop = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("stopped after")]
+        assert len(stop) == 1
+        tokens = stop[0].split()
+        assert tokens[2] == "30"
+        assert "(max-iterations)" in stop[0]
+        assert stop[0].endswith(" evaluations")
+        # every call is the start, an accepted step or a trial not taken
+        column = TRACE_HEADER.split(",").index("backtracks")
+        last = trace_out.read_text().splitlines()[-1].split(",")
+        assert int(tokens[-2]) == 1 + 30 + int(last[column])
+
     def test_exact_source_with_sidecar(self, generated, tmp_path):
         rc = main(["train", "--method", "error-direct", "--data", str(generated),
                    "--moments", str(generated) + ".moments",

@@ -392,6 +392,17 @@ class TestEmitTrace:
         assert iters == list(range(1, 51))
         assert all(a >= b for a, b in zip(values, values[1:]))
 
+    def test_backtracks_column_is_the_cumulative_count(self, tmp_path):
+        trace = self._fifty_iteration_trace()
+        out = tmp_path / "trace.csv"
+        emit_trace(trace, out)
+        column = TRACE_HEADER.split(",").index("backtracks")
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        counts = [int(r[column]) for r in rows]
+        assert counts == [r.backtracks for r in trace.records]
+        assert counts[-1] > 0
+        assert all(a <= b for a, b in zip(counts, counts[1:]))
+
     def test_armijo_replay_from_csv_rows(self, tmp_path):
         trace = self._fifty_iteration_trace()
         out = tmp_path / "trace.csv"

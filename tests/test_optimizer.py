@@ -5,18 +5,31 @@ import pytest
 
 from momentclf import (
     ClassMoments,
+    Dataset,
+    GaussianSpec,
     LineSearchConfig,
     NoInitializerError,
     ObjectiveEval,
+    auc_moments,
+    auc_objective,
+    estimate_class_moments,
     gd_backtracking,
+    gen_gaussian,
+    hinge_objective,
     init_random,
     init_w0_error,
+    inject_outliers,
+    kfold_split,
+    logistic_objective,
 )
 from momentclf.optimizer import (
     REASON_GRADIENT,
     REASON_LINE_SEARCH,
     REASON_MAX_ITERS,
+    _first_passing_rung,
 )
+
+import oracles
 
 
 def quadratic(w):
@@ -72,6 +85,7 @@ class TestGdBacktracking:
         assert rec.step == 1.0
         assert rec.backtracks == 0
         assert rec.value == 0.0
+        assert trace.evaluations == 2
         # Armijo at the accepted step: 0 <= 12.5 - 1e-4 * 1 * 25
         assert rec.value <= trace.initial_value - rec.step * (1e-4 * trace.initial_grad_norm**2)
 
@@ -126,6 +140,7 @@ class TestGdBacktracking:
         model, trace = gd_backtracking(stubborn, w0, config)
         assert trace.reason == REASON_LINE_SEARCH
         assert trace.iterations == 0
+        assert trace.evaluations == 1 + config.max_backtracks + 1
         assert np.array_equal(model.w, w0)
 
     def test_midrun_exception_carries_partial_trace(self):
@@ -216,7 +231,7 @@ class TestLazyGradient:
         # the k-th accepted point is evaluation k + (backtracks so far)
         accepted = [0] + [r.iteration + r.backtracks for r in trace.records]
         assert built == accepted
-        assert len(evals) == accepted[-1] + 1
+        assert len(evals) == accepted[-1] + 1 == trace.evaluations
 
     def test_failed_line_search_builds_only_the_start_gradient(self):
         built = []
@@ -232,6 +247,178 @@ class TestLazyGradient:
                                    LineSearchConfig(max_backtracks=10))
         assert trace.reason == REASON_LINE_SEARCH
         assert len(built) == 1
+
+
+class TestFirstPassingRung:
+    """The rung search on scripted margins: > 0 fails, <= 0 passes."""
+
+    @staticmethod
+    def _search(margins, first):
+        calls = []
+
+        def margin_at(k):
+            calls.append(k)
+            return margins[k]
+
+        return _first_passing_rung(margin_at, first, len(margins) - 1, 1e-12), calls
+
+    def test_from_zero_is_the_search_from_alpha0(self):
+        k, calls = self._search([8.0, 4.0, 2.0, -1.0, -0.5], 0)
+        assert k == 3
+        assert calls == [0, 1, 2, 3]
+
+    def test_convex_margins_from_every_start(self):
+        margins = [8.0, 4.0, 2.0, 1.0, -0.5, -0.25, -0.125, -0.0625]
+        for first in range(len(margins)):
+            k, calls = self._search(margins, first)
+            assert k == 4
+            if first >= 4:
+                # climb to rung 4, stopped by the failure at rung 3
+                assert calls == list(range(first, 2, -1))
+            else:
+                # the failure at the start rules out the larger steps
+                assert calls == list(range(first, 5))
+
+    def test_failures_within_slack_rule_out_nothing(self):
+        # passes at rungs 2 and 5 among failures of rounding size, as a
+        # stalled fit gives them
+        margins = [1.0, 1e-3, 0.0, 1e-15, 1e-15, 0.0, 1e-15]
+        for first in range(len(margins)):
+            k, calls = self._search(margins, first)
+            assert k == 2
+            assert len(calls) == len(set(calls))
+
+    def test_failed_search_tries_every_rung_once(self):
+        margins = [4.0, 2.0, 1e-15, 1.0, 1e-15, float("nan")]
+        for first in range(len(margins)):
+            k, calls = self._search(margins, first)
+            assert k is None
+            assert sorted(calls) == list(range(len(margins)))
+
+
+def _tied_hinge_data():
+    # the rows sit on a small integer grid and each appears once per class
+    # (bar the flipped labels), so scores tie within and across the classes
+    # whatever w is
+    rng = np.random.default_rng(3)
+    base = rng.integers(-2, 3, size=(20, 3)).astype(float)
+    labels = np.r_[np.ones(20), -np.ones(20)]
+    labels[::7] *= -1
+    return Dataset(features=np.vstack([base, base]), labels=labels)
+
+
+@pytest.fixture(scope="module")
+def convex_cases():
+    """Convex objectives by name, each with its dimension."""
+    gauss, _ = gen_gaussian(GaussianSpec(d=5, n=200, prior_pos=0.5, outlier_pct=10.0, seed=4))
+    ties = _tied_hinge_data()
+    return {
+        "hinge-ties": (hinge_objective(ties), ties.dim),
+        "hinge": (hinge_objective(gauss), gauss.dim),
+        "logistic-lam0": (logistic_objective(gauss, 0.0), gauss.dim),
+        "logistic-lam": (logistic_objective(gauss, 0.1), gauss.dim),
+    }
+
+
+def _record_bytes(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def _against_cold_search(objective, d, config):
+    """Run the optimizer and the cold-search oracle from one start and
+    require the same weights and the same value, grad_norm and step bytes
+    on every record."""
+    w0 = init_random(d, 1)
+    model, trace = gd_backtracking(objective, w0, config)
+    w, records, reason, evaluations = oracles.cold_backtracking(objective, w0, config)
+    assert trace.reason == reason
+    assert model.w.tobytes() == w.tobytes()
+    assert _record_bytes([(r.value, r.grad_norm, r.step) for r in trace.records]) == (
+        _record_bytes([rec[:3] for rec in records])
+    )
+    return trace, evaluations
+
+
+class TestWarmStartedSearch:
+    """On a convex objective each Armijo search starts at the last accepted
+    step, and must find exactly the step a search from alpha0 finds."""
+
+    @pytest.mark.parametrize("alpha0", [1.0, 8.0])
+    @pytest.mark.parametrize("beta", [0.5, 0.3, 0.7])
+    @pytest.mark.parametrize("case", ["hinge-ties", "hinge", "logistic-lam0", "logistic-lam"])
+    def test_convex_fit_matches_cold_search(self, convex_cases, case, beta, alpha0):
+        objective, d = convex_cases[case]
+        config = LineSearchConfig(alpha0=alpha0, beta=beta, max_iters=60)
+        trace, cold_evaluations = _against_cold_search(objective, d, config)
+        assert trace.iterations > 0
+        assert trace.reason != REASON_LINE_SEARCH
+        assert trace.evaluations == 1 + trace.iterations + trace.records[-1].backtracks
+        if case.startswith("hinge"):
+            # a search from alpha0 rejects most of its trials on the hinge
+            assert trace.evaluations < cold_evaluations
+        elif alpha0 == 8.0:
+            # the searches start below alpha0; climbing back up can cost a
+            # trial more than searching down from alpha0 would
+            assert trace.evaluations != cold_evaluations
+
+    @pytest.mark.parametrize("case, alpha0, beta, max_backtracks", [
+        ("hinge", 1.0, 0.5, 3),
+        ("hinge-ties", 8.0, 0.3, 3),
+        ("logistic-lam", 8.0, 0.7, 4),
+    ])
+    def test_failed_warm_search_tries_every_step(self, convex_cases, case, alpha0, beta,
+                                                 max_backtracks):
+        objective, d = convex_cases[case]
+        config = LineSearchConfig(alpha0=alpha0, beta=beta, max_iters=60,
+                                  max_backtracks=max_backtracks)
+        trace, _ = _against_cold_search(objective, d, config)
+        assert trace.reason == REASON_LINE_SEARCH
+        # the failed search started below alpha0, at the last accepted step
+        assert trace.records[-1].step < alpha0
+        last_search = trace.evaluations - (1 + trace.iterations + trace.records[-1].backtracks)
+        assert last_search == max_backtracks + 1
+
+    def test_nonconvex_objective_evaluates_as_cold_search(self):
+        dataset, _ = gen_gaussian(GaussianSpec(d=5, n=200, prior_pos=0.5, seed=4))
+        moments = estimate_class_moments(dataset)
+        objective = auc_objective(auc_moments(moments))
+
+        def recording(points):
+            def evaluate(w):
+                points.append(np.array(w).tobytes())
+                return objective(w)
+            return evaluate
+
+        # the ranking objective is 0-homogeneous and rarely backtracks; a
+        # large first step makes it
+        config = LineSearchConfig(alpha0=1000.0, max_iters=60)
+        warm, cold = [], []
+        w0 = init_w0_error(moments)
+        _, trace = gd_backtracking(recording(warm), w0, config)
+        _, records, _, evaluations = oracles.cold_backtracking(recording(cold), w0, config)
+        assert not objective(w0).convex
+        assert trace.records[-1].backtracks > 0
+        assert warm == cold
+        assert trace.evaluations == evaluations == len(warm)
+        assert [r.backtracks for r in trace.records] == [rec[3] for rec in records]
+
+    def test_hinge_fit_of_criterion_05_makes_few_evaluations(self):
+        # the first contaminated split of criterion 05.  Over its first 150
+        # iterations the steps stay above 1e-5 and the search reads 2.0
+        # evaluations per iteration.  Its last 53 steps are below 1e-10,
+        # where the larger steps fail by margins near rounding level and
+        # must each be tried; the whole fit reads 8.6, and a search from
+        # alpha0 on every iteration 17.4
+        spec = GaussianSpec(d=50, n=5000, prior_pos=0.5, seed=2, mean_scale=0.55)
+        dataset, _ = gen_gaussian(spec)
+        train_idx, _ = kfold_split(dataset.n, 2, seed=0)[0]
+        train = inject_outliers(dataset.subset(train_idx), 10.0, seed=50_000)
+        _, trace = gd_backtracking(hinge_objective(train), init_random(train.dim, seed=2_000))
+        assert trace.iterations == 250
+        early = trace.records[149]
+        assert early.step >= 1e-5
+        assert 1 + early.iteration + early.backtracks <= 2.5 * early.iteration
+        assert trace.evaluations <= 12 * trace.iterations
 
 
 class TestInitW0Error:

@@ -10,7 +10,9 @@ from momentclf import (
     Dataset,
     DegenerateModelError,
     InsufficientDataError,
+    ObjectiveEval,
     SingularModelError,
+    error_objective,
     lda_fit,
     logistic_eval,
     pairwise_hinge_eval,
@@ -195,6 +197,20 @@ class TestLazyGradients:
             ev = logistic_eval(w, ds, 0.1)
         w[:] = 100.0
         assert ev.gradient.tobytes() == expected.tobytes()
+
+
+def test_baseline_evaluations_say_they_are_convex():
+    # the optimizer warm-starts its line search on exactly these; the
+    # direct objectives are not convex and keep the default
+    rng = np.random.default_rng(11)
+    ds = _dataset(rng.normal(size=(8, 2)), rng.normal(size=(6, 2)))
+    w = rng.normal(size=2)
+    assert pairwise_hinge_eval(w, ds).convex is True
+    assert logistic_eval(w, ds, 0.0).convex is True
+    assert logistic_eval(w, ds, 0.3).convex is True
+    moments = ClassMoments(np.ones(2), -np.ones(2), np.eye(2), np.eye(2), 0.5, 0.5)
+    assert error_objective(moments)(w).convex is False
+    assert ObjectiveEval(value=0.0, gradient=np.zeros(2)).convex is False
 
 
 class TestLda:
