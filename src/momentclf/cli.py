@@ -147,6 +147,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     # build every config first so a bad entry fails before any sweep runs
     named = []
     for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"config config_{i:02d}: entry must be a JSON object, got {entry!r}")
         fields = dict(entry)
         name = fields.pop("name", f"config_{i:02d}")
         try:
@@ -155,7 +157,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             if "optimizer" in fields:
                 fields["optimizer"] = LineSearchConfig(**fields["optimizer"])
             named.append((name, ExperimentConfig(**fields)))
-        except TypeError as exc:  # unknown or missing key
+        except (TypeError, ValueError) as exc:  # unknown or missing key, bad value
             raise ValueError(f"config {name}: {exc}") from None
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -202,7 +204,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="score a saved model on a LIBSVM file")
     p_eval.add_argument("--model", required=True)
     p_eval.add_argument("--data", required=True)
-    p_eval.add_argument("--normalize", action="store_true")
+    p_eval.add_argument("--normalize", action="store_true",
+                        help="z-score the file with its own statistics; this reproduces "
+                             "train --normalize only on the training file")
     p_eval.add_argument("--ties", choices=("strict", "midrank"), default="strict")
     p_eval.set_defaults(func=_cmd_eval)
 
@@ -214,9 +218,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cv.add_argument("--repeats", type=int, default=4)
     p_cv.add_argument("--seed", type=int, default=0)
     norm = p_cv.add_mutually_exclusive_group()
-    norm.add_argument("--normalize", dest="normalize", action="store_const", const=True,
-                      default=None, help="z-score the whole file before CV (default for files)")
-    norm.add_argument("--no-normalize", dest="normalize", action="store_const", const=False)
+    norm.add_argument("--no-normalize", dest="normalize", action="store_const", const=False,
+                      default=None, help="leave the file unscaled (default: z-score it before CV)")
     norm.add_argument("--per-fold-norm", action="store_true",
                       help="learn normalization on each training fold only")
     p_cv.add_argument("--report-out", required=True)

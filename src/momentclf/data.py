@@ -245,10 +245,8 @@ def _parse_dense(text: str) -> Dataset | None:
     return Dataset._built(np.ascontiguousarray(table[:, 2::2]), labels)
 
 
-def _parse_lines(text: str | bytes) -> Dataset:
+def _parse_lines(text: str) -> Dataset:
     """The per-line LIBSVM parser behind parse_libsvm."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     raw_labels: list[float] = []
     rows: list[list[tuple[int, float]]] = []
     max_index = 0

@@ -18,6 +18,7 @@ import numpy as np
 from .data import (
     Dataset,
     GaussianSpec,
+    NormalizationStats,
     apply_zscore,
     gen_gaussian,
     kfold_split,
@@ -27,7 +28,7 @@ from .data import (
 )
 from .metrics import evaluate_model
 from .model import LinearModel
-from .moments import ClassMoments, auc_moments, estimate_class_moments
+from .moments import ClassMoments, _built, auc_moments, estimate_class_moments
 from .objectives import auc_objective, error_objective
 from .optimizer import LineSearchConfig, OptimizationTrace, gd_backtracking, init_random, init_w0_error
 from .surrogates import hinge_objective, lda_fit, logistic_objective
@@ -65,10 +66,10 @@ class ExperimentConfig:
     them from each training fold, "exact" uses generator truth from a
     GaussianSpec data source or the sidecar at moments_path, which only
     the exact source takes.  normalize=None means files are z-scored once
-    up front unless moments are exact; generated data is left alone.
-    per_fold_norm instead learns normalization on each training fold and
-    applies it to the test fold.  Exact moments are in the raw feature
-    units, so either normalization together with them is rejected.
+    up front and generated data is left alone.  per_fold_norm instead
+    learns normalization on each training fold and applies it to the test
+    fold.  Either way exact moments are mapped through the same z-score,
+    so every fit sees features and moments in one space.
     """
 
     method: str
@@ -91,6 +92,14 @@ class ExperimentConfig:
             )
         if not isinstance(self.data, GaussianSpec) and not isinstance(self.data, str):
             raise ValueError("data must be a GaussianSpec or a file path string")
+        for name in ("folds", "repeats", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an int, got {value!r}")
+        if not (self.normalize is None or isinstance(self.normalize, bool)):
+            raise TypeError(f"normalize must be a bool or None, got {self.normalize!r}")
+        if not isinstance(self.per_fold_norm, bool):
+            raise TypeError(f"per_fold_norm must be a bool, got {self.per_fold_norm!r}")
         if self.folds < 2:
             raise ValueError(f"folds must be >= 2, got {self.folds!r}")
         if self.repeats < 1:
@@ -174,10 +183,9 @@ def _check_source(
 ) -> bool:
     """Check a method and data source against its moment source; return whether to z-score.
 
-    Exact moments come from the generator or a sidecar, feed only the
-    MOMENT_METHODS and are in raw feature units, so they rule out both
-    normalizations.  normalize=None z-scores files, except for exact-moment
-    runs, and leaves generated data alone.
+    Exact moments come from the generator or a sidecar and feed only the
+    MOMENT_METHODS.  normalize=None z-scores files and leaves generated
+    data alone.
     """
     if moment_source == "exact":
         if method not in MOMENT_METHODS:
@@ -185,16 +193,12 @@ def _check_source(
                              f"apply only to {', '.join(MOMENT_METHODS)}")
         if not isinstance(data, GaussianSpec) and moments_path is None:
             raise ValueError("exact moment source requires --moments SIDECAR or generated data")
-        if normalize or per_fold_norm:
-            raise ValueError(
-                "exact moments are in raw feature units; they cannot be combined with normalization"
-            )
     elif moments_path is not None:
         raise ValueError("a moments sidecar is exact moments; it needs moment_source='exact'")
     if per_fold_norm and normalize:
         raise ValueError("choose either whole-dataset or per-fold normalization, not both")
     if normalize is None:
-        return isinstance(data, str) and not per_fold_norm and moment_source != "exact"
+        return isinstance(data, str) and not per_fold_norm
     return normalize
 
 
@@ -210,23 +214,32 @@ def load_source(
 
     The checks and normalization rule are ExperimentConfig's, and a sidecar
     at moments_path must match the data's dimension.  The returned moments
-    are None unless moment_source is "exact".
+    are None unless moment_source is "exact", and z-scored with the data.
     """
     normalize = _check_source(method, data, moment_source, moments_path, normalize, per_fold_norm)
     if isinstance(data, GaussianSpec):
         dataset, exact = gen_gaussian(data)
     else:
-        dataset = load_libsvm(data)
-        exact = None
+        dataset, exact = load_libsvm(data), None
     if moments_path is not None:
         exact = load_moments(moments_path)
         if exact.dim != dataset.dim:
-            raise ValueError(
-                f"moments d={exact.dim} does not match dataset d={dataset.dim}"
-            )
+            raise ValueError(f"moments d={exact.dim} does not match dataset d={dataset.dim}")
+    exact = exact if moment_source == "exact" else None
     if normalize:
-        dataset, _ = normalize_zscore(dataset)
-    return dataset, exact if moment_source == "exact" else None
+        dataset, stats = normalize_zscore(dataset)
+        exact = _zscored(exact, stats)
+    return dataset, exact
+
+
+def _zscored(moments: ClassMoments | None, stats: NormalizationStats) -> ClassMoments | None:
+    """Moments after z-scoring by stats: (mu - m) / s and sigma / ss', still exactly symmetric."""
+    if moments is None:
+        return None
+    m, s, outer = stats.mean, stats.scale, np.outer(stats.scale, stats.scale)
+    return _built(ClassMoments, mu_pos=(moments.mu_pos - m) / s, mu_neg=(moments.mu_neg - m) / s,
+                  sigma_pos=moments.sigma_pos / outer, sigma_neg=moments.sigma_neg / outer,
+                  prior_pos=moments.prior_pos, prior_neg=moments.prior_neg)
 
 
 def fit(
@@ -283,11 +296,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             try:
                 train = dataset.subset(train_idx)
                 test = dataset.subset(test_idx)
+                moments = exact_moments
                 if config.per_fold_norm:
                     train, stats = normalize_zscore(train)
                     test = apply_zscore(test, stats)
+                    moments = _zscored(moments, stats)
                 started = time.perf_counter()
-                model, trace = fit(config.method, train, exact_moments, config.optimizer, run_seed)
+                model, trace = fit(config.method, train, moments, config.optimizer, run_seed)
                 train_seconds = time.perf_counter() - started
                 scored = evaluate_model(model, test)
                 result = RunResult(run=run_no, fold=fold, repeat=repeat, accuracy=scored.accuracy,

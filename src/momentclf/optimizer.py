@@ -110,10 +110,6 @@ class OptimizationTrace:
     def final_value(self) -> float:
         return self.records[-1].value if self.records else self.initial_value
 
-    @property
-    def final_grad_norm(self) -> float:
-        return self.records[-1].grad_norm if self.records else self.initial_grad_norm
-
 
 # A test failed by less than this fraction of |F(w)| may have failed through
 # rounding alone, so it is not taken as evidence that every larger step

@@ -161,14 +161,22 @@ class TestTrain:
         assert "error: moments d=4 does not match dataset d=10" in capsys.readouterr().err
         assert not model_out.exists()
 
-    def test_exact_source_rejects_normalize(self, raw_units, tmp_path, capsys):
-        model_out = tmp_path / "m.model"
-        rc = main(["train", "--method", "error-direct", "--data", str(raw_units),
-                   "--moments", str(raw_units) + ".moments",
-                   "--normalize", "--model-out", str(model_out)])
-        assert rc == 1
-        assert "error:" in capsys.readouterr().err
-        assert not model_out.exists()
+    @pytest.mark.parametrize("method", ["error-direct", "auc-direct", "lda"])
+    def test_exact_source_normalizes_like_empirical(self, raw_units, tmp_path, capsys, method):
+        # the sidecar is mapped through the file's z-score, so train --normalize
+        # then eval --normalize scores an exact fit as well as an empirical one
+        accuracy = {}
+        for source, extra in (("empirical", []), ("exact", ["--moments", str(raw_units) + ".moments"])):
+            model_out = tmp_path / f"{source}.model"
+            assert main(["train", "--method", method, "--data", str(raw_units), *extra,
+                         "--normalize", "--model-out", str(model_out)]) == 0
+            capsys.readouterr()
+            assert main(["eval", "--model", str(model_out), "--data", str(raw_units),
+                         "--normalize"]) == 0
+            metrics = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+            accuracy[source] = float(metrics["accuracy"])
+        assert accuracy["empirical"] >= 0.98
+        assert abs(accuracy["exact"] - accuracy["empirical"]) <= 0.005
 
     def test_optimizer_flag_defaults_are_line_search_defaults(self, generated, tmp_path):
         args = _build_parser().parse_args(["train", "--method", "hinge", "--data", str(generated),
@@ -228,19 +236,17 @@ class TestCv:
             assert rc == 0
         assert _masked_report(p1) == _masked_report(p2)
 
-    def test_exact_source_leaves_features_in_raw_units(self, raw_units, tmp_path, capsys):
+    def test_exact_source_is_normalized_like_empirical(self, raw_units, tmp_path, capsys):
+        # error-direct has no intercept: on raw units its boundary passes
+        # through the raw origin and scored 0.942 here
         base = ["cv", "--method", "error-direct", "--data", str(raw_units),
-                "--moments", str(raw_units) + ".moments",
-                "--folds", "2", "--repeats", "1"]
-        default = tmp_path / "default.csv"
-        raw = tmp_path / "raw.csv"
-        assert main(base + ["--report-out", str(default)]) == 0
-        assert main(base + ["--no-normalize", "--report-out", str(raw)]) == 0
-        assert _masked_report(default) == _masked_report(raw)
-        capsys.readouterr()
-        for flag in ("--normalize", "--per-fold-norm"):
-            assert main(base + [flag, "--report-out", str(tmp_path / "x.csv")]) == 1
-            assert "error:" in capsys.readouterr().err
+                "--moments", str(raw_units) + ".moments"]
+        for flag in ([], ["--per-fold-norm"]):
+            assert main(base + flag + ["--report-out", str(tmp_path / "r.csv")]) == 0
+            summary = capsys.readouterr().out.splitlines()[-1]
+            assert summary.startswith("error-direct (exact): accuracy ")
+            assert summary.endswith(" over 20/20 runs")
+            assert float(summary.split()[3]) >= 0.98
 
     def test_sidecar_selects_exact_moments_for_lda(self, raw_units, tmp_path):
         report_out = tmp_path / "lda.csv"
@@ -281,7 +287,7 @@ class TestCv:
     def test_normalize_flags_are_exclusive(self, generated, tmp_path):
         with pytest.raises(SystemExit):
             main(["cv", "--method", "lda", "--data", str(generated),
-                  "--normalize", "--per-fold-norm",
+                  "--no-normalize", "--per-fold-norm",
                   "--report-out", str(tmp_path / "x.csv")])
 
 
@@ -335,4 +341,23 @@ class TestBench:
         assert rc == 1
         err = capsys.readouterr().err
         assert "error:" in err and "fold" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"name": "bad", "normalize": "no"}, "config bad: normalize must be a bool or None"),
+        ({"name": "bad", "per_fold_norm": "false"}, "config bad: per_fold_norm must be a bool"),
+        (1, "config config_01: entry must be a JSON object"),
+        ({"name": "bad", "folds": "3"}, "config bad: folds must be an int"),
+    ])
+    def test_malformed_entry_fails_before_running(self, generated, tmp_path, capsys,
+                                                  entry, message):
+        ok = {"name": "ok", "method": "lda", "data": str(generated), "folds": 2, "repeats": 1}
+        if isinstance(entry, dict):
+            entry = {**ok, **entry}
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps([ok, entry]))
+        out_dir = tmp_path / "r"
+        rc = main(["bench", "--configs", str(cfg_path), "--out-dir", str(out_dir)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: " + message)
         assert not out_dir.exists()

@@ -13,15 +13,18 @@ from momentclf import (
     LineSearchConfig,
     emit_report,
     emit_trace,
+    estimate_class_moments,
     gd_backtracking,
     gen_gaussian,
     lda_fit,
+    load_moments,
+    normalize_zscore,
     run_experiment,
     save_libsvm,
     save_moments,
     std_normal_cdf,
 )
-from momentclf.harness import METHODS, REPORT_HEADER, TRACE_HEADER, fit, load_source
+from momentclf.harness import METHODS, REPORT_HEADER, TRACE_HEADER, _zscored, fit, load_source
 from momentclf.objectives import ObjectiveEval
 
 
@@ -92,12 +95,20 @@ class TestConfigValidation:
             )
 
     @pytest.mark.parametrize("norm", [{"normalize": True}, {"per_fold_norm": True}])
-    def test_exact_source_rejects_normalization(self, norm):
+    def test_exact_source_accepts_normalization(self, norm):
         for data, path in ((GaussianSpec(d=2, n=40, prior_pos=0.5), None),
                            ("some/file.libsvm", "some/file.moments")):
-            with pytest.raises(ValueError, match="raw feature units"):
-                ExperimentConfig(method="error-direct", data=data, moment_source="exact",
-                                 moments_path=path, **norm)
+            cfg = ExperimentConfig(method="error-direct", data=data, moment_source="exact",
+                                   moments_path=path, **norm)
+            assert cfg.moment_source == "exact"
+
+    @pytest.mark.parametrize("field, value", [
+        ("folds", "3"), ("folds", 3.0), ("repeats", True), ("seed", None),
+        ("normalize", "no"), ("normalize", 0), ("per_fold_norm", "false"), ("per_fold_norm", None),
+    ])
+    def test_fields_need_their_types(self, field, value):
+        with pytest.raises(TypeError, match=f"^{field} must be"):
+            ExperimentConfig(method="lda", data="some/file.libsvm", **{field: value})
 
     @pytest.mark.parametrize("method", ["logistic", "hinge"])
     def test_exact_source_rejects_sample_methods(self, method):
@@ -143,17 +154,33 @@ class TestRunExperiment:
         )
         assert err.mean_accuracy >= lda.mean_accuracy
 
-    def test_exact_source_on_a_file_is_not_normalized(self, raw_files):
+    def test_exact_source_on_a_file_is_normalized(self, raw_files):
         data_path, sidecar = raw_files
         common = dict(method="error-direct", data=str(data_path), moment_source="exact",
                       moments_path=str(sidecar), folds=2, repeats=1, seed=5)
         default = run_experiment(ExperimentConfig(**common))
+        scaled = run_experiment(ExperimentConfig(normalize=True, **common))
         raw = run_experiment(ExperimentConfig(normalize=False, **common))
-        assert [r.accuracy for r in default.runs] == [r.accuracy for r in raw.runs]
-        assert [r.auc for r in default.runs] == [r.auc for r in raw.runs]
-        # the features really are far from z-scored, so mixing would show
-        dataset, _ = load_source("error-direct", str(data_path), normalize=False)
-        assert np.abs(dataset.features.mean(axis=0)).max() > 0.5
+        assert [r.accuracy for r in default.runs] == [r.accuracy for r in scaled.runs]
+        assert [r.auc for r in default.runs] == [r.auc for r in scaled.runs]
+        # a boundary through the raw origin misses the z-space fit
+        assert default.mean_accuracy >= 0.98 > raw.mean_accuracy
+        # the features and the sidecar are z-scored with the same statistics
+        dataset, exact = load_source("error-direct", str(data_path), "exact", str(sidecar))
+        raw_data, _ = load_source("error-direct", str(data_path), normalize=False)
+        zscored, stats = normalize_zscore(raw_data)
+        assert np.abs(raw_data.features.mean(axis=0)).max() > 0.5
+        assert dataset.features.tobytes() == zscored.features.tobytes()
+        expected = _zscored(load_moments(sidecar), stats)
+        for name in ("mu_pos", "mu_neg", "sigma_pos", "sigma_neg"):
+            assert getattr(exact, name).tobytes() == getattr(expected, name).tobytes()
+
+    def test_exact_source_per_fold_maps_each_fold(self, raw_files):
+        data_path, sidecar = raw_files
+        report = run_experiment(ExperimentConfig(
+            method="error-direct", data=str(data_path), moment_source="exact",
+            moments_path=str(sidecar), folds=2, repeats=1, seed=5, per_fold_norm=True))
+        assert report.mean_accuracy >= 0.98
 
     def test_failed_exact_fit_fails_every_fold(self, bayes_files, tmp_path):
         data_path, _ = bayes_files
@@ -163,9 +190,10 @@ class TestRunExperiment:
         for method in ("error-direct", "lda"):
             with pytest.raises(ValueError) as raised:
                 fit(method, None, coincident, LineSearchConfig(), seed=0)
+            # unscaled, so z-scoring cannot move the means off the origin
             report = run_experiment(ExperimentConfig(
                 method=method, data=str(data_path), moment_source="exact",
-                moments_path=str(sidecar), folds=2, repeats=2))
+                moments_path=str(sidecar), folds=2, repeats=2, normalize=False))
             assert len(report.runs) == 4
             assert all(r.failed for r in report.runs)
             reason = f"{type(raised.value).__name__}: {raised.value}"
@@ -419,3 +447,38 @@ class TestEmitTrace:
         trace = self._fifty_iteration_trace()
         with pytest.raises(OSError):
             emit_trace(trace, tmp_path / "no_dir" / "trace.csv")
+
+
+class TestZscoredMoments:
+    """The affine map of moments that keeps exact moments with z-scored features."""
+
+    @pytest.fixture
+    def scaled(self):
+        ds, truth = gen_gaussian(GaussianSpec(d=6, n=400, prior_pos=0.4, seed=21,
+                                              mean_scale=3.0, cov_scale=2.5))
+        shifted = Dataset(features=ds.features * np.linspace(0.1, 40.0, 6) + 7.0,
+                          labels=ds.labels)
+        return shifted, truth
+
+    def test_covariances_stay_exactly_symmetric(self, scaled):
+        ds, truth = scaled
+        _, stats = normalize_zscore(ds)
+        for moments in (truth, estimate_class_moments(ds)):
+            mapped = _zscored(moments, stats)
+            for sigma in (mapped.sigma_pos, mapped.sigma_neg):
+                assert np.array_equal(sigma, sigma.T)
+                assert not sigma.flags.writeable
+
+    def test_maps_estimates_to_estimates_of_zscored_data(self, scaled):
+        ds, _ = scaled
+        zscored, stats = normalize_zscore(ds)
+        mapped = _zscored(estimate_class_moments(ds), stats)
+        direct = estimate_class_moments(zscored)
+        for name in ("mu_pos", "mu_neg", "sigma_pos", "sigma_neg"):
+            np.testing.assert_allclose(getattr(mapped, name), getattr(direct, name),
+                                       rtol=0, atol=1e-12)
+        assert (mapped.prior_pos, mapped.prior_neg) == (direct.prior_pos, direct.prior_neg)
+
+    def test_no_moments_map_to_none(self, scaled):
+        _, stats = normalize_zscore(scaled[0])
+        assert _zscored(None, stats) is None
