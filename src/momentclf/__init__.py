@@ -19,26 +19,18 @@ from .moments import (
     ClassMoments,
     auc_moments,
     estimate_class_moments,
-    projected_stats,
 )
 from .model import LinearModel, load_model, save_model
 from .objectives import (
-    RATIO_CLAMP,
     Objective,
     ObjectiveEval,
     auc_objective,
     error_objective,
-    f_auc,
-    f_error,
-    grad_f_auc,
-    grad_f_error,
 )
 from .surrogates import (
     hinge_objective,
     lda_fit,
-    logistic_eval,
     logistic_objective,
-    pairwise_hinge_eval,
 )
 from .optimizer import (
     LineSearchConfig,
@@ -93,24 +85,16 @@ __all__ = [
     "ClassMoments",
     "auc_moments",
     "estimate_class_moments",
-    "projected_stats",
     "LinearModel",
     "load_model",
     "save_model",
-    "RATIO_CLAMP",
     "Objective",
     "ObjectiveEval",
     "auc_objective",
     "error_objective",
-    "f_auc",
-    "f_error",
-    "grad_f_auc",
-    "grad_f_error",
     "hinge_objective",
     "lda_fit",
-    "logistic_eval",
     "logistic_objective",
-    "pairwise_hinge_eval",
     "LineSearchConfig",
     "OptimizationTrace",
     "TraceRecord",

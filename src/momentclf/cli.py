@@ -80,7 +80,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     dataset, exact = load_source(args.method, args.data, _moment_source(args), args.moments,
                                  args.normalize)
     optimizer = _from_args(LineSearchConfig, args)
-    model, trace = fit(args.method, dataset, exact, optimizer, args.seed, lam=args.lam)
+    model, trace = fit(args.method, dataset, exact, optimizer, args.seed)
     save_model(model, args.model_out)
     print(f"wrote model to {args.model_out}")
     if trace is not None:
@@ -193,8 +193,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--data", required=True, help="LIBSVM path")
     p_train.add_argument("--moments", default=None, help="exact-moments sidecar; selects exact moments")
     p_train.add_argument("--normalize", action="store_true", help="z-score the data first")
-    p_train.add_argument("--lam", type=float, default=None,
-                         help="logistic ridge weight (default 1/n)")
     p_train.add_argument("--seed", type=int, default=0, help="random-start seed")
     p_train.add_argument("--model-out", required=True)
     p_train.add_argument("--trace-out", default=None)

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ParseError, _read_key_values
+from .errors import ParseError, _check_ints, _read_key_values
 from .moments import ClassMoments, _built, _check_priors
 
 __all__ = [
@@ -167,6 +167,7 @@ class GaussianSpec:
     cov_scale: float = 1.0
 
     def __post_init__(self):
+        _check_ints(self, "d", "n", "seed")
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d!r}")
         if self.n < 1:

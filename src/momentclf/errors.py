@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and its key-value text reader.
+"""Exception types shared across the package, its int field check and its
+key-value text reader.
 
 Everything derives from ValueError so callers that only care about
 "bad input vs. bug" can catch one class, while tests and the harness
@@ -23,15 +24,23 @@ class SingularModelError(ValueError):
 
 
 class DegenerateModelError(ValueError):
-    """A closed-form fit collapses to the zero classifier (equal class means)."""
+    """The class means coincide, so no direction separates them."""
 
 
 class NoInitializerError(ValueError):
-    """Both class means vanish, so no starting direction can be built from them."""
+    """The positive class mean vanishes, so no starting direction can be built from it."""
 
 
 class ParseError(ValueError):
     """Malformed text input; the message names the offending line."""
+
+
+def _check_ints(obj, *names: str) -> None:
+    """Raise TypeError unless each named field of obj is an int; a bool is not one."""
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"{name} must be an int, got {value!r}")
 
 
 def _read_key_values(path, kind: str, expected: str, parse):

@@ -26,6 +26,7 @@ from .data import (
     load_moments,
     normalize_zscore,
 )
+from .errors import _check_ints
 from .metrics import evaluate_model
 from .model import LinearModel
 from .moments import ClassMoments, _built, auc_moments, estimate_class_moments
@@ -92,10 +93,7 @@ class ExperimentConfig:
             )
         if not isinstance(self.data, GaussianSpec) and not isinstance(self.data, str):
             raise ValueError("data must be a GaussianSpec or a file path string")
-        for name in ("folds", "repeats", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"{name} must be an int, got {value!r}")
+        _check_ints(self, "folds", "repeats", "seed")
         if not (self.normalize is None or isinstance(self.normalize, bool)):
             raise TypeError(f"normalize must be a bool or None, got {self.normalize!r}")
         if not isinstance(self.per_fold_norm, bool):
@@ -248,14 +246,12 @@ def fit(
     exact_moments: ClassMoments | None,
     optimizer: LineSearchConfig,
     seed: int,
-    lam: float | None = None,
 ) -> tuple[LinearModel, OptimizationTrace | None]:
     """Train one method on one training set; the only method dispatch.
 
     The MOMENT_METHODS use exact_moments when given and otherwise estimate
     moments from train.  Logistic and hinge start from init_random(seed),
-    and logistic's ridge weight lam defaults to 1/n.  Closed-form lda
-    returns no trace.
+    and logistic's ridge weight is 1/n.  Closed-form lda returns no trace.
     """
     if method in MOMENT_METHODS:
         moments = exact_moments if exact_moments is not None else estimate_class_moments(train)
@@ -268,7 +264,7 @@ def fit(
             objective = auc_objective(auc_moments(moments))
     elif method == "logistic":
         w0 = init_random(train.dim, seed)
-        objective = logistic_objective(train, lam=1.0 / train.n if lam is None else lam)
+        objective = logistic_objective(train, 1.0 / train.n)
     else:  # hinge
         w0 = init_random(train.dim, seed)
         objective = hinge_objective(train)

@@ -12,7 +12,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DegenerateProjectionError, InsufficientDataError, InvalidModelError
+from .errors import (
+    DegenerateModelError,
+    DegenerateProjectionError,
+    InsufficientDataError,
+    InvalidModelError,
+)
 
 if TYPE_CHECKING:
     from .data import Dataset
@@ -23,7 +28,6 @@ __all__ = [
     "AucMoments",
     "estimate_class_moments",
     "auc_moments",
-    "projected_stats",
 ]
 
 # Floor on a projected standard deviation before the ratio mu_w/sigma_w
@@ -210,19 +214,23 @@ def auc_moments(moments: ClassMoments) -> AucMoments:
     )
 
 
-def projected_stats(w: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> tuple[float, float]:
-    """Mean and standard deviation of the scalar projection w'X.
-
-    Returns (w'mu, sqrt(w'Sw)).  Rounding can push the quadratic form a
-    hair below zero for PSD sigma; that is clamped.  A projected standard
-    deviation below SIGMA_EPS raises DegenerateProjectionError because the
-    downstream ratio would be meaningless.
-    """
-    return _projection(w, mu, sigma)[:2]
+def _mean_difference(moments: ClassMoments) -> np.ndarray:
+    """mu_pos - mu_neg; DegenerateModelError when the class means coincide."""
+    diff = moments.mu_pos - moments.mu_neg
+    if float(np.linalg.norm(diff)) < 1e-12:
+        raise DegenerateModelError("class means coincide; no direction separates them")
+    return diff
 
 
 def _projection(w, mu, sigma) -> tuple[float, float, np.ndarray]:
-    """projected_stats plus the product Sw, the one pass over sigma."""
+    """Mean and standard deviation of the scalar projection w'X, and Sw.
+
+    Returns (w'mu, sqrt(w'Sw), Sw), making the one pass over sigma.
+    Rounding can push the quadratic form a hair below zero for PSD sigma;
+    that is clamped.  A projected standard deviation below SIGMA_EPS raises
+    DegenerateProjectionError because the downstream ratio would be
+    meaningless.
+    """
     w = np.asarray(w, dtype=float)
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)

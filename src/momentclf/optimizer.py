@@ -14,9 +14,9 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import NoInitializerError
+from .errors import NoInitializerError, _check_ints
 from .model import LinearModel
-from .moments import ClassMoments
+from .moments import ClassMoments, _mean_difference
 from .objectives import Objective
 
 __all__ = [
@@ -51,6 +51,7 @@ class LineSearchConfig:
     max_backtracks: int = 60
 
     def __post_init__(self):
+        _check_ints(self, "max_iters", "max_backtracks")
         if not 0.0 < self.c < 1.0:
             raise ValueError(f"c must lie in (0, 1), got {self.c!r}")
         if not 0.0 < self.beta < 1.0:
@@ -253,9 +254,12 @@ def init_w0_error(moments: ClassMoments) -> np.ndarray:
     Takes the positive mean with its projection onto the negative mean
     removed, which already separates the projected class means when the
     means are not collinear.  Falls back to the normalized positive mean
-    when that difference is numerically zero; if both means vanish there
-    is no usable direction.
+    when that difference is numerically zero; if the positive mean
+    vanishes there is no usable direction.  Coincident class means raise
+    DegenerateModelError, as in lda_fit: no direction separates them, and
+    the direct objectives are flat in w there.
     """
+    _mean_difference(moments)
     mu_pos = moments.mu_pos
     mu_neg = moments.mu_neg
     neg_sq = float(mu_neg @ mu_neg)
@@ -269,7 +273,7 @@ def init_w0_error(moments: ClassMoments) -> np.ndarray:
         norm = float(np.linalg.norm(w))
         if norm < 1e-12:
             raise NoInitializerError(
-                "both class means are numerically zero; no starting direction exists"
+                "the positive class mean is numerically zero; no starting direction exists"
             )
     return w / norm
 

@@ -7,15 +7,13 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateModelError, SingularModelError
+from .errors import SingularModelError
 from .model import LinearModel
-from .moments import ClassMoments
+from .moments import ClassMoments, _mean_difference
 from .objectives import Objective, ObjectiveEval
 
 __all__ = [
-    "logistic_eval",
     "logistic_objective",
-    "pairwise_hinge_eval",
     "hinge_objective",
     "lda_fit",
 ]
@@ -31,41 +29,36 @@ def _stable_sigmoid(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def logistic_eval(w: np.ndarray, dataset, lam: float) -> ObjectiveEval:
+def logistic_objective(dataset, lam: float) -> Objective:
     """Mean logistic loss of scores w'x plus lam * ||w||^2, with gradient.
 
     The per-sample term log(1 + exp(-y_i w'x_i)) is computed as
     logaddexp(0, -y_i w'x_i), which is exact in both tails instead of
     overflowing for strongly misclassified samples.  The gradient (a
     sigmoid per sample and X'c) is built on first read.  With lam >= 0
-    the criterion is convex, and the evaluation says so.
+    the criterion is convex, and each evaluation says so.
     """
     lam = float(lam)
     if lam < 0.0 or not math.isfinite(lam):
         raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
-    w = np.asarray(w, dtype=float)
     X = dataset.features
-    if w.shape != (X.shape[1],):
-        raise ValueError(f"w must have shape ({X.shape[1]},), got {w.shape}")
     y = dataset.labels.astype(float)
     n = X.shape[0]
-    t = -y * (X @ w)
-    value = float(np.logaddexp(0.0, t).mean() + lam * (w @ w))
-    # taken now, so a caller that later writes to w cannot move the gradient
-    ridge = 2.0 * lam * w
-
-    def gradient() -> np.ndarray:
-        coef = _stable_sigmoid(t) * (-y) / n
-        return X.T @ coef + ridge
-
-    return ObjectiveEval(value=value, gradient=gradient, convex=True)
-
-
-def logistic_objective(dataset, lam: float) -> Objective:
-    """Bind the logistic criterion to a dataset for the optimizer."""
 
     def evaluate(w: np.ndarray) -> ObjectiveEval:
-        return logistic_eval(w, dataset, lam)
+        w = np.asarray(w, dtype=float)
+        if w.shape != (X.shape[1],):
+            raise ValueError(f"w must have shape ({X.shape[1]},), got {w.shape}")
+        t = -y * (X @ w)
+        value = float(np.logaddexp(0.0, t).mean() + lam * (w @ w))
+        # taken now, so a caller that later writes to w cannot move the gradient
+        ridge = 2.0 * lam * w
+
+        def gradient() -> np.ndarray:
+            coef = _stable_sigmoid(t) * (-y) / n
+            return X.T @ coef + ridge
+
+        return ObjectiveEval(value=value, gradient=gradient, convex=True)
 
     return evaluate
 
@@ -101,64 +94,58 @@ def _hinge_score_eval(sp: np.ndarray, sn: np.ndarray):
     return value, active_pos
 
 
-def pairwise_hinge_eval(w: np.ndarray, dataset) -> ObjectiveEval:
+def hinge_objective(dataset) -> Objective:
     """Pairwise ranking hinge: mean over positive-negative pairs of
     max(0, 1 - (w'x_pos - w'x_neg)), with its (sub)gradient.
 
     This orientation penalizes a positive that fails to outscore a negative
     by the unit margin, so minimizing it pushes AUC up.  The gradient (the
     pair counts and X'g) is built on first read.  A mean of maxima of
-    affine functions of w is convex, and the evaluation says so.
-    """
-    w = np.asarray(w, dtype=float)
-    X = dataset.features
-    if w.shape != (X.shape[1],):
-        raise ValueError(f"w must have shape ({X.shape[1]},), got {w.shape}")
-    pos = dataset.pos_index
-    neg = dataset.neg_index
-    if pos.shape[0] == 0 or neg.shape[0] == 0:
-        raise ValueError("pairwise hinge needs at least one sample of each class")
-    # score the whole matrix once and split the score vector; copying the
-    # class submatrices would move 8*n*d bytes per call
-    scores = X @ w
-    sp = scores[pos]
-    sn = scores[neg]
-    n_pos = sp.shape[0]
-    value, active_pos = _hinge_score_eval(sp, sn)
-
-    def gradient() -> np.ndarray:
-        # the positives' signed counts are the staircase inverse of
-        # active_pos: t_k <= sp at sorted rank r exactly when
-        # active_pos[k] <= r, so a cumulative histogram of active_pos gives
-        # them without a second search
-        covered = np.cumsum(np.bincount(active_pos, minlength=n_pos + 1))
-        signed_pos = covered[:n_pos]
-        signed_pos -= sn.shape[0]
-        # scatter the sorted-rank counts straight to their dataset rows
-        # through the composed permutations (tied scores share a count, so
-        # any sorting permutation gives the same result), then normalize on
-        # the d-vector rather than per sample
-        g_scores = np.empty_like(scores)
-        g_scores[pos[np.argsort(sp)]] = signed_pos
-        g_scores[neg[np.argsort(sn)]] = active_pos
-        grad = X.T @ g_scores
-        grad /= float(n_pos * sn.shape[0])
-        return grad
-
-    return ObjectiveEval(value=value, gradient=gradient, convex=True)
-
-
-def hinge_objective(dataset) -> Objective:
-    """Bind the pairwise hinge to a dataset for the optimizer.
+    affine functions of w is convex, and each evaluation says so.
 
     The hinge is piecewise linear, so its subgradient does not shrink near
     a minimizer and gd_backtracking's relative-gradient stop cannot fire.
     Unless every pair clears the margin (zero loss, zero subgradient), a
     hinge fit ends on max-iterations by construction.
     """
+    X = dataset.features
+    pos = dataset.pos_index
+    neg = dataset.neg_index
+    if pos.shape[0] == 0 or neg.shape[0] == 0:
+        raise ValueError("pairwise hinge needs at least one sample of each class")
+    n_pos = pos.shape[0]
 
     def evaluate(w: np.ndarray) -> ObjectiveEval:
-        return pairwise_hinge_eval(w, dataset)
+        w = np.asarray(w, dtype=float)
+        if w.shape != (X.shape[1],):
+            raise ValueError(f"w must have shape ({X.shape[1]},), got {w.shape}")
+        # score the whole matrix once and split the score vector; copying the
+        # class submatrices would move 8*n*d bytes per call
+        scores = X @ w
+        sp = scores[pos]
+        sn = scores[neg]
+        value, active_pos = _hinge_score_eval(sp, sn)
+
+        def gradient() -> np.ndarray:
+            # the positives' signed counts are the staircase inverse of
+            # active_pos: t_k <= sp at sorted rank r exactly when
+            # active_pos[k] <= r, so a cumulative histogram of active_pos
+            # gives them without a second search
+            covered = np.cumsum(np.bincount(active_pos, minlength=n_pos + 1))
+            signed_pos = covered[:n_pos]
+            signed_pos -= sn.shape[0]
+            # scatter the sorted-rank counts straight to their dataset rows
+            # through the composed permutations (tied scores share a count,
+            # so any sorting permutation gives the same result), then
+            # normalize on the d-vector rather than per sample
+            g_scores = np.empty_like(scores)
+            g_scores[pos[np.argsort(sp)]] = signed_pos
+            g_scores[neg[np.argsort(sn)]] = active_pos
+            grad = X.T @ g_scores
+            grad /= float(n_pos * sn.shape[0])
+            return grad
+
+        return ObjectiveEval(value=value, gradient=gradient, convex=True)
 
     return evaluate
 
@@ -172,9 +159,7 @@ def lda_fit(moments: ClassMoments) -> LinearModel:
     pooled matrix is not factorizable, a diagonal jitter of
     1e-8 * trace/d is tried once before giving up.
     """
-    diff = moments.mu_pos - moments.mu_neg
-    if float(np.linalg.norm(diff)) < 1e-12:
-        raise DegenerateModelError("class means coincide; the discriminant direction is zero")
+    diff = _mean_difference(moments)
     pooled = moments.prior_pos * moments.sigma_pos
     pooled += moments.prior_neg * moments.sigma_neg
     try:

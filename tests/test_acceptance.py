@@ -22,21 +22,15 @@ from momentclf import (
     empirical_auc,
     error_objective,
     estimate_class_moments,
-    f_auc,
-    f_error,
     gd_backtracking,
     gen_gaussian,
-    grad_f_auc,
-    grad_f_error,
     hinge_objective,
     init_random,
     init_w0_error,
     inject_outliers,
     kfold_split,
     lda_fit,
-    logistic_eval,
     logistic_objective,
-    pairwise_hinge_eval,
     run_experiment,
     std_normal_cdf,
 )
@@ -83,7 +77,8 @@ def test_criterion_02_gradients_match_finite_differences():
         d = int(rng.integers(2, 11))
         m = ClassMoments(**oracles.random_class_moments(rng, d, prior_pos=priors[trial % 3]))
         w = rng.standard_normal(d)
-        assert_close(grad_f_error(w, m), oracles.fd_grad(lambda v: f_error(v, m), w))
+        assert_close(error_objective(m)(w).gradient,
+                     oracles.fd_grad(lambda v: error_objective(m)(v).value, w))
         checked += 1
 
     for trial in range(50):
@@ -91,7 +86,8 @@ def test_criterion_02_gradients_match_finite_differences():
         m = ClassMoments(**oracles.random_class_moments(rng, d, prior_pos=priors[trial % 3]))
         pm = auc_moments(m)
         w = rng.standard_normal(d)
-        assert_close(grad_f_auc(w, pm), oracles.fd_grad(lambda v: f_auc(v, pm), w))
+        assert_close(auc_objective(pm)(w).gradient,
+                     oracles.fd_grad(lambda v: auc_objective(pm)(v).value, w))
         checked += 1
 
     for _ in range(50):
@@ -102,8 +98,8 @@ def test_criterion_02_gradients_match_finite_differences():
         lam = float(rng.uniform(0.0, 0.5))
         w = rng.standard_normal(d)
         assert_close(
-            logistic_eval(w, ds, lam).gradient,
-            oracles.fd_grad(lambda v: logistic_eval(v, ds, lam).value, w),
+            logistic_objective(ds, lam)(w).gradient,
+            oracles.fd_grad(lambda v: logistic_objective(ds, lam)(v).value, w),
         )
         checked += 1
 
@@ -122,8 +118,8 @@ def test_criterion_02_gradients_match_finite_differences():
             if np.min(np.abs(margins)) > 1e-3:
                 break
         assert_close(
-            pairwise_hinge_eval(w, ds).gradient,
-            oracles.fd_grad(lambda v: pairwise_hinge_eval(v, ds).value, w),
+            hinge_objective(ds)(w).gradient,
+            oracles.fd_grad(lambda v: hinge_objective(ds)(v).value, w),
         )
         checked += 1
 
@@ -136,12 +132,12 @@ def test_criterion_03_closed_form_matches_monte_carlo():
         m = ClassMoments(**oracles.random_class_moments(rng, 5))
         w = rng.standard_normal(5)
 
-        risk = f_error(w, m)
+        risk = error_objective(m)(w).value
         draws = 1_000_000
         mc_risk = oracles.mc_error_rate(w, m, draws, np.random.default_rng(3_000 + trial))
         assert abs(mc_risk - risk) <= 3.0 * np.sqrt(risk * (1.0 - risk) / draws)
 
-        ranking = f_auc(w, auc_moments(m))
+        ranking = auc_objective(auc_moments(m))(w).value
         mc_ranking = oracles.mc_ranking_loss(w, m, 10_000, np.random.default_rng(4_000 + trial))
         assert abs(mc_ranking - ranking) <= 0.01
 
@@ -161,7 +157,7 @@ def test_criterion_04_sorted_implementations_match_brute_force():
             sn = 3.0 * rng.standard_normal(n_neg)
         ds = _scores_dataset(sp, sn)
 
-        hinge = pairwise_hinge_eval(unit, ds)
+        hinge = hinge_objective(ds)(unit)
         brute_value, brute_grad = oracles.brute_hinge(unit, sp[:, None], sn[:, None])
         assert abs(hinge.value - brute_value) <= 1e-9 * max(abs(brute_value), 1.0)
         if trial % 2 == 1:
@@ -352,12 +348,12 @@ def test_criterion_10_invariance_suite():
         m = ClassMoments(**oracles.random_class_moments(rng, d))
         pm = auc_moments(m)
         w = rng.standard_normal(d)
-        base_error = f_error(w, m)
-        base_auc = f_auc(w, pm)
+        base_error = error_objective(m)(w).value
+        base_auc = auc_objective(pm)(w).value
         for scale in (0.5, 2.0, 10.0):
-            assert abs(f_error(scale * w, m) - base_error) <= 1e-12 * abs(base_error)
-            assert abs(f_auc(scale * w, pm) - base_auc) <= 1e-12 * abs(base_auc)
-        for grad in (grad_f_error(w, m), grad_f_auc(w, pm)):
+            assert abs(error_objective(m)(scale * w).value - base_error) <= 1e-12 * abs(base_error)
+            assert abs(auc_objective(pm)(scale * w).value - base_auc) <= 1e-12 * abs(base_auc)
+        for grad in (error_objective(m)(w).gradient, auc_objective(pm)(w).gradient):
             scale = max(np.linalg.norm(w) * np.linalg.norm(grad), 1e-300)
             assert abs(float(w @ grad)) <= 1e-10 * scale
 

@@ -348,6 +348,13 @@ class TestBench:
         ({"name": "bad", "per_fold_norm": "false"}, "config bad: per_fold_norm must be a bool"),
         (1, "config config_01: entry must be a JSON object"),
         ({"name": "bad", "folds": "3"}, "config bad: folds must be an int"),
+        ({"name": "bad", "optimizer": {"max_iters": True}}, "config bad: max_iters must be an int"),
+        ({"name": "bad", "optimizer": {"max_backtracks": 2.5}},
+         "config bad: max_backtracks must be an int"),
+        ({"name": "bad", "data": {"d": 2.5, "n": 40, "prior_pos": 0.5}},
+         "config bad: d must be an int"),
+        ({"name": "bad", "data": {"d": 2, "n": 40, "prior_pos": 0.5, "seed": 1.5}},
+         "config bad: seed must be an int"),
     ])
     def test_malformed_entry_fails_before_running(self, generated, tmp_path, capsys,
                                                   entry, message):

@@ -8,6 +8,7 @@ import pytest
 from momentclf import (
     ClassMoments,
     Dataset,
+    DegenerateModelError,
     ExperimentConfig,
     GaussianSpec,
     LineSearchConfig,
@@ -16,8 +17,10 @@ from momentclf import (
     estimate_class_moments,
     gd_backtracking,
     gen_gaussian,
+    init_random,
     lda_fit,
     load_moments,
+    logistic_objective,
     normalize_zscore,
     run_experiment,
     save_libsvm,
@@ -187,13 +190,12 @@ class TestRunExperiment:
         coincident = ClassMoments(np.zeros(2), np.zeros(2), np.eye(2), np.eye(2), 0.5, 0.5)
         sidecar = tmp_path / "coincident.moments"
         save_moments(coincident, sidecar)
-        for method in ("error-direct", "lda"):
+        for method in ("error-direct", "auc-direct", "lda"):
             with pytest.raises(ValueError) as raised:
                 fit(method, None, coincident, LineSearchConfig(), seed=0)
-            # unscaled, so z-scoring cannot move the means off the origin
             report = run_experiment(ExperimentConfig(
                 method=method, data=str(data_path), moment_source="exact",
-                moments_path=str(sidecar), folds=2, repeats=2, normalize=False))
+                moments_path=str(sidecar), folds=2, repeats=2))
             assert len(report.runs) == 4
             assert all(r.failed for r in report.runs)
             reason = f"{type(raised.value).__name__}: {raised.value}"
@@ -281,14 +283,23 @@ class TestLoadSourceAndFit:
         _, empirical = load_source("error-direct", str(data_path), "empirical")
         assert empirical is None
 
-    def test_lam_none_means_one_over_n(self):
+    def test_logistic_ridge_weight_is_one_over_n(self):
         ds, _ = gen_gaussian(GaussianSpec(d=3, n=120, prior_pos=0.5, seed=19))
         cfg = LineSearchConfig(max_iters=20)
-        default, _ = fit("logistic", ds, None, cfg, seed=4)
-        explicit, _ = fit("logistic", ds, None, cfg, seed=4, lam=1.0 / ds.n)
-        other, _ = fit("logistic", ds, None, cfg, seed=4, lam=0.5)
-        assert default.w.tobytes() == explicit.w.tobytes()
-        assert default.w.tobytes() != other.w.tobytes()
+        model, _ = fit("logistic", ds, None, cfg, seed=4)
+        direct, _ = gd_backtracking(logistic_objective(ds, 1.0 / ds.n), init_random(ds.dim, 4), cfg)
+        assert model.w.tobytes() == direct.w.tobytes()
+
+    @pytest.mark.parametrize("method", ["error-direct", "auc-direct", "lda"])
+    @pytest.mark.parametrize("prior_pos", [0.5, 0.3])
+    def test_coincident_means_raise(self, method, prior_pos):
+        # away from the origin the direct objectives are flat in w, so a
+        # fit would return its start direction as if it had converged
+        d = 3
+        same = np.full(d, 0.3)
+        moments = ClassMoments(same, same, np.eye(d), np.eye(d), prior_pos, 1.0 - prior_pos)
+        with pytest.raises(DegenerateModelError):
+            fit(method, None, moments, LineSearchConfig(), seed=0)
 
     def test_lda_uses_exact_moments(self):
         ds, exact = gen_gaussian(GaussianSpec(d=3, n=120, prior_pos=0.5, seed=19))

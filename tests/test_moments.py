@@ -13,9 +13,8 @@ from momentclf import (
     auc_moments,
     estimate_class_moments,
     load_moments,
-    projected_stats,
 )
-from momentclf.moments import SIGMA_EPS
+from momentclf.moments import SIGMA_EPS, _projection
 
 import oracles
 
@@ -224,18 +223,19 @@ class TestBuiltMoments:
 class TestProjectedStats:
     def test_coordinate_projection(self):
         w = np.array([1.0, 0.0])
-        mu_w, sigma_w = projected_stats(w, np.array([3.0, 0.0]), np.eye(2))
+        mu_w, sigma_w, sigma_times_w = _projection(w, np.array([3.0, 0.0]), np.eye(2))
         assert mu_w == 3.0
         assert sigma_w == 1.0
+        assert np.array_equal(sigma_times_w, w)
 
     def test_zero_vector_is_degenerate(self):
         with pytest.raises(DegenerateProjectionError):
-            projected_stats(np.zeros(2), np.ones(2), np.eye(2))
+            _projection(np.zeros(2), np.ones(2), np.eye(2))
 
     def test_threshold_uses_sigma_eps(self):
         w = np.array([SIGMA_EPS / 10.0])
         with pytest.raises(DegenerateProjectionError):
-            projected_stats(w, np.ones(1), np.eye(1))
+            _projection(w, np.ones(1), np.eye(1))
 
     def test_matches_double_loop_quadratic_form(self):
         rng = np.random.default_rng(23)
@@ -245,7 +245,7 @@ class TestProjectedStats:
             mu = rng.normal(size=d)
             A = rng.normal(size=(d, d))
             sigma = A @ A.T / d + np.eye(d)
-            mu_w, sigma_w = projected_stats(w, mu, sigma)
+            mu_w, sigma_w, _ = _projection(w, mu, sigma)
             mu_ref = sum(w[i] * mu[i] for i in range(d))
             q_ref = sum(w[i] * sigma[i, j] * w[j] for i in range(d) for j in range(d))
             assert abs(mu_w - mu_ref) <= 1e-12 * abs(mu_ref)
@@ -259,8 +259,8 @@ class TestProjectedStats:
             mu = rng.normal(size=d)
             A = rng.normal(size=(d, d))
             sigma = A @ A.T / d + np.eye(d)
-            mu_w, sigma_w = projected_stats(w, mu, sigma)
+            mu_w, sigma_w, _ = _projection(w, mu, sigma)
             for c in (-3.0, 0.5, 2.0):
-                mu_c, sigma_c = projected_stats(c * w, mu, sigma)
+                mu_c, sigma_c, _ = _projection(c * w, mu, sigma)
                 assert abs(mu_c - c * mu_w) <= 1e-12 * abs(c * mu_w)
                 assert abs(sigma_c - abs(c) * sigma_w) <= 1e-12 * abs(c) * sigma_w

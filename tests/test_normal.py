@@ -44,6 +44,11 @@ def test_cdf_monotone_nondecreasing():
 def test_cdf_saturates_exactly_beyond_threshold():
     assert std_normal_cdf(SATURATION + 1.0) == 1.0
     assert std_normal_cdf(-(SATURATION + 1.0)) == 0.0
+    # so the direct objectives need no clamp on their ratio: from the
+    # threshold on, value and gradient are the same bits as at it
+    assert std_normal_cdf(SATURATION) == 1.0
+    assert std_normal_cdf(-SATURATION) == 0.0
+    assert std_normal_pdf(SATURATION) == 0.0
 
 
 def test_cdf_rejects_non_finite():

@@ -7,8 +7,8 @@ from momentclf import (
     ClassMoments,
     Dataset,
     GaussianSpec,
+    DegenerateModelError,
     LineSearchConfig,
-    NoInitializerError,
     ObjectiveEval,
     auc_moments,
     auc_objective,
@@ -451,7 +451,7 @@ class TestInitW0Error:
 
     def test_both_means_zero_rejected(self):
         m = self._moments([0.0, 0.0], [0.0, 0.0])
-        with pytest.raises(NoInitializerError):
+        with pytest.raises(DegenerateModelError):
             init_w0_error(m)
 
     def test_unit_norm(self):

@@ -13,9 +13,9 @@ from momentclf import (
     ObjectiveEval,
     SingularModelError,
     error_objective,
+    hinge_objective,
     lda_fit,
-    logistic_eval,
-    pairwise_hinge_eval,
+    logistic_objective,
 )
 
 import oracles
@@ -50,20 +50,20 @@ class TestLogistic:
     def test_zero_weights_give_log_two(self):
         rng = np.random.default_rng(0)
         ds = _dataset(rng.normal(size=(5, 3)), rng.normal(size=(4, 3)))
-        ev = logistic_eval(np.zeros(3), ds, 0.0)
+        ev = logistic_objective(ds, 0.0)(np.zeros(3))
         assert abs(ev.value - math.log(2.0)) <= 1e-15
 
     def test_single_sample_scalar_case(self):
         ds = Dataset(features=np.array([[1.0]]), labels=np.array([1]))
-        ev = logistic_eval(np.array([1.0]), ds, 0.0)
+        ev = logistic_objective(ds, 0.0)(np.array([1.0]))
         assert abs(ev.value - math.log(1.0 + math.exp(-1.0))) <= 1e-15
 
     def test_regularizer_added(self):
         ds = Dataset(features=np.array([[1.0]]), labels=np.array([1]))
         w = np.array([2.0])
         lam = 0.25
-        plain = logistic_eval(w, ds, 0.0).value
-        assert abs(logistic_eval(w, ds, lam).value - (plain + lam * 4.0)) <= 1e-15
+        plain = logistic_objective(ds, 0.0)(w).value
+        assert abs(logistic_objective(ds, lam)(w).value - (plain + lam * 4.0)) <= 1e-15
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
@@ -75,8 +75,8 @@ class TestLogistic:
             ds = Dataset(features=X, labels=y)
             lam = float(rng.uniform(0.0, 0.5))
             w = rng.normal(size=d)
-            g = logistic_eval(w, ds, lam).gradient
-            fd = oracles.fd_grad(lambda v: logistic_eval(v, ds, lam).value, w)
+            g = logistic_objective(ds, lam)(w).gradient
+            fd = oracles.fd_grad(lambda v: logistic_objective(ds, lam)(v).value, w)
             assert np.linalg.norm(g - fd) <= 1e-6 * max(np.linalg.norm(g), 1e-9)
 
     def test_large_scores_stay_finite(self):
@@ -84,7 +84,7 @@ class TestLogistic:
             features=np.array([[1000.0], [-1000.0]]),
             labels=np.array([-1, 1]),
         )
-        ev = logistic_eval(np.array([1.0]), ds, 0.0)
+        ev = logistic_objective(ds, 0.0)(np.array([1.0]))
         assert np.isfinite(ev.value)
         assert np.all(np.isfinite(ev.gradient))
         # loss ~ |score| on both misclassified points
@@ -98,15 +98,15 @@ class TestLogistic:
         for _ in range(100):
             a = rng.normal(size=4)
             b = rng.normal(size=4)
-            fa = logistic_eval(a, ds, 0.1).value
-            fb = logistic_eval(b, ds, 0.1).value
-            fm = logistic_eval(0.5 * (a + b), ds, 0.1).value
+            fa = logistic_objective(ds, 0.1)(a).value
+            fb = logistic_objective(ds, 0.1)(b).value
+            fm = logistic_objective(ds, 0.1)(0.5 * (a + b)).value
             assert fm <= 0.5 * (fa + fb) + 1e-12
 
     def test_negative_lambda_rejected(self):
         ds = Dataset(features=np.array([[1.0], [2.0]]), labels=np.array([1, -1]))
         with pytest.raises(ValueError):
-            logistic_eval(np.array([1.0]), ds, -0.1)
+            logistic_objective(ds, -0.1)
 
 
 class TestPairwiseHinge:
@@ -114,20 +114,20 @@ class TestPairwiseHinge:
         X_pos = np.array([[2.0], [3.0]])
         X_neg = np.array([[0.5], [1.0]])
         ds = _dataset(X_pos, X_neg)
-        ev = pairwise_hinge_eval(np.array([1.0]), ds)
+        ev = hinge_objective(ds)(np.array([1.0]))
         assert ev.value == 0.0
         assert np.all(ev.gradient == 0.0)
 
     def test_zero_weights_give_unit_value(self):
         rng = np.random.default_rng(3)
         ds = _dataset(rng.normal(size=(7, 2)), rng.normal(size=(5, 2)))
-        ev = pairwise_hinge_eval(np.zeros(2), ds)
+        ev = hinge_objective(ds)(np.zeros(2))
         assert ev.value == 1.0
 
     def test_matches_brute_force_on_random_instances(self):
         for w, X_pos, X_neg in _brute_force_instances():
             ds = _dataset(X_pos, X_neg)
-            ev = pairwise_hinge_eval(w, ds)
+            ev = hinge_objective(ds)(w)
             ref_v, ref_g = oracles.brute_hinge(w, X_pos, X_neg)
             assert abs(ev.value - ref_v) <= 1e-9 * max(abs(ref_v), 1.0)
             assert np.linalg.norm(ev.gradient - ref_g) <= 1e-9 * max(np.linalg.norm(ref_g), 1.0)
@@ -135,7 +135,7 @@ class TestPairwiseHinge:
     def test_single_class_rejected(self):
         ds = Dataset(features=np.array([[1.0], [2.0]]), labels=np.array([1, 1]))
         with pytest.raises(ValueError):
-            pairwise_hinge_eval(np.array([1.0]), ds)
+            hinge_objective(ds)
 
     def test_sorted_cost_scales_subquadratically(self):
         import time
@@ -160,7 +160,7 @@ class TestPairwiseHinge:
         # machine speed; rounds visit every size in turn
         for _ in range(5):
             for k, ds in enumerate(datasets):
-                hinge = seconds(lambda: pairwise_hinge_eval(w, ds).gradient)
+                hinge = seconds(lambda: hinge_objective(ds)(w).gradient)
                 yardstick = seconds(lambda: np.argsort(ds.features @ w))
                 ratios[k].append(hinge / yardstick)
         # the log-log slope of the ratio is about 0 for n log n code (within
@@ -177,10 +177,10 @@ class TestLazyGradients:
         for w, X_pos, X_neg in _brute_force_instances():
             ds = _dataset(X_pos, X_neg)
             if method == "hinge":
-                lazy = pairwise_hinge_eval(w, ds).gradient
+                lazy = hinge_objective(ds)(w).gradient
                 eager = oracles.eager_hinge_gradient(w, ds.features, ds.labels)
             else:
-                lazy = logistic_eval(w, ds, 0.05).gradient
+                lazy = logistic_objective(ds, 0.05)(w).gradient
                 eager = oracles.eager_logistic_gradient(w, ds.features, ds.labels, 0.05)
             assert lazy.tobytes() == eager.tobytes()
 
@@ -191,10 +191,10 @@ class TestLazyGradients:
         w = rng.normal(size=3)
         if method == "hinge":
             expected = oracles.eager_hinge_gradient(w, ds.features, ds.labels)
-            ev = pairwise_hinge_eval(w, ds)
+            ev = hinge_objective(ds)(w)
         else:
             expected = oracles.eager_logistic_gradient(w, ds.features, ds.labels, 0.1)
-            ev = logistic_eval(w, ds, 0.1)
+            ev = logistic_objective(ds, 0.1)(w)
         w[:] = 100.0
         assert ev.gradient.tobytes() == expected.tobytes()
 
@@ -205,9 +205,9 @@ def test_baseline_evaluations_say_they_are_convex():
     rng = np.random.default_rng(11)
     ds = _dataset(rng.normal(size=(8, 2)), rng.normal(size=(6, 2)))
     w = rng.normal(size=2)
-    assert pairwise_hinge_eval(w, ds).convex is True
-    assert logistic_eval(w, ds, 0.0).convex is True
-    assert logistic_eval(w, ds, 0.3).convex is True
+    assert hinge_objective(ds)(w).convex is True
+    assert logistic_objective(ds, 0.0)(w).convex is True
+    assert logistic_objective(ds, 0.3)(w).convex is True
     moments = ClassMoments(np.ones(2), -np.ones(2), np.eye(2), np.eye(2), 0.5, 0.5)
     assert error_objective(moments)(w).convex is False
     assert ObjectiveEval(value=0.0, gradient=np.zeros(2)).convex is False
