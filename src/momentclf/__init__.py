@@ -8,7 +8,6 @@ from .errors import (
     DegenerateProjectionError,
     InsufficientDataError,
     InvalidModelError,
-    NoInitializerError,
     ParseError,
     SingularModelError,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "DegenerateProjectionError",
     "InsufficientDataError",
     "InvalidModelError",
-    "NoInitializerError",
     "ParseError",
     "SingularModelError",
     "std_normal_cdf",

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands: gen (synthesize a dataset plus exact-moments sidecar), train
-(fit one model on one file), eval (score a saved model), cv (repeated
-k-fold benchmark of one method), bench (sweep a JSON list of cv configs).
+Subcommands: gen (synthesize a dataset, its binary twin and an
+exact-moments sidecar), train (fit one model on one file), eval (score a
+saved model), cv (repeated k-fold benchmark of one method), bench (sweep a
+JSON list of cv configs).
 All inputs arrive as flags; nothing is read from the environment.
 """
 
@@ -68,10 +69,11 @@ def _moment_source(args: argparse.Namespace) -> str:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     dataset, moments = gen_gaussian(_from_args(GaussianSpec, args))
-    save_libsvm(dataset, args.out)
+    twin = save_libsvm(dataset, args.out)
     moments_out = args.moments_out or str(args.out) + ".moments"
     save_moments(moments, moments_out)
     print(f"wrote {dataset.n} samples (d={dataset.dim}, {dataset.n_pos} positive) to {args.out}")
+    print(f"wrote binary twin to {twin}")
     print(f"wrote exact moments to {moments_out}")
     return 0
 
@@ -176,7 +178,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("gen", help="sample a two-Gaussian dataset plus exact-moments sidecar")
+    p_gen = sub.add_parser("gen", help="sample a two-Gaussian dataset plus its binary twin "
+                                       "and exact-moments sidecar")
     p_gen.add_argument("--d", type=int, required=True, help="feature dimension")
     p_gen.add_argument("--n", type=int, required=True, help="total sample count")
     p_gen.add_argument("--prior-pos", type=float, required=True, help="positive-class probability")
@@ -184,7 +187,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--mean-scale", type=float, default=1.0)
     p_gen.add_argument("--cov-scale", type=float, default=1.0)
-    p_gen.add_argument("--out", required=True, help="output LIBSVM path")
+    p_gen.add_argument("--out", required=True, help="output LIBSVM path; its binary twin OUT.npz, "
+                       "which later loads read instead of parsing the unchanged text, "
+                       "is written next to it")
     p_gen.add_argument("--moments-out", default=None, help="sidecar path (default: OUT.moments)")
     p_gen.set_defaults(func=_cmd_gen)
 

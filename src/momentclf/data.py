@@ -1,6 +1,6 @@
-"""Datasets: the container, LIBSVM-format text I/O, z-score normalization,
-a two-Gaussian generator with exact moments, label-flip contamination, and
-seeded k-fold splitting.
+"""Datasets: the container, LIBSVM-format text I/O with a binary twin,
+z-score normalization, a two-Gaussian generator with exact moments,
+label-flip contamination, and seeded k-fold splitting.
 
 Every random operation takes an explicit integer seed and draws from
 numpy's default bit generator, so identical inputs reproduce identical
@@ -9,8 +9,11 @@ bytes.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import os
 import re
+import zipfile
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -319,16 +322,67 @@ def format_libsvm(dataset: Dataset) -> str:
     return "\n".join(lines)
 
 
+def _twin_path(path) -> str:
+    return os.fspath(path) + ".npz"
+
+
 def load_libsvm(path) -> Dataset:
-    """Parse a LIBSVM file from disk."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_libsvm(fh.read())
+    """Read a LIBSVM file from disk, from its binary twin when that is current.
+
+    The twin PATH.npz, which save_libsvm writes, is used only when it is an
+    npz archive that loads without pickles, its digest equals the SHA-256
+    of the file's bytes, and its arrays pass the Dataset constructor with
+    both classes present.  Otherwise the text is parsed, with parse_libsvm's
+    results and errors.  The text is authoritative: a stale, damaged or
+    missing twin only costs the parse.  Loading never writes a file.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    dataset = _read_twin(_twin_path(path), raw)
+    return dataset if dataset is not None else parse_libsvm(raw)
 
 
-def save_libsvm(dataset: Dataset, path) -> None:
-    """Write a dataset to disk in LIBSVM format."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_libsvm(dataset))
+def _read_twin(path: str, raw: bytes) -> Dataset | None:
+    """The dataset a twin at path holds for the text raw, or None."""
+    try:
+        twin = np.load(path, allow_pickle=False)
+        if not isinstance(twin, np.lib.npyio.NpzFile):
+            return None
+        with twin:
+            if str(twin["sha256"]) != hashlib.sha256(raw).hexdigest():
+                return None
+            dataset = Dataset(features=twin["features"], labels=twin["labels"])
+    # what np.load and the archive's members raise for a file that is
+    # missing, not an archive, truncated or corrupted, or short of a key
+    except (OSError, EOFError, KeyError, ValueError, NotImplementedError, zipfile.BadZipFile):
+        return None
+    return dataset if dataset.n_pos and dataset.n_neg else None
+
+
+def save_libsvm(dataset: Dataset, path) -> str:
+    """Write a dataset to disk in LIBSVM format plus its binary twin.
+
+    The twin, PATH.npz (np.savez, uncompressed), holds the features, the
+    labels and the SHA-256 of the text's bytes, so load_libsvm reads it
+    instead of parsing the text for as long as the text is unchanged.  It
+    is written under a temporary name and moved into place, so a reader
+    never sees half of one.  Returns the twin's path.
+    """
+    raw = format_libsvm(dataset).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(raw)
+    twin = _twin_path(path)
+    tmp = f"{twin}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, features=np.ascontiguousarray(dataset.features),
+                     labels=dataset.labels, sha256=np.array(hashlib.sha256(raw).hexdigest()))
+        os.replace(tmp, twin)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+    return twin
 
 
 def normalize_zscore(dataset: Dataset) -> tuple[Dataset, NormalizationStats]:

@@ -27,10 +27,6 @@ class DegenerateModelError(ValueError):
     """The class means coincide, so no direction separates them."""
 
 
-class NoInitializerError(ValueError):
-    """The positive class mean vanishes, so no starting direction can be built from it."""
-
-
 class ParseError(ValueError):
     """Malformed text input; the message names the offending line."""
 

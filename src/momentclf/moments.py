@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import (
     DegenerateModelError,
-    DegenerateProjectionError,
     InsufficientDataError,
     InvalidModelError,
 )
@@ -220,33 +219,3 @@ def _mean_difference(moments: ClassMoments) -> np.ndarray:
     if float(np.linalg.norm(diff)) < 1e-12:
         raise DegenerateModelError("class means coincide; no direction separates them")
     return diff
-
-
-def _projection(w, mu, sigma) -> tuple[float, float, np.ndarray]:
-    """Mean and standard deviation of the scalar projection w'X, and Sw.
-
-    Returns (w'mu, sqrt(w'Sw), Sw), making the one pass over sigma.
-    Rounding can push the quadratic form a hair below zero for PSD sigma;
-    that is clamped.  A projected standard deviation below SIGMA_EPS raises
-    DegenerateProjectionError because the downstream ratio would be
-    meaningless.
-    """
-    w = np.asarray(w, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    if w.ndim != 1 or w.shape != mu.shape:
-        raise ValueError(f"w and mu must be 1-d with equal length, got {w.shape} and {mu.shape}")
-    d = w.shape[0]
-    if sigma.shape != (d, d):
-        raise ValueError(f"sigma must have shape ({d}, {d}), got {sigma.shape}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("w contains non-finite entries")
-    mu_w = float(w @ mu)
-    sigma_times_w = sigma @ w
-    q = float(w @ sigma_times_w)
-    sigma_w = np.sqrt(q) if q > 0.0 else 0.0
-    if sigma_w < SIGMA_EPS:
-        raise DegenerateProjectionError(
-            f"projected standard deviation {sigma_w:.3e} is below {SIGMA_EPS:.0e}"
-        )
-    return mu_w, float(sigma_w), sigma_times_w

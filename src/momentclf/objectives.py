@@ -5,8 +5,9 @@ evaluation costs O(d^2) regardless of how many samples produced the
 moments.  An evaluation computes the value and makes one matrix-vector
 product Sw per Gaussian (two for the error objective, one for the ranking
 objective); the gradient, a few d-vector operations on that product, is
-built in the same call.  Each objective's factory binds its moment model
-and returns the one function that evaluates it.  Both objectives are
+built in the same call.  Each objective's factory binds its moment model,
+which its constructor has checked, and returns the one function that
+evaluates it; that function checks only w.  Both objectives are
 0-homogeneous in w: scaling w leaves the value unchanged and the gradient
 is always orthogonal to w.
 """
@@ -17,7 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .moments import AucMoments, ClassMoments, _projection
+from .errors import DegenerateProjectionError
+from .moments import SIGMA_EPS, AucMoments, ClassMoments
 from .normal import std_normal_cdf, std_normal_pdf
 
 __all__ = [
@@ -61,15 +63,41 @@ class ObjectiveEval:
 Objective = Callable[[np.ndarray], ObjectiveEval]
 
 
-def _ratio_stats(w, mu, sigma):
-    """Ratio w'mu / sqrt(w'Sw), the projected sd and the product Sw.
+def _checked(w, d: int) -> np.ndarray:
+    """w as a float vector; ValueError unless it has shape (d,) and is finite."""
+    w = np.asarray(w, dtype=float)
+    if w.shape != (d,):
+        raise ValueError(f"w must have shape ({d},), got {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("w contains non-finite entries")
+    return w
 
-    The ratio is not clamped: beyond |ratio| = normal.SATURATION the CDF
-    is pinned to 0 or 1 and the density underflows to 0, so the value and
-    gradient are already exact there.
+
+def _projector(mu: np.ndarray, sigma: np.ndarray):
+    """Bind one Gaussian's moments; returns project(w) -> (ratio, sd, Sw).
+
+    mu and sigma come from a moment container, which has checked them;
+    project takes a w that _checked has passed.  It makes the one pass
+    over sigma for Sw, and sd = sqrt(w'Sw) with the quadratic form clamped
+    at zero, where rounding can push it for PSD sigma.  An sd below
+    SIGMA_EPS raises DegenerateProjectionError, because the ratio w'mu / sd
+    would be meaningless.  The ratio is not clamped: beyond |ratio| =
+    normal.SATURATION the CDF is pinned to 0 or 1 and the density
+    underflows to 0, so the value and gradient are already exact there.
     """
-    mu_w, sigma_w, sigma_times_w = _projection(w, mu, sigma)
-    return mu_w / sigma_w, sigma_w, sigma_times_w
+
+    def project(w: np.ndarray) -> tuple[float, float, np.ndarray]:
+        mu_w = float(w @ mu)
+        sigma_times_w = sigma @ w
+        q = float(w @ sigma_times_w)
+        sigma_w = float(np.sqrt(q)) if q > 0.0 else 0.0
+        if sigma_w < SIGMA_EPS:
+            raise DegenerateProjectionError(
+                f"projected standard deviation {sigma_w:.3e} is below {SIGMA_EPS:.0e}"
+            )
+        return mu_w / sigma_w, sigma_w, sigma_times_w
+
+    return project
 
 
 def _cdf_chain_gradient(mu, ratio, sigma_w, sigma_times_w):
@@ -87,17 +115,20 @@ def error_objective(moments: ClassMoments) -> Objective:
     where r_c is the projected mean-to-sd ratio of class c, and always lies
     in [0, 1].  Its analytic gradient is orthogonal to w by 0-homogeneity.
     """
+    mu_pos, mu_neg = moments.mu_pos, moments.mu_neg
+    prior_pos, prior_neg = moments.prior_pos, moments.prior_neg
+    project_pos = _projector(mu_pos, moments.sigma_pos)
+    project_neg = _projector(mu_neg, moments.sigma_neg)
+    d = moments.dim
 
     def evaluate(w: np.ndarray) -> ObjectiveEval:
-        w = np.asarray(w, dtype=float)
-        r_pos, s_pos, sw_pos = _ratio_stats(w, moments.mu_pos, moments.sigma_pos)
-        r_neg, s_neg, sw_neg = _ratio_stats(w, moments.mu_neg, moments.sigma_neg)
-        value = (moments.prior_pos * (1.0 - std_normal_cdf(r_pos))
-                 + moments.prior_neg * std_normal_cdf(r_neg))
-        g_pos = _cdf_chain_gradient(moments.mu_pos, r_pos, s_pos, sw_pos)
-        g_neg = _cdf_chain_gradient(moments.mu_neg, r_neg, s_neg, sw_neg)
-        return ObjectiveEval(value=value,
-                             gradient=moments.prior_neg * g_neg - moments.prior_pos * g_pos)
+        w = _checked(w, d)
+        r_pos, s_pos, sw_pos = project_pos(w)
+        r_neg, s_neg, sw_neg = project_neg(w)
+        value = prior_pos * (1.0 - std_normal_cdf(r_pos)) + prior_neg * std_normal_cdf(r_neg)
+        g_pos = _cdf_chain_gradient(mu_pos, r_pos, s_pos, sw_pos)
+        g_neg = _cdf_chain_gradient(mu_neg, r_neg, s_neg, sw_neg)
+        return ObjectiveEval(value=value, gradient=prior_neg * g_neg - prior_pos * g_pos)
 
     return evaluate
 
@@ -109,13 +140,15 @@ def auc_objective(pair_moments: AucMoments) -> Objective:
     a positive is phi(mu_Z / sigma_Z).  Its analytic gradient is orthogonal
     to w by 0-homogeneity.
     """
+    mu_hat = pair_moments.mu_hat
+    project = _projector(mu_hat, pair_moments.sigma_hat)
+    d = pair_moments.dim
 
     def evaluate(w: np.ndarray) -> ObjectiveEval:
-        w = np.asarray(w, dtype=float)
-        ratio, sigma_w, sigma_times_w = _ratio_stats(w, pair_moments.mu_hat, pair_moments.sigma_hat)
+        ratio, sigma_w, sigma_times_w = project(_checked(w, d))
         return ObjectiveEval(
             value=std_normal_cdf(ratio),
-            gradient=_cdf_chain_gradient(pair_moments.mu_hat, ratio, sigma_w, sigma_times_w),
+            gradient=_cdf_chain_gradient(mu_hat, ratio, sigma_w, sigma_times_w),
         )
 
     return evaluate

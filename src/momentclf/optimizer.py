@@ -14,7 +14,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import NoInitializerError, _check_ints
+from .errors import _check_ints
 from .model import LinearModel
 from .moments import ClassMoments, _mean_difference
 from .objectives import Objective
@@ -253,29 +253,23 @@ def init_w0_error(moments: ClassMoments) -> np.ndarray:
 
     Takes the positive mean with its projection onto the negative mean
     removed, which already separates the projected class means when the
-    means are not collinear.  Falls back to the normalized positive mean
-    when that difference is numerically zero; if the positive mean
-    vanishes there is no usable direction.  Coincident class means raise
-    DegenerateModelError, as in lda_fit: no direction separates them, and
-    the direct objectives are flat in w there.
+    means are not collinear.  Falls back to the positive mean when that
+    difference is numerically zero, and to the mean difference mu_pos -
+    mu_neg when the positive mean vanishes too.  Coincident class means
+    raise DegenerateModelError, as in lda_fit: no direction separates them,
+    and the direct objectives are flat in w there.
     """
-    _mean_difference(moments)
+    diff = _mean_difference(moments)
     mu_pos = moments.mu_pos
     mu_neg = moments.mu_neg
     neg_sq = float(mu_neg @ mu_neg)
-    if neg_sq > 0.0:
-        w = mu_pos - (float(mu_neg @ mu_pos) / neg_sq) * mu_neg
-    else:
-        w = np.array(mu_pos, dtype=float)
-    norm = float(np.linalg.norm(w))
-    if norm < 1e-12:
-        w = np.array(mu_pos, dtype=float)
+    rejected = mu_pos - (float(mu_neg @ mu_pos) / neg_sq) * mu_neg if neg_sq > 0.0 else mu_pos
+    for w in (rejected, mu_pos):
         norm = float(np.linalg.norm(w))
-        if norm < 1e-12:
-            raise NoInitializerError(
-                "the positive class mean is numerically zero; no starting direction exists"
-            )
-    return w / norm
+        if norm >= 1e-12:
+            return w / norm
+    # _mean_difference has shown this norm is at least 1e-12
+    return diff / float(np.linalg.norm(diff))
 
 
 def init_random(d: int, seed: int) -> np.ndarray:

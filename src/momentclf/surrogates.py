@@ -20,13 +20,11 @@ __all__ = [
 
 
 def _stable_sigmoid(t: np.ndarray) -> np.ndarray:
-    # 1/(1+exp(-t)) without overflow in either tail.
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # 1/(1+exp(-t)) without overflow in either tail: with e = exp(-|t|),
+    # that is 1/(1+e) where t >= 0 and e/(1+e) elsewhere
+    e = np.exp(-np.abs(t))
+    denom = 1.0 + e
+    return np.where(t >= 0, 1.0 / denom, e / denom)
 
 
 def logistic_objective(dataset, lam: float) -> Objective:
@@ -42,20 +40,20 @@ def logistic_objective(dataset, lam: float) -> Objective:
     if lam < 0.0 or not math.isfinite(lam):
         raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
     X = dataset.features
-    y = dataset.labels.astype(float)
+    neg_y = -dataset.labels.astype(float)
     n = X.shape[0]
 
     def evaluate(w: np.ndarray) -> ObjectiveEval:
         w = np.asarray(w, dtype=float)
         if w.shape != (X.shape[1],):
             raise ValueError(f"w must have shape ({X.shape[1]},), got {w.shape}")
-        t = -y * (X @ w)
+        t = neg_y * (X @ w)
         value = float(np.logaddexp(0.0, t).mean() + lam * (w @ w))
         # taken now, so a caller that later writes to w cannot move the gradient
         ridge = 2.0 * lam * w
 
         def gradient() -> np.ndarray:
-            coef = _stable_sigmoid(t) * (-y) / n
+            coef = _stable_sigmoid(t) * neg_y / n
             return X.T @ coef + ridge
 
         return ObjectiveEval(value=value, gradient=gradient, convex=True)

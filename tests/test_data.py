@@ -1,5 +1,7 @@
 """Tests for dataset handling: parsing, normalization, generation, splits."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,153 @@ class TestRoundTrip:
         back = load_libsvm(path)
         assert back.features.tobytes() == ds.features.tobytes()
         assert np.array_equal(back.labels, ds.labels)
+
+
+def _twin_cases():
+    rng = np.random.default_rng(12)
+    one_column = Dataset(features=rng.normal(size=(6, 1)), labels=np.array([1, -1] * 3))
+    X = rng.normal(size=(8, 3))
+    X[0, :2] = [-0.0, 5e-324]
+    X[1, 2] = -2.5e-310
+    edge_values = Dataset(features=X, labels=np.array([1, -1] * 4))
+    skewed, _ = gen_gaussian(GaussianSpec(d=4, n=50, prior_pos=0.3, seed=4))
+    return {"d=1": one_column, "-0.0 and subnormals": edge_values, "prior 0.3": skewed}
+
+
+class TestBinaryTwin:
+    """save_libsvm's PATH.npz: read while it matches the text, ignored otherwise."""
+
+    @staticmethod
+    def _parses(monkeypatch):
+        # count the text parses load_libsvm makes
+        calls = []
+
+        def parse(raw):
+            calls.append(raw)
+            return parse_libsvm(raw)
+
+        monkeypatch.setattr(data_module, "parse_libsvm", parse)
+        return calls
+
+    @staticmethod
+    def _saved(tmp_path, ds=None):
+        ds = ds if ds is not None else _twin_cases()["-0.0 and subnormals"]
+        path = tmp_path / "data.libsvm"
+        assert save_libsvm(ds, path) == f"{path}.npz"
+        return path, tmp_path / "data.libsvm.npz"
+
+    @pytest.mark.parametrize("name", sorted(_twin_cases()))
+    def test_twin_and_text_load_the_same_bytes(self, tmp_path, monkeypatch, name):
+        ds = _twin_cases()[name]
+        path, twin = self._saved(tmp_path, ds)
+        expected = _outcome(parse_libsvm, path.read_bytes())
+        assert expected == _outcome(lambda _: ds, None)
+        calls = self._parses(monkeypatch)
+        loaded = load_libsvm(path)
+        assert calls == []
+        assert _outcome(lambda _: loaded, None) == expected
+        assert loaded.features.flags.c_contiguous and not loaded.features.flags.writeable
+        twin.unlink()
+        assert _outcome(load_libsvm, path) == expected
+        assert len(calls) == 1
+
+    def test_edited_text_wins(self, tmp_path, monkeypatch):
+        path, twin = self._saved(tmp_path)
+        first = path.read_text(encoding="utf-8").split("\n", 1)
+        value = first[0].split()[2].split(":")[1]
+        edited = first[0].replace(f"2:{value}", "2:0.75", 1) + "\n" + first[1]
+        path.write_text(edited, encoding="utf-8")
+        calls = self._parses(monkeypatch)
+        loaded = load_libsvm(path)
+        assert len(calls) == 1
+        assert loaded.features[0, 1] == 0.75
+        assert _outcome(lambda _: loaded, None) == _outcome(parse_libsvm, edited)
+        malformed = edited.replace("2:0.75", "2:0.7.5", 1)
+        path.write_text(malformed, encoding="utf-8")
+        message = _outcome(parse_libsvm, malformed)
+        assert message == ("error", "line 1: malformed entry '2:0.7.5'")
+        assert _outcome(load_libsvm, path) == message
+        assert twin.exists()
+
+    @staticmethod
+    def _truncated(twin, raw, ds):
+        twin.write_bytes(twin.read_bytes()[: twin.stat().st_size // 2])
+
+    @staticmethod
+    def _npy(twin, raw, ds):
+        with open(twin, "wb") as fh:
+            np.save(fh, ds.features)
+
+    @staticmethod
+    def _without(key):
+        def write(twin, raw, ds):
+            arrays = {"features": ds.features, "labels": ds.labels,
+                      "sha256": np.array(hashlib.sha256(raw).hexdigest())}
+            del arrays[key]
+            with open(twin, "wb") as fh:
+                np.savez(fh, **arrays)
+
+        return write
+
+    @staticmethod
+    def _labels(labels):
+        def write(twin, raw, ds):
+            with open(twin, "wb") as fh:
+                np.savez(fh, features=ds.features, labels=labels(ds.labels),
+                         sha256=np.array(hashlib.sha256(raw).hexdigest()))
+
+        return write
+
+    @pytest.mark.parametrize("damage", [
+        "truncated", "npy", "no sha256", "no features", "no labels", "one class",
+        "short labels", "labels of 3",
+    ])
+    def test_damaged_twin_is_ignored(self, tmp_path, monkeypatch, damage):
+        writers = {
+            "truncated": self._truncated,
+            "npy": self._npy,
+            "no sha256": self._without("sha256"),
+            "no features": self._without("features"),
+            "no labels": self._without("labels"),
+            "one class": self._labels(np.ones_like),
+            "short labels": self._labels(lambda y: y[:-1]),
+            "labels of 3": self._labels(lambda y: 3 * y),
+        }
+        ds = _twin_cases()["-0.0 and subnormals"]
+        path, twin = self._saved(tmp_path, ds)
+        raw = path.read_bytes()
+        writers[damage](twin, raw, ds)
+        calls = self._parses(monkeypatch)
+        assert _outcome(load_libsvm, path) == _outcome(parse_libsvm, raw)
+        assert len(calls) == 1
+
+    def test_every_corrupted_byte_loads_the_text(self, tmp_path):
+        # a corrupted archive either fails to read, and the text is parsed,
+        # or reads through its checksums to the arrays it was written with
+        path, twin = self._saved(tmp_path)
+        expected = _outcome(parse_libsvm, path.read_bytes())
+        good = twin.read_bytes()
+        for i in range(len(good)):
+            for value in {0, 8, good[i] ^ 0xFF} - {good[i]}:
+                twin.write_bytes(good[:i] + bytes([value]) + good[i + 1:])
+                assert _outcome(load_libsvm, path) == expected, (i, value)
+
+    @pytest.mark.parametrize("text", [
+        "+1 1:1\r\n-1 1:2\r\n",
+        "+1 1:1 2:0.5\r-1 1:2 2:-1\r\n",
+        "# sparse\r\n+1 2:1.5\r\n\r\n-1 1:-2.5 # note\r\n",
+        "+1 1:0.5 2:1\n-1 2:1 1:2\n",
+    ])
+    def test_text_without_twin_loads_as_text_mode_read(self, tmp_path, text):
+        path = tmp_path / "data.libsvm"
+        path.write_bytes(text.encode("utf-8"))
+        # the text-mode read, with its newline translation, of earlier loads
+        assert _outcome(load_libsvm, path) == _outcome(parse_libsvm, path.read_text(encoding="utf-8"))
+        assert sorted(tmp_path.iterdir()) == [path]
+
+    def test_missing_file_raises(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_libsvm(tmp_path / "absent.libsvm")
 
 
 def _outcome(parse, text):

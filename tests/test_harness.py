@@ -301,6 +301,17 @@ class TestLoadSourceAndFit:
         with pytest.raises(DegenerateModelError):
             fit(method, None, moments, LineSearchConfig(), seed=0)
 
+    def test_vanishing_positive_mean_fits(self):
+        # both start rules of init_w0_error vanish; mu_pos - mu_neg = -e1 is
+        # the start, and there the error objective is already stationary
+        d = 3
+        e1 = np.eye(d)[0]
+        moments = ClassMoments(np.zeros(d), e1, np.eye(d), np.eye(d), 0.5, 0.5)
+        model, trace = fit("error-direct", None, moments, LineSearchConfig(), seed=0)
+        assert np.array_equal(model.w, -e1)
+        assert trace.reason == "gradient-tolerance"
+        assert trace.final_value == 0.25 + 0.5 * std_normal_cdf(-1.0)
+
     def test_lda_uses_exact_moments(self):
         ds, exact = gen_gaussian(GaussianSpec(d=3, n=120, prior_pos=0.5, seed=19))
         model, trace = fit("lda", ds, exact, LineSearchConfig(), seed=0)

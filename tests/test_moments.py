@@ -11,10 +11,13 @@ from momentclf import (
     InsufficientDataError,
     InvalidModelError,
     auc_moments,
+    auc_objective,
+    error_objective,
     estimate_class_moments,
     load_moments,
 )
-from momentclf.moments import SIGMA_EPS, _projection
+from momentclf.moments import SIGMA_EPS
+from momentclf.objectives import _projector
 
 import oracles
 
@@ -221,21 +224,37 @@ class TestBuiltMoments:
 
 
 class TestProjectedStats:
+    """The projection the direct objectives bind: (w'mu / sd, sd, Sw)."""
+
     def test_coordinate_projection(self):
         w = np.array([1.0, 0.0])
-        mu_w, sigma_w, sigma_times_w = _projection(w, np.array([3.0, 0.0]), np.eye(2))
-        assert mu_w == 3.0
+        ratio, sigma_w, sigma_times_w = _projector(np.array([3.0, 0.0]), np.eye(2))(w)
+        assert ratio == 3.0
         assert sigma_w == 1.0
         assert np.array_equal(sigma_times_w, w)
 
     def test_zero_vector_is_degenerate(self):
         with pytest.raises(DegenerateProjectionError):
-            _projection(np.zeros(2), np.ones(2), np.eye(2))
+            _projector(np.ones(2), np.eye(2))(np.zeros(2))
+        with pytest.raises(DegenerateProjectionError):
+            auc_objective(AucMoments(np.ones(2), np.eye(2)))(np.zeros(2))
 
     def test_threshold_uses_sigma_eps(self):
-        w = np.array([SIGMA_EPS / 10.0])
+        project = _projector(np.ones(1), np.eye(1))
         with pytest.raises(DegenerateProjectionError):
-            _projection(w, np.ones(1), np.eye(1))
+            project(np.array([SIGMA_EPS / 10.0]))
+        assert project(np.array([SIGMA_EPS * 10.0]))[1] >= SIGMA_EPS
+
+    def test_factories_check_w_on_every_call(self):
+        for objective in (error_objective(_simple_moments(2)),
+                          auc_objective(auc_moments(_simple_moments(2)))):
+            with pytest.raises(ValueError, match=r"w must have shape \(2,\), got \(3,\)"):
+                objective(np.ones(3))
+            with pytest.raises(ValueError, match=r"w must have shape \(2,\), got \(1, 2\)"):
+                objective(np.ones((1, 2)))
+            with pytest.raises(ValueError, match="w contains non-finite entries"):
+                objective(np.array([1.0, np.nan]))
+            assert 0.0 <= objective([1, 0]).value <= 1.0
 
     def test_matches_double_loop_quadratic_form(self):
         rng = np.random.default_rng(23)
@@ -245,11 +264,11 @@ class TestProjectedStats:
             mu = rng.normal(size=d)
             A = rng.normal(size=(d, d))
             sigma = A @ A.T / d + np.eye(d)
-            mu_w, sigma_w, _ = _projection(w, mu, sigma)
+            ratio, sigma_w, _ = _projector(mu, sigma)(w)
             mu_ref = sum(w[i] * mu[i] for i in range(d))
             q_ref = sum(w[i] * sigma[i, j] * w[j] for i in range(d) for j in range(d))
-            assert abs(mu_w - mu_ref) <= 1e-12 * abs(mu_ref)
             assert abs(sigma_w - np.sqrt(q_ref)) <= 1e-12 * abs(np.sqrt(q_ref))
+            assert abs(ratio * sigma_w - mu_ref) <= 1e-12 * abs(mu_ref)
 
     def test_homogeneity_in_w(self):
         rng = np.random.default_rng(29)
@@ -259,8 +278,9 @@ class TestProjectedStats:
             mu = rng.normal(size=d)
             A = rng.normal(size=(d, d))
             sigma = A @ A.T / d + np.eye(d)
-            mu_w, sigma_w, _ = _projection(w, mu, sigma)
+            project = _projector(mu, sigma)
+            ratio, sigma_w, _ = project(w)
             for c in (-3.0, 0.5, 2.0):
-                mu_c, sigma_c, _ = _projection(c * w, mu, sigma)
-                assert abs(mu_c - c * mu_w) <= 1e-12 * abs(c * mu_w)
+                ratio_c, sigma_c, _ = project(c * w)
+                assert abs(ratio_c - np.sign(c) * ratio) <= 1e-12 * abs(ratio)
                 assert abs(sigma_c - abs(c) * sigma_w) <= 1e-12 * abs(c) * sigma_w

@@ -449,6 +449,10 @@ class TestInitW0Error:
         m = self._moments([3.0, 4.0], [0.0, 0.0])
         assert np.allclose(init_w0_error(m), np.array([0.6, 0.8]), rtol=0.0, atol=1e-15)
 
+    def test_zero_mu_pos_falls_back_to_mean_difference(self):
+        m = self._moments([0.0, 0.0, 0.0], [2.0, 0.0, 0.0])
+        assert np.array_equal(init_w0_error(m), np.array([-1.0, 0.0, 0.0]))
+
     def test_both_means_zero_rejected(self):
         m = self._moments([0.0, 0.0], [0.0, 0.0])
         with pytest.raises(DegenerateModelError):
