@@ -153,6 +153,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             raise ValueError(f"config config_{i:02d}: entry must be a JSON object, got {entry!r}")
         fields = dict(entry)
         name = fields.pop("name", f"config_{i:02d}")
+        # each name is the file name of one report in the output directory
+        if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
+            raise ValueError(f"config config_{i:02d}: name must be a plain file name, got {name!r}")
+        if any(name == earlier for earlier, _ in named):
+            raise ValueError(f"config {name}: name is already used by an earlier entry")
         try:
             if isinstance(fields.get("data"), dict):
                 fields["data"] = GaussianSpec(**fields["data"])

@@ -1,4 +1,5 @@
-"""Datasets: the container, LIBSVM-format text I/O with a binary twin,
+"""Datasets: the container, LIBSVM-format text I/O (one per-line parser
+for dense and sparse text) with a binary twin that spares the parse,
 z-score normalization, a two-Gaussian generator with exact moments,
 label-flip contamination, and seeded k-fold splitting.
 
@@ -12,14 +13,14 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-import re
 import zipfile
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ParseError, _check_ints, _read_key_values
+from .errors import ParseError, _check_ints, _check_reals, _read_key_values
 from .moments import ClassMoments, _built, _check_priors
 
 __all__ = [
@@ -171,6 +172,7 @@ class GaussianSpec:
 
     def __post_init__(self):
         _check_ints(self, "d", "n", "seed")
+        _check_reals(self, "prior_pos", "outlier_pct", "mean_scale", "cov_scale")
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d!r}")
         if self.n < 1:
@@ -187,12 +189,6 @@ class GaussianSpec:
             raise ValueError(f"cov_scale must be positive, got {self.cov_scale!r}")
 
 
-# One line of a dense file: a label, then index:value tokens with one colon
-# each.  Only the characters of plain decimal numbers are admitted, so no
-# comment, nan, inf, hex digit or underscore passes.
-_DENSE_LINE = re.compile(r"[ \t]*[-+.0-9eE]+(?:[ \t]+[1-9][0-9]*:[-+.0-9eE]+)+[ \t]*")
-
-
 def _strip_comment(line: str) -> str:
     cut = line.find("#")
     return line if cut < 0 else line[:cut]
@@ -207,52 +203,17 @@ def parse_libsvm(text: str | bytes) -> Dataset:
     distinct raw label values must occur, and the numerically larger one
     maps to +1.  Malformed input raises ParseError naming the line.
 
-    Dense text, every line `<label> 1:v 2:v ... d:v` as format_libsvm
-    writes it, is parsed in one pass; anything else, or anything that pass
-    rejects, goes through the per-line parser, so results and errors are
-    the same either way.
+    Entries are collected into flat typed arrays, 16 bytes each, and
+    scattered into one zeroed matrix at the end, so a dense file's parse
+    holds its split lines, the entries and then the matrix, not a Python
+    object per entry.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    dataset = _parse_dense(text)
-    return dataset if dataset is not None else _parse_lines(text)
-
-
-def _parse_dense(text: str) -> Dataset | None:
-    """Parse dense LIBSVM text with numpy's C reader; None if it is not dense.
-
-    On the numbers _DENSE_LINE admits the reader converts exactly as
-    float() does, so a result equals the per-line parser's.
-    """
-    lines = text.splitlines()
-    if not lines or not all(map(_DENSE_LINE.fullmatch, lines)):
-        return None
-    try:
-        # the reader also rejects lines whose token counts differ; fed
-        # from a generator, it holds one replaced line at a time
-        table = np.loadtxt((line.replace(":", " ") for line in lines), ndmin=2)
-    except ValueError:
-        return None
-    # the split text is as large as the table; free it before the checks
-    del lines
-    raw_labels = table[:, 0]
-    distinct = np.unique(raw_labels)
-    d = table.shape[1] // 2
-    if (
-        len(distinct) != 2
-        or not np.all(table[:, 1::2] == np.arange(1, d + 1))
-        or not np.all(np.isfinite(table))
-    ):
-        return None
-    labels = np.where(raw_labels == distinct[1], 1, -1).astype(np.int64, copy=False)
-    # one contiguous copy of the value columns; the table is freed on return
-    return Dataset._built(np.ascontiguousarray(table[:, 2::2]), labels)
-
-
-def _parse_lines(text: str) -> Dataset:
-    """The per-line LIBSVM parser behind parse_libsvm."""
     raw_labels: list[float] = []
-    rows: list[list[tuple[int, float]]] = []
+    counts = array("q")  # entries per row
+    columns = array("q")  # 0-based
+    values = array("d")
     max_index = 0
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw_line).strip()
@@ -265,7 +226,6 @@ def _parse_lines(text: str) -> Dataset:
             raise ParseError(f"line {lineno}: label {tokens[0]!r} is not numeric") from None
         if not math.isfinite(label):
             raise ParseError(f"line {lineno}: label {tokens[0]!r} is not finite")
-        entries: list[tuple[int, float]] = []
         previous = 0
         for token in tokens[1:]:
             index_str, sep, value_str = token.partition(":")
@@ -285,11 +245,12 @@ def _parse_lines(text: str) -> Dataset:
             if not math.isfinite(value):
                 raise ParseError(f"line {lineno}: value {value_str!r} is not finite")
             previous = index
-            entries.append((index, value))
+            columns.append(index - 1)
+            values.append(value)
         max_index = max(max_index, previous)
         raw_labels.append(label)
-        rows.append(entries)
-    if not rows:
+        counts.append(len(tokens) - 1)
+    if not raw_labels:
         raise ParseError("no samples found in input")
     if max_index == 0:
         raise ParseError("no feature entries found in input")
@@ -298,12 +259,12 @@ def _parse_lines(text: str) -> Dataset:
         raise ParseError(
             f"expected exactly two distinct labels, found {len(distinct)}: {distinct}"
         )
-    features = np.zeros((len(rows), max_index), dtype=float)
-    for i, entries in enumerate(rows):
-        for index, value in entries:
-            features[i, index - 1] = value
-    labels = np.where(np.array(raw_labels) == distinct[1], 1, -1)
-    return Dataset(features=features, labels=labels)
+    n = len(raw_labels)
+    features = np.zeros((n, max_index))
+    rows = np.repeat(np.arange(n), np.frombuffer(counts, dtype=np.int64))
+    features[rows, np.frombuffer(columns, dtype=np.int64)] = np.frombuffer(values)
+    labels = np.where(np.array(raw_labels) == distinct[1], 1, -1).astype(np.int64, copy=False)
+    return Dataset._built(features, labels)
 
 
 def format_libsvm(dataset: Dataset) -> str:

@@ -1,10 +1,12 @@
-"""Exception types shared across the package, its int field check and its
-key-value text reader.
+"""Exception types shared across the package, its int and real field checks
+and its key-value text reader.
 
 Everything derives from ValueError so callers that only care about
 "bad input vs. bug" can catch one class, while tests and the harness
 can still tell the failure modes apart.
 """
+
+import numbers
 
 
 class DegenerateProjectionError(ValueError):
@@ -37,6 +39,14 @@ def _check_ints(obj, *names: str) -> None:
         value = getattr(obj, name)
         if not isinstance(value, int) or isinstance(value, bool):
             raise TypeError(f"{name} must be an int, got {value!r}")
+
+
+def _check_reals(obj, *names: str) -> None:
+    """Raise TypeError unless each named field of obj is a real number; a bool is not one."""
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            raise TypeError(f"{name} must be a real number, got {value!r}")
 
 
 def _read_key_values(path, kind: str, expected: str, parse):

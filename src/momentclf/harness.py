@@ -98,6 +98,10 @@ class ExperimentConfig:
             raise TypeError(f"normalize must be a bool or None, got {self.normalize!r}")
         if not isinstance(self.per_fold_norm, bool):
             raise TypeError(f"per_fold_norm must be a bool, got {self.per_fold_norm!r}")
+        if not (self.moments_path is None or isinstance(self.moments_path, str)):
+            raise TypeError(f"moments_path must be a str or None, got {self.moments_path!r}")
+        if not isinstance(self.optimizer, LineSearchConfig):
+            raise TypeError(f"optimizer must be a LineSearchConfig, got {self.optimizer!r}")
         if self.folds < 2:
             raise ValueError(f"folds must be >= 2, got {self.folds!r}")
         if self.repeats < 1:

@@ -14,7 +14,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import _check_ints
+from .errors import _check_ints, _check_reals
 from .model import LinearModel
 from .moments import ClassMoments, _mean_difference
 from .objectives import Objective
@@ -52,6 +52,7 @@ class LineSearchConfig:
 
     def __post_init__(self):
         _check_ints(self, "max_iters", "max_backtracks")
+        _check_reals(self, "c", "beta", "alpha0", "grad_tol_rel")
         if not 0.0 < self.c < 1.0:
             raise ValueError(f"c must lie in (0, 1), got {self.c!r}")
         if not 0.0 < self.beta < 1.0:

@@ -8,10 +8,13 @@ from O(n^2) enumeration, covariances from explicit two-pass loops, and
 expectations from Monte-Carlo sampling.  The exceptions are the eager
 surrogate gradients, the generator, moment estimator and discriminant
 as first written, with an identity matrix, an explicit symmetrization and
-a fresh array per step, and the line search as first written, from alpha0
-down on every iteration: they repeat the package's formulas operation for
-operation, so that its lazily built gradients, its in-place moment path
-and its warm-started line search can be compared bit for bit.
+a fresh array per step, the line search as first written, from alpha0
+down on every iteration, and the LIBSVM parser as first written, with a
+tuple per entry: they repeat the package's formulas operation for
+operation, so that its lazily built gradients, its in-place moment path,
+its warm-started line search and its array-backed parser can be compared
+bit for bit.  The parser builds the Dataset container and raises the
+package's ParseError, so its messages can be compared too.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from momentclf import Dataset, ParseError
 
 # 64-point Gauss-Legendre rule; composite over unit-length panels this is
 # far below 1e-15 for the Gaussian density.
@@ -255,6 +260,68 @@ def libsvm_text(features: np.ndarray, labels: np.ndarray) -> str:
         entries = " ".join(f"{j + 1}:{float(v)!r}" for j, v in enumerate(row))
         lines.append(f"{'+1' if label == 1 else '-1'} {entries}\n")
     return "".join(lines)
+
+
+def _strip_comment(line: str) -> str:
+    cut = line.find("#")
+    return line if cut < 0 else line[:cut]
+
+
+def tuple_parse_libsvm(text: str) -> Dataset:
+    """The per-line LIBSVM parser as first written: a (index, value) tuple per entry."""
+    raw_labels: list[float] = []
+    rows: list[list[tuple[int, float]]] = []
+    max_index = 0
+    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+        line = _strip_comment(raw_line).strip()
+        if not line:
+            continue
+        tokens = line.split()
+        try:
+            label = float(tokens[0])
+        except ValueError:
+            raise ParseError(f"line {lineno}: label {tokens[0]!r} is not numeric") from None
+        if not math.isfinite(label):
+            raise ParseError(f"line {lineno}: label {tokens[0]!r} is not finite")
+        entries: list[tuple[int, float]] = []
+        previous = 0
+        for token in tokens[1:]:
+            index_str, sep, value_str = token.partition(":")
+            if not sep:
+                raise ParseError(f"line {lineno}: expected index:value, got {token!r}")
+            try:
+                index = int(index_str)
+                value = float(value_str)
+            except ValueError:
+                raise ParseError(f"line {lineno}: malformed entry {token!r}") from None
+            if index < 1:
+                raise ParseError(f"line {lineno}: index {index} is not >= 1")
+            if index <= previous:
+                raise ParseError(
+                    f"line {lineno}: index {index} does not increase (previous {previous})"
+                )
+            if not math.isfinite(value):
+                raise ParseError(f"line {lineno}: value {value_str!r} is not finite")
+            previous = index
+            entries.append((index, value))
+        max_index = max(max_index, previous)
+        raw_labels.append(label)
+        rows.append(entries)
+    if not rows:
+        raise ParseError("no samples found in input")
+    if max_index == 0:
+        raise ParseError("no feature entries found in input")
+    distinct = sorted(set(raw_labels))
+    if len(distinct) != 2:
+        raise ParseError(
+            f"expected exactly two distinct labels, found {len(distinct)}: {distinct}"
+        )
+    features = np.zeros((len(rows), max_index), dtype=float)
+    for i, entries in enumerate(rows):
+        for index, value in entries:
+            features[i, index - 1] = value
+    labels = np.where(np.array(raw_labels) == distinct[1], 1, -1)
+    return Dataset(features=features, labels=labels)
 
 
 def allocating_gen_gaussian(d, n, prior_pos, outlier_pct=0.0, seed=0, mean_scale=1.0,

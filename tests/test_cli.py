@@ -355,6 +355,24 @@ class TestBench:
          "config bad: d must be an int"),
         ({"name": "bad", "data": {"d": 2, "n": 40, "prior_pos": 0.5, "seed": 1.5}},
          "config bad: seed must be an int"),
+        ({"name": "bad", "moments_path": 0}, "config bad: moments_path must be a str or None"),
+        ({"name": "bad", "method": "error-direct", "moment_source": "exact", "moments_path": True},
+         "config bad: moments_path must be a str or None"),
+        ({"name": "bad", "data": {"d": 2, "n": 40, "prior_pos": 0.5, "mean_scale": True}},
+         "config bad: mean_scale must be a real number"),
+        ({"name": "bad", "data": {"d": 2, "n": 40, "prior_pos": "0.5"}},
+         "config bad: prior_pos must be a real number"),
+        ({"name": "bad", "optimizer": {"alpha0": True, "grad_tol_rel": True}},
+         "config bad: alpha0 must be a real number"),
+        ({"name": "bad", "optimizer": {"grad_tol_rel": True}},
+         "config bad: grad_tol_rel must be a real number"),
+        ({"name": "sub/b"}, "config config_01: name must be a plain file name, got 'sub/b'"),
+        ({"name": "/abs"}, "config config_01: name must be a plain file name"),
+        ({"name": ""}, "config config_01: name must be a plain file name"),
+        ({"name": "."}, "config config_01: name must be a plain file name"),
+        ({"name": ".."}, "config config_01: name must be a plain file name"),
+        ({"name": 5}, "config config_01: name must be a plain file name, got 5"),
+        ({"name": "ok"}, "config ok: name is already used by an earlier entry"),
     ])
     def test_malformed_entry_fails_before_running(self, generated, tmp_path, capsys,
                                                   entry, message):
@@ -367,4 +385,16 @@ class TestBench:
         rc = main(["bench", "--configs", str(cfg_path), "--out-dir", str(out_dir)])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: " + message)
+        assert not out_dir.exists()
+
+    def test_default_name_counts_as_taken(self, generated, tmp_path, capsys):
+        # an unnamed entry i is config_<i>, so a named entry cannot take its report
+        entry = {"method": "lda", "data": str(generated), "folds": 2, "repeats": 1}
+        cfg_path = tmp_path / "clash.json"
+        cfg_path.write_text(json.dumps([{**entry, "name": "config_01"}, entry]))
+        out_dir = tmp_path / "r"
+        rc = main(["bench", "--configs", str(cfg_path), "--out-dir", str(out_dir)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: config config_01: name is already used by an earlier entry")
         assert not out_dir.exists()

@@ -311,8 +311,12 @@ def _dense(value="0.5", index="2", label="+1"):
     return f"{label} 1:-1.25 {index}:{value} 3:7\n-1 1:3 2:0.125 3:-0.0\n+1 1:2e-3 2:4 3:1\n"
 
 
-class TestDenseFastPath:
-    """parse_libsvm's one-pass reader of dense files against the per-line parser."""
+class TestParserMatchesTupleOracle:
+    """parse_libsvm against the per-line parser as first written, a tuple per entry.
+
+    Dense, sparse, commented and malformed texts must give the same bytes
+    or the same ParseError message.
+    """
 
     EDGE_CASES = [
         _dense(),
@@ -360,9 +364,9 @@ class TestDenseFastPath:
 
     @pytest.mark.parametrize("text", EDGE_CASES)
     def test_edge_cases_agree_with_line_parser(self, text):
-        # parse_libsvm decodes bytes before either parser sees them
+        # parse_libsvm decodes bytes; the oracle takes text only
         decoded = text.decode("utf-8") if isinstance(text, bytes) else text
-        assert _outcome(parse_libsvm, text) == _outcome(data_module._parse_lines, decoded)
+        assert _outcome(parse_libsvm, text) == _outcome(oracles.tuple_parse_libsvm, decoded)
 
     def test_mutations_agree_with_line_parser(self):
         rng = np.random.default_rng(11)
@@ -380,25 +384,10 @@ class TestDenseFastPath:
                 text = base[:at] + char + base[at:]
             else:
                 text = base[:at] + base[at + 1:]
-            expected = _outcome(data_module._parse_lines, text)
+            expected = _outcome(oracles.tuple_parse_libsvm, text)
             assert _outcome(parse_libsvm, text) == expected, repr(text)
             parsed += expected[0] != "error"
         assert 0 < parsed < 300  # both accepted and rejected texts were tried
-
-    def test_formatted_file_takes_the_fast_path(self, monkeypatch):
-        rng = np.random.default_rng(12)
-        ds = Dataset(
-            features=rng.normal(size=(40, 50)) * 10.0 ** rng.integers(-8, 9, size=(40, 50)),
-            labels=np.array([1, -1] * 20),
-        )
-
-        def refuse(text):
-            raise AssertionError("per-line parser called on a dense file")
-
-        monkeypatch.setattr(data_module, "_parse_lines", refuse)
-        back = parse_libsvm(format_libsvm(ds))
-        assert back.features.tobytes() == ds.features.tobytes()
-        assert back.labels.tobytes() == ds.labels.tobytes()
 
 
 class TestNormalize:

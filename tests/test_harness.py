@@ -108,6 +108,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field, value", [
         ("folds", "3"), ("folds", 3.0), ("repeats", True), ("seed", None),
         ("normalize", "no"), ("normalize", 0), ("per_fold_norm", "false"), ("per_fold_norm", None),
+        ("moments_path", 0), ("moments_path", True), ("optimizer", {"max_iters": 5}),
+        ("optimizer", None),
     ])
     def test_fields_need_their_types(self, field, value):
         with pytest.raises(TypeError, match=f"^{field} must be"):

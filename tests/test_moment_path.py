@@ -4,8 +4,8 @@ The generator, the moment estimator and the discriminant must give the
 same bits as the formulas they replaced (kept in oracles.py), their
 covariances must be exactly symmetric without an explicit symmetrization,
 and their transient memory, counted in d x d matrices, must stay bounded.
-The dense LIBSVM reader's transient memory, counted in feature matrices,
-is bounded beside them.
+The LIBSVM parser's transient memory, counted in feature matrices, is
+bounded beside them on a dense and a sparse file.
 """
 
 import tracemalloc
@@ -153,15 +153,26 @@ def test_transient_memory_counted_in_matrices():
     assert lda_peak < 2.5
 
 
+def _sparse_text(ds):
+    # the odd (1-based) columns zeroed and left out of the text
+    lines = []
+    for row, label in zip(ds.features.tolist(), ds.labels.tolist()):
+        entries = "".join(f" {j + 1}:{row[j]!r}" for j in range(1, len(row), 2))
+        lines.append(("+1" if label == 1 else "-1") + entries + "\n")
+    return "".join(lines)
+
+
 def test_dense_parse_peak_counted_in_feature_matrices():
-    # the split text is 2.9 feature matrices and the reader's table with
-    # its index columns 2.4 more; feeding the reader a list of replaced
-    # lines and copying the strided value view through the public
-    # constructor measured 8.2, a generator and one contiguous copy 5.3
+    # the split lines are about 3 feature matrices and the entries' value
+    # and column arrays 2 more (a tuple per entry measured 13.9); the lines
+    # are freed before the matrix is allocated, so a dense file measures
+    # 5.0 and the sparse one, with half the entries, 2.7
     ds, _ = gen_gaussian(GaussianSpec(d=200, n=2000, prior_pos=0.5, seed=1))
-    text = format_libsvm(ds)
-    parsed, peak = _peak_bytes(parse_libsvm, text)
-    assert parsed.features.tobytes() == ds.features.tobytes()
-    assert parsed.labels.tobytes() == ds.labels.tobytes()
-    assert parsed.features.flags.c_contiguous
-    assert peak <= 6.0 * ds.features.nbytes
+    sparse = np.array(ds.features)
+    sparse[:, 0::2] = 0.0
+    for text, features in ((format_libsvm(ds), ds.features), (_sparse_text(ds), sparse)):
+        parsed, peak = _peak_bytes(parse_libsvm, text)
+        assert parsed.features.tobytes() == features.tobytes()
+        assert parsed.labels.tobytes() == ds.labels.tobytes()
+        assert parsed.features.flags.c_contiguous
+        assert peak <= 6.0 * ds.features.nbytes
