@@ -4,13 +4,16 @@ Subcommands: gen (synthesize a dataset, its binary twin and an
 exact-moments sidecar), train (fit one model on one file), eval (score a
 saved model), cv (repeated k-fold benchmark of one method), bench (sweep a
 JSON list of cv configs).
-All inputs arrive as flags; nothing is read from the environment.
+All inputs arrive as flags; nothing is read from the environment.  The
+argument parser is built once per process, on the first main() call, and
+reused: parsing fills a fresh namespace and leaves the parser unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -175,6 +178,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="momentclf",
@@ -243,8 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except Exception as exc:  # surface a clean diagnostic, not a traceback

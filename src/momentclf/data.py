@@ -201,7 +201,8 @@ def parse_libsvm(text: str | bytes) -> Dataset:
     strictly increasing indices; `#` starts a comment.  The width is the
     largest index seen anywhere; unlisted entries are zero.  Exactly two
     distinct raw label values must occur, and the numerically larger one
-    maps to +1.  Malformed input raises ParseError naming the line.
+    maps to +1.  Malformed input raises ParseError naming the line, and so
+    does an index too large to store or to allocate the matrix for.
 
     Entries are collected into flat typed arrays, 16 bytes each, and
     scattered into one zeroed matrix at the end, so a dense file's parse
@@ -245,9 +246,13 @@ def parse_libsvm(text: str | bytes) -> Dataset:
             if not math.isfinite(value):
                 raise ParseError(f"line {lineno}: value {value_str!r} is not finite")
             previous = index
-            columns.append(index - 1)
+            try:
+                columns.append(index - 1)
+            except OverflowError:  # past the 64-bit column array
+                raise ParseError(f"line {lineno}: index {index} is too large") from None
             values.append(value)
-        max_index = max(max_index, previous)
+        if previous > max_index:
+            max_index, max_line = previous, lineno
         raw_labels.append(label)
         counts.append(len(tokens) - 1)
     if not raw_labels:
@@ -260,7 +265,11 @@ def parse_libsvm(text: str | bytes) -> Dataset:
             f"expected exactly two distinct labels, found {len(distinct)}: {distinct}"
         )
     n = len(raw_labels)
-    features = np.zeros((n, max_index))
+    try:
+        features = np.zeros((n, max_index))
+    except (MemoryError, ValueError):  # ValueError: too many elements to address
+        raise ParseError(f"line {max_line}: index {max_index} makes a matrix of {n} x "
+                         f"{max_index} entries that cannot be allocated") from None
     rows = np.repeat(np.arange(n), np.frombuffer(counts, dtype=np.int64))
     features[rows, np.frombuffer(columns, dtype=np.int64)] = np.frombuffer(values)
     labels = np.where(np.array(raw_labels) == distinct[1], 1, -1).astype(np.int64, copy=False)
@@ -274,9 +283,10 @@ def format_libsvm(dataset: Dataset) -> str:
     decimal representation, so parse_libsvm(format_libsvm(ds)) reproduces
     the dataset bit for bit.
     """
-    prefixes = [f" {j}:" for j in range(1, dataset.dim + 1)]
+    # one %-template per file; %r of a float is its repr
+    row_format = "".join(f" {j}:%r" for j in range(1, dataset.dim + 1))
     lines = [
-        ("+1" if label == 1 else "-1") + "".join(map(str.__add__, prefixes, map(repr, row)))
+        ("+1" if label == 1 else "-1") + row_format % tuple(row)
         for row, label in zip(dataset.features.tolist(), dataset.labels.tolist())
     ]
     lines.append("")
@@ -487,7 +497,8 @@ def save_moments(moments: ClassMoments, path) -> None:
     """
 
     def fmt(values) -> str:
-        return " ".join(repr(float(v)) for v in np.asarray(values).ravel())
+        # the container holds float64 arrays, whose tolist() gives Python floats
+        return " ".join(map(repr, values.ravel().tolist()))
 
     lines = [
         f"d {moments.dim}",

@@ -6,6 +6,7 @@ Everything derives from ValueError so callers that only care about
 can still tell the failure modes apart.
 """
 
+import math
 import numbers
 
 
@@ -42,11 +43,18 @@ def _check_ints(obj, *names: str) -> None:
 
 
 def _check_reals(obj, *names: str) -> None:
-    """Raise TypeError unless each named field of obj is a real number; a bool is not one."""
+    """Raise TypeError unless each named field of obj is a real number (a bool
+    is not one), and ValueError unless it is finite."""
     for name in names:
         value = getattr(obj, name)
         if not isinstance(value, numbers.Real) or isinstance(value, bool):
             raise TypeError(f"{name} must be a real number, got {value!r}")
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int past the float range
+            finite = False
+        if not finite:
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def _read_key_values(path, kind: str, expected: str, parse):

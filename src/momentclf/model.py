@@ -50,7 +50,7 @@ def save_model(model: LinearModel, path) -> None:
     lines = [
         f"d {model.dim}",
         f"intercept {model.intercept!r}",
-        "w " + " ".join(repr(float(v)) for v in model.w),
+        "w " + " ".join(map(repr, model.w.tolist())),
         "",
     ]
     with open(path, "w", encoding="utf-8") as fh:

@@ -14,6 +14,7 @@ is always orthogonal to w.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -68,7 +69,7 @@ def _checked(w, d: int) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.shape != (d,):
         raise ValueError(f"w must have shape ({d},), got {w.shape}")
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise ValueError("w contains non-finite entries")
     return w
 
@@ -90,7 +91,7 @@ def _projector(mu: np.ndarray, sigma: np.ndarray):
         mu_w = float(w @ mu)
         sigma_times_w = sigma @ w
         q = float(w @ sigma_times_w)
-        sigma_w = float(np.sqrt(q)) if q > 0.0 else 0.0
+        sigma_w = math.sqrt(q) if q > 0.0 else 0.0
         if sigma_w < SIGMA_EPS:
             raise DegenerateProjectionError(
                 f"projected standard deviation {sigma_w:.3e} is below {SIGMA_EPS:.0e}"

@@ -8,6 +8,7 @@ inequality is replayable from the trace alone).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from itertools import chain
@@ -190,7 +191,8 @@ def gd_backtracking(
     start = time.perf_counter()
     current = objective(w)
     grad = np.asarray(current.gradient, dtype=float)
-    grad_norm = float(np.linalg.norm(grad))
+    # what np.linalg.norm computes for a 1-d float vector, without its wrapper
+    grad_norm = math.sqrt(float(grad @ grad))
     trace = OptimizationTrace(initial_value=float(current.value), initial_grad_norm=grad_norm,
                               evaluations=1)
     threshold = config.grad_tol_rel * grad_norm
@@ -232,7 +234,7 @@ def gd_backtracking(
             total_backtracks += trace.evaluations - evaluations_before - 1
             w, current = accepted
             grad = np.asarray(current.gradient, dtype=float)
-            grad_norm = float(np.linalg.norm(grad))
+            grad_norm = math.sqrt(float(grad @ grad))
             trace.records.append(
                 TraceRecord(
                     iteration=len(trace.records) + 1,

@@ -23,8 +23,7 @@ def _stable_sigmoid(t: np.ndarray) -> np.ndarray:
     # 1/(1+exp(-t)) without overflow in either tail: with e = exp(-|t|),
     # that is 1/(1+e) where t >= 0 and e/(1+e) elsewhere
     e = np.exp(-np.abs(t))
-    denom = 1.0 + e
-    return np.where(t >= 0, 1.0 / denom, e / denom)
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
 def logistic_objective(dataset, lam: float) -> Objective:
@@ -48,7 +47,8 @@ def logistic_objective(dataset, lam: float) -> Objective:
         if w.shape != (X.shape[1],):
             raise ValueError(f"w must have shape ({X.shape[1]},), got {w.shape}")
         t = neg_y * (X @ w)
-        value = float(np.logaddexp(0.0, t).mean() + lam * (w @ w))
+        # the sum and division ndarray.mean performs, without its wrapper
+        value = float(np.add.reduce(np.logaddexp(0.0, t)) / n + lam * (w @ w))
         # taken now, so a caller that later writes to w cannot move the gradient
         ridge = 2.0 * lam * w
 
@@ -74,8 +74,11 @@ def _hinge_score_eval(sp: np.ndarray, sn: np.ndarray):
     n_pos = sp.shape[0]
     n_neg = sn.shape[0]
     n_pairs = n_pos * n_neg
-    sp_sorted = np.sort(sp)
-    thresholds = np.sort(sn)
+    # the methods on copies sort as np.sort does, without its wrapper
+    sp_sorted = sp.copy()
+    sp_sorted.sort()
+    thresholds = sn.copy()
+    thresholds.sort()
     thresholds += 1.0
     # pair (i, j) is active iff sp_i < sn_j + 1; both count directions
     # compare against the one shifted array, and the queries are sorted so
@@ -137,8 +140,8 @@ def hinge_objective(dataset) -> Objective:
             # so any sorting permutation gives the same result), then
             # normalize on the d-vector rather than per sample
             g_scores = np.empty_like(scores)
-            g_scores[pos[np.argsort(sp)]] = signed_pos
-            g_scores[neg[np.argsort(sn)]] = active_pos
+            g_scores[pos[sp.argsort()]] = signed_pos
+            g_scores[neg[sn.argsort()]] = active_pos
             grad = X.T @ g_scores
             grad /= float(n_pos * sn.shape[0])
             return grad

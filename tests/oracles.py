@@ -14,7 +14,10 @@ tuple per entry: they repeat the package's formulas operation for
 operation, so that its lazily built gradients, its in-place moment path,
 its warm-started line search and its array-backed parser can be compared
 bit for bit.  The parser builds the Dataset container and raises the
-package's ParseError, so its messages can be compared too.
+package's ParseError, so its messages can be compared too.  So do the
+writers, the stable sigmoid and the logistic value as first written, one
+wrapper call per value or array operation, against which the package's
+leaner forms are held byte for byte.
 """
 
 from __future__ import annotations
@@ -260,6 +263,37 @@ def libsvm_text(features: np.ndarray, labels: np.ndarray) -> str:
         entries = " ".join(f"{j + 1}:{float(v)!r}" for j, v in enumerate(row))
         lines.append(f"{'+1' if label == 1 else '-1'} {entries}\n")
     return "".join(lines)
+
+
+def prefix_format_libsvm(dataset) -> str:
+    """format_libsvm as first written: a prefix list joined to each entry's repr."""
+    prefixes = [f" {j}:" for j in range(1, dataset.dim + 1)]
+    lines = [
+        ("+1" if label == 1 else "-1") + "".join(map(str.__add__, prefixes, map(repr, row)))
+        for row, label in zip(dataset.features.tolist(), dataset.labels.tolist())
+    ]
+    lines.append("")
+    return "\n".join(lines)
+
+
+def scalar_repr_fmt(values) -> str:
+    """save_moments' field writer as first written: repr(float(v)) per numpy scalar."""
+    return " ".join(repr(float(v)) for v in np.asarray(values).ravel())
+
+
+def two_division_sigmoid(t: np.ndarray) -> np.ndarray:
+    """The stable sigmoid as first written: both quotients, then a select."""
+    e = np.exp(-np.abs(t))
+    denom = 1.0 + e
+    return np.where(t >= 0, 1.0 / denom, e / denom)
+
+
+def mean_logistic_value(w: np.ndarray, features: np.ndarray, labels: np.ndarray,
+                        lam: float) -> float:
+    """Regularized logistic value as first written, through ndarray.mean."""
+    neg_y = -labels.astype(float)
+    t = neg_y * (features @ w)
+    return float(np.logaddexp(0.0, t).mean() + lam * (w @ w))
 
 
 def _strip_comment(line: str) -> str:

@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -191,6 +193,15 @@ class TestTrain:
         assert rc == 0
         assert len(trace_out.read_text().splitlines()) == 3  # header + 2 rows
 
+    def test_infinite_gradient_tolerance_fails_cleanly(self, generated, tmp_path, capsys):
+        # it would stop every fit at iteration 0 on gradient-tolerance
+        model_out = tmp_path / "m.model"
+        rc = main(["train", "--method", "error-direct", "--data", str(generated),
+                   "--grad-tol-rel", "inf", "--model-out", str(model_out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: grad_tol_rel must be finite, got inf\n"
+        assert not model_out.exists()
+
     def test_missing_data_file_fails_cleanly(self, tmp_path, capsys):
         rc = main(["train", "--method", "lda", "--data", str(tmp_path / "absent.libsvm"),
                    "--model-out", str(tmp_path / "m.model")])
@@ -199,6 +210,20 @@ class TestTrain:
 
 
 class TestEval:
+    def test_index_too_wide_names_its_line(self, generated, tmp_path, capsys):
+        model_out = tmp_path / "m.model"
+        assert main(["train", "--method", "lda", "--data", str(generated),
+                     "--model-out", str(model_out)]) == 0
+        capsys.readouterr()
+        data = tmp_path / "wide.libsvm"
+        # 2 x 1e16 entries are past any 64-bit address space
+        data.write_text("+1 1:1\n-1 10000000000000000:2\n")
+        rc = main(["eval", "--model", str(model_out), "--data", str(data)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: line 2: index 10000000000000000 makes a matrix of 2 x 10000000000000000 "
+            "entries that cannot be allocated\n")
+
     def test_prints_metrics(self, generated, tmp_path, capsys):
         model_out = tmp_path / "m.model"
         main(["train", "--method", "lda", "--data", str(generated),
@@ -366,6 +391,16 @@ class TestBench:
          "config bad: alpha0 must be a real number"),
         ({"name": "bad", "optimizer": {"grad_tol_rel": True}},
          "config bad: grad_tol_rel must be a real number"),
+        ({"name": "bad", "optimizer": {"grad_tol_rel": math.inf}},
+         "config bad: grad_tol_rel must be finite, got inf"),
+        ({"name": "bad", "optimizer": {"alpha0": math.inf}},
+         "config bad: alpha0 must be finite, got inf"),
+        ({"name": "bad", "optimizer": {"alpha0": 10**400}},
+         "config bad: alpha0 must be finite, got 1000"),
+        ({"name": "bad", "data": {"d": 2, "n": 40, "prior_pos": 0.5, "cov_scale": math.inf}},
+         "config bad: cov_scale must be finite, got inf"),
+        ({"name": "bad", "data": {"d": 2, "n": 40, "prior_pos": 0.5, "mean_scale": -math.inf}},
+         "config bad: mean_scale must be finite, got -inf"),
         ({"name": "sub/b"}, "config config_01: name must be a plain file name, got 'sub/b'"),
         ({"name": "/abs"}, "config config_01: name must be a plain file name"),
         ({"name": ""}, "config config_01: name must be a plain file name"),
@@ -398,3 +433,45 @@ class TestBench:
         assert capsys.readouterr().err.startswith(
             "error: config config_01: name is already used by an earlier entry")
         assert not out_dir.exists()
+
+
+class TestParserBuiltOnce:
+    """main() builds its parser once per process; no call sees another's flags."""
+
+    def test_parser_is_cached(self):
+        assert _build_parser() is _build_parser()
+
+    @staticmethod
+    def _run(capsys, argv):
+        rc = main(argv)
+        out = capsys.readouterr()
+        assert rc == 0, out.err
+        # the summary line's training seconds are timing, not output
+        return re.sub(r"train [0-9.]+s over", "train _s over", out.out), out.err
+
+    def test_cv_after_per_fold_norm_matches_a_fresh_parser(self, generated, tmp_path, capsys):
+        report = tmp_path / "cv.csv"
+        plain = ["cv", "--method", "error-direct", "--data", str(generated), "--folds", "2",
+                 "--repeats", "1", "--max-iters", "20", "--report-out", str(report)]
+        _build_parser.cache_clear()
+        fresh = self._run(capsys, plain)
+        fresh_report = _masked_report(report)
+        self._run(capsys, plain + ["--per-fold-norm"])
+        assert _masked_report(report) != fresh_report  # the flag changes the fits
+        assert self._run(capsys, plain) == fresh
+        assert _masked_report(report) == fresh_report
+
+    def test_train_after_trace_out_matches_a_fresh_parser(self, generated, tmp_path, capsys):
+        model_out = tmp_path / "m.model"
+        trace_out = tmp_path / "t.csv"
+        plain = ["train", "--method", "logistic", "--data", str(generated), "--max-iters", "20",
+                 "--model-out", str(model_out)]
+        _build_parser.cache_clear()
+        fresh = self._run(capsys, plain)
+        fresh_model = model_out.read_bytes()
+        traced = self._run(capsys, plain + ["--trace-out", str(trace_out)])
+        assert f"wrote trace to {trace_out}" in traced[0]
+        trace_out.unlink()
+        assert self._run(capsys, plain) == fresh
+        assert model_out.read_bytes() == fresh_model
+        assert not trace_out.exists()

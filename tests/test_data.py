@@ -9,6 +9,7 @@ from momentclf import (
     ClassMoments,
     Dataset,
     GaussianSpec,
+    LinearModel,
     ParseError,
     apply_zscore,
     estimate_class_moments,
@@ -21,6 +22,7 @@ from momentclf import (
     normalize_zscore,
     parse_libsvm,
     save_libsvm,
+    save_model,
     save_moments,
 )
 from momentclf import data as data_module
@@ -109,6 +111,26 @@ class TestParseLibsvm:
         with pytest.raises(ParseError):
             parse_libsvm("# nothing here\n")
 
+    @pytest.mark.parametrize("text, message", [
+        # 2 x 1e16 float64 entries are 142 PiB, past any 64-bit address
+        # space, so no allocator grants them, however it overcommits
+        ("+1 1:1\n-1 10000000000000000:2\n",
+         "line 2: index 10000000000000000 makes a matrix of 2 x 10000000000000000 entries "
+         "that cannot be allocated"),
+        ("+1 1:1 10000000000000000:2\n-1 1:3\n+1 2:1\n",
+         "line 1: index 10000000000000000 makes a matrix of 3 x 10000000000000000 entries "
+         "that cannot be allocated"),
+        # past numpy's largest dimension; the column still fits the int64 array
+        (f"+1 1:1\n-1 {2**63}:2\n",
+         f"line 2: index {2**63} makes a matrix of 2 x {2**63} entries that cannot be allocated"),
+        # past the int64 column array itself
+        (f"+1 1:1\n-1 {2**64}:2\n", f"line 2: index {2**64} is too large"),
+    ])
+    def test_index_too_wide_names_its_line(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_libsvm(text)
+        assert str(info.value) == message
+
 
 class TestRoundTrip:
     def test_serializer_round_trips_bit_exactly(self):
@@ -148,6 +170,60 @@ class TestRoundTrip:
         back = load_libsvm(path)
         assert back.features.tobytes() == ds.features.tobytes()
         assert np.array_equal(back.labels, ds.labels)
+
+
+# values whose shortest repr takes each of its forms: signed zero,
+# subnormals, exponent notation from 1e16 up and below 1e-4
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+                   1e16, -1e16, 9999999999999998.0, 1e-5, -1e-5, 0.0001, 1.7976931348623157e308,
+                   0.1, 1.0 / 3.0, 123456789.0, 1e22, -2.5]
+
+
+def _with_specials(rng, shape):
+    """Seeded random values of wide magnitude with every special value placed at random."""
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    flat = values.reshape(-1)
+    flat[rng.choice(flat.size, size=len(_SPECIAL_FLOATS), replace=False)] = _SPECIAL_FLOATS
+    return values
+
+
+class TestWritersMatchFirstWritten:
+    """The writers against their first-written forms in oracles, byte for byte."""
+
+    @pytest.mark.parametrize("seed, shape", [(0, (40, 7)), (1, (3, 60)), (2, (25, 1))])
+    def test_format_libsvm(self, seed, shape):
+        rng = np.random.default_rng(seed)
+        labels = np.where(rng.random(shape[0]) < 0.5, 1, -1)
+        labels[:2] = [1, -1]
+        ds = Dataset(features=_with_specials(rng, shape), labels=labels)
+        assert format_libsvm(ds) == oracles.prefix_format_libsvm(ds)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_save_moments(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        kw = oracles.random_class_moments(rng, d=20)
+        kw["mu_pos"] = _with_specials(rng, (20,))
+        kw["mu_neg"] = _with_specials(rng, (20,))
+        scale = 10.0 ** float(rng.integers(-8, 9))
+        kw["sigma_pos"] = kw["sigma_pos"] * scale
+        m = ClassMoments(**kw)
+        path = tmp_path / "m.moments"
+        save_moments(m, path)
+        fmt = oracles.scalar_repr_fmt
+        expected = "\n".join([
+            f"d {m.dim}", f"prior_pos {m.prior_pos!r}", f"prior_neg {m.prior_neg!r}",
+            f"mu_pos {fmt(m.mu_pos)}", f"mu_neg {fmt(m.mu_neg)}",
+            f"sigma_pos {fmt(m.sigma_pos)}", f"sigma_neg {fmt(m.sigma_neg)}", "",
+        ])
+        assert path.read_text(encoding="utf-8") == expected
+
+    def test_save_model(self, tmp_path):
+        rng = np.random.default_rng(5)
+        model = LinearModel(w=_with_specials(rng, (30,)), intercept=-0.0)
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        expected = f"d 30\nintercept -0.0\nw {oracles.scalar_repr_fmt(model.w)}\n"
+        assert path.read_text(encoding="utf-8") == expected
 
 
 def _twin_cases():

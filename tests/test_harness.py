@@ -115,6 +115,24 @@ class TestConfigValidation:
         with pytest.raises(TypeError, match=f"^{field} must be"):
             ExperimentConfig(method="lda", data="some/file.libsvm", **{field: value})
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10**400])
+    @pytest.mark.parametrize("build, field", [
+        (lambda v: GaussianSpec(d=2, n=40, prior_pos=v), "prior_pos"),
+        (lambda v: GaussianSpec(d=2, n=40, prior_pos=0.5, outlier_pct=v), "outlier_pct"),
+        (lambda v: GaussianSpec(d=2, n=40, prior_pos=0.5, mean_scale=v), "mean_scale"),
+        (lambda v: GaussianSpec(d=2, n=40, prior_pos=0.5, cov_scale=v), "cov_scale"),
+        (lambda v: LineSearchConfig(c=v), "c"),
+        (lambda v: LineSearchConfig(beta=v), "beta"),
+        (lambda v: LineSearchConfig(alpha0=v), "alpha0"),
+        (lambda v: LineSearchConfig(grad_tol_rel=v), "grad_tol_rel"),
+    ])
+    def test_real_fields_must_be_finite(self, build, field, value):
+        # an infinite grad_tol_rel stopped every fit at iteration 0 on
+        # gradient-tolerance, and an infinite scale generated no usable data;
+        # an int past the float range is no finite real either
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value!r}$"):
+            build(value)
+
     @pytest.mark.parametrize("method", ["logistic", "hinge"])
     def test_exact_source_rejects_sample_methods(self, method):
         for data, path in ((GaussianSpec(d=2, n=40, prior_pos=0.5), None),

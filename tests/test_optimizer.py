@@ -12,6 +12,7 @@ from momentclf import (
     ObjectiveEval,
     auc_moments,
     auc_objective,
+    error_objective,
     estimate_class_moments,
     gd_backtracking,
     gen_gaussian,
@@ -419,6 +420,30 @@ class TestWarmStartedSearch:
         assert early.step >= 1e-5
         assert 1 + early.iteration + early.backtracks <= 2.5 * early.iteration
         assert trace.evaluations <= 12 * trace.iterations
+
+
+@pytest.mark.parametrize("method", ["error-direct", "auc-direct", "logistic", "hinge"])
+def test_trace_grad_norms_are_linalg_norms(method):
+    # the optimizer takes sqrt(g @ g) in place of np.linalg.norm; they must
+    # agree bit for bit at the start and at the returned point
+    spec = GaussianSpec(d=40, n=400, prior_pos=0.4, seed=8, mean_scale=0.5)
+    train, _ = gen_gaussian(spec)
+    moments = estimate_class_moments(train)
+    if method == "error-direct":
+        objective, w0 = error_objective(moments), init_w0_error(moments)
+    elif method == "auc-direct":
+        objective, w0 = auc_objective(auc_moments(moments)), init_w0_error(moments)
+    elif method == "logistic":
+        objective, w0 = logistic_objective(train, 1.0 / train.n), init_random(train.dim, 3)
+    else:
+        objective, w0 = hinge_objective(train), init_random(train.dim, 4)
+    model, trace = gd_backtracking(objective, w0, LineSearchConfig(max_iters=40))
+    assert trace.iterations > 0
+    start = float(np.linalg.norm(objective(w0).gradient))
+    end = float(np.linalg.norm(objective(model.w).gradient))
+    assert _record_bytes([trace.initial_grad_norm, trace.records[-1].grad_norm]) == (
+        _record_bytes([start, end])
+    )
 
 
 class TestInitW0Error:

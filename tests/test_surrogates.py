@@ -17,6 +17,7 @@ from momentclf import (
     lda_fit,
     logistic_objective,
 )
+from momentclf import surrogates
 
 import oracles
 
@@ -197,6 +198,29 @@ class TestLazyGradients:
             ev = logistic_objective(ds, 0.1)(w)
         w[:] = 100.0
         assert ev.gradient.tobytes() == expected.tobytes()
+
+
+class TestFirstWrittenForms:
+    """The sigmoid and the logistic value against their first-written forms, byte for byte."""
+
+    def test_stable_sigmoid(self):
+        rng = np.random.default_rng(12)
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-5, -1e-5, 1e16,
+                   -1e16, 745.0, -745.0, 745.2, -745.2, 746.0, -746.0, 800.0, -800.0, 1e308,
+                   -1e308, math.inf, -math.inf]
+        t = np.concatenate([special, rng.normal(size=500) * 10.0 ** rng.integers(-8, 4, size=500)])
+        assert surrogates._stable_sigmoid(t).tobytes() == oracles.two_division_sigmoid(t).tobytes()
+
+    def test_logistic_value(self):
+        rng = np.random.default_rng(13)
+        # a few thousand rows take numpy's pairwise summation several levels deep
+        large = (rng.normal(size=4), rng.normal(size=(2500, 4)), rng.normal(size=(2100, 4)))
+        for w, X_pos, X_neg in [*_brute_force_instances(), large]:
+            ds = _dataset(X_pos, X_neg)
+            for lam in (0.0, 0.05, 1.0 / ds.n):
+                value = logistic_objective(ds, lam)(w).value
+                expected = oracles.mean_logistic_value(w, ds.features, ds.labels, lam)
+                assert np.float64(value).tobytes() == np.float64(expected).tobytes()
 
 
 def test_baseline_evaluations_say_they_are_convex():
