@@ -134,7 +134,6 @@ def _cmd_cv(args: argparse.Namespace) -> int:
         repeats=args.repeats,
         optimizer=_from_args(LineSearchConfig, args),
         seed=args.seed,
-        normalize=args.normalize,
         per_fold_norm=args.per_fold_norm,
     )
     report = run_experiment(config)
@@ -229,11 +228,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cv.add_argument("--folds", type=int, default=5)
     p_cv.add_argument("--repeats", type=int, default=4)
     p_cv.add_argument("--seed", type=int, default=0)
-    norm = p_cv.add_mutually_exclusive_group()
-    norm.add_argument("--no-normalize", dest="normalize", action="store_const", const=False,
-                      default=None, help="leave the file unscaled (default: z-score it before CV)")
-    norm.add_argument("--per-fold-norm", action="store_true",
-                      help="learn normalization on each training fold only")
+    p_cv.add_argument("--per-fold-norm", action="store_true",
+                      help="learn the z-score on each training fold (default: z-score the "
+                           "file once before CV)")
     p_cv.add_argument("--report-out", required=True)
     _add_optimizer_flags(p_cv)
     p_cv.set_defaults(func=_cmd_cv)

@@ -67,9 +67,12 @@ class Dataset:
             raise ValueError(
                 f"labels must have shape ({X.shape[0]},), got {y.shape}"
             )
-        y = y.astype(np.int64)
+        # checked before the cast, which would truncate 1.5 to 1 and parse '1'
+        if y.dtype.kind not in "iuf":
+            raise ValueError(f"labels must be numbers, got dtype {y.dtype}")
         if not np.all((y == 1) | (y == -1)):
             raise ValueError("labels must be -1 or +1")
+        y = y.astype(np.int64)
         X.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "features", X)

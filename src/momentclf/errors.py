@@ -60,7 +60,8 @@ def _check_reals(obj, *names: str) -> None:
 def _read_key_values(path, kind: str, expected: str, parse):
     """Read the `key values` lines of a model or moments file; return parse(fields).
 
-    A line without values, and a KeyError or ValueError from parse, raise ParseError.
+    A line without values, a key repeated, and a KeyError or ValueError from
+    parse raise ParseError.
     """
     fields = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -71,6 +72,8 @@ def _read_key_values(path, kind: str, expected: str, parse):
             key, _, rest = line.partition(" ")
             if not rest:
                 raise ParseError(f"line {lineno}: expected {expected!r}, got {line!r}")
+            if key in fields:
+                raise ParseError(f"line {lineno}: key {key!r} repeated")
             fields[key] = rest
     try:
         return parse(fields)

@@ -66,11 +66,11 @@ class ExperimentConfig:
     take exact moments, get their Gaussian moments: "empirical" estimates
     them from each training fold, "exact" uses generator truth from a
     GaussianSpec data source or the sidecar at moments_path, which only
-    the exact source takes.  normalize=None means files are z-scored once
-    up front and generated data is left alone.  per_fold_norm instead
-    learns normalization on each training fold and applies it to the test
-    fold.  Either way exact moments are mapped through the same z-score,
-    so every fit sees features and moments in one space.
+    the exact source takes.  A file is z-scored once, up front, and
+    generated data is left alone; per_fold_norm instead learns the z-score
+    on each training fold, for files and generated data alike, and applies
+    it to the test fold.  Either way exact moments are mapped through the
+    same z-score, so every fit sees features and moments in one space.
     """
 
     method: str
@@ -81,7 +81,6 @@ class ExperimentConfig:
     repeats: int = 4
     optimizer: LineSearchConfig = LineSearchConfig()
     seed: int = 0
-    normalize: bool | None = None
     per_fold_norm: bool = False
 
     def __post_init__(self):
@@ -94,8 +93,6 @@ class ExperimentConfig:
         if not isinstance(self.data, GaussianSpec) and not isinstance(self.data, str):
             raise ValueError("data must be a GaussianSpec or a file path string")
         _check_ints(self, "folds", "repeats", "seed")
-        if not (self.normalize is None or isinstance(self.normalize, bool)):
-            raise TypeError(f"normalize must be a bool or None, got {self.normalize!r}")
         if not isinstance(self.per_fold_norm, bool):
             raise TypeError(f"per_fold_norm must be a bool, got {self.per_fold_norm!r}")
         if not (self.moments_path is None or isinstance(self.moments_path, str)):
@@ -106,8 +103,7 @@ class ExperimentConfig:
             raise ValueError(f"folds must be >= 2, got {self.folds!r}")
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {self.repeats!r}")
-        _check_source(self.method, self.data, self.moment_source, self.moments_path,
-                      self.normalize, self.per_fold_norm)
+        _check_source(self.method, self.data, self.moment_source, self.moments_path)
 
 
 @dataclass(frozen=True)
@@ -175,19 +171,12 @@ class ExperimentReport:
         return self._mean("train_seconds")
 
 
-def _check_source(
-    method: str,
-    data: DataSource,
-    moment_source: str,
-    moments_path: str | None,
-    normalize: bool | None,
-    per_fold_norm: bool,
-) -> bool:
-    """Check a method and data source against its moment source; return whether to z-score.
+def _check_source(method: str, data: DataSource, moment_source: str,
+                  moments_path: str | None) -> None:
+    """Check a method and data source against its moment source.
 
     Exact moments come from the generator or a sidecar and feed only the
-    MOMENT_METHODS.  normalize=None z-scores files and leaves generated
-    data alone.
+    MOMENT_METHODS.
     """
     if moment_source == "exact":
         if method not in MOMENT_METHODS:
@@ -197,11 +186,6 @@ def _check_source(
             raise ValueError("exact moment source requires --moments SIDECAR or generated data")
     elif moments_path is not None:
         raise ValueError("a moments sidecar is exact moments; it needs moment_source='exact'")
-    if per_fold_norm and normalize:
-        raise ValueError("choose either whole-dataset or per-fold normalization, not both")
-    if normalize is None:
-        return isinstance(data, str) and not per_fold_norm
-    return normalize
 
 
 def load_source(
@@ -209,16 +193,16 @@ def load_source(
     data: DataSource,
     moment_source: str = "empirical",
     moments_path: str | None = None,
-    normalize: bool | None = None,
-    per_fold_norm: bool = False,
+    normalize: bool = False,
 ) -> tuple[Dataset, ClassMoments | None]:
     """Load or generate a dataset and the exact moments method should use.
 
-    The checks and normalization rule are ExperimentConfig's, and a sidecar
-    at moments_path must match the data's dimension.  The returned moments
-    are None unless moment_source is "exact", and z-scored with the data.
+    The checks are ExperimentConfig's, and a sidecar at moments_path must
+    match the data's dimension.  The returned moments are None unless
+    moment_source is "exact".  normalize z-scores the data with its own
+    statistics and maps the exact moments through the same z-score.
     """
-    normalize = _check_source(method, data, moment_source, moments_path, normalize, per_fold_norm)
+    _check_source(method, data, moment_source, moments_path)
     if isinstance(data, GaussianSpec):
         dataset, exact = gen_gaussian(data)
     else:
@@ -285,7 +269,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """
     dataset, exact_moments = load_source(
         config.method, config.data, config.moment_source, config.moments_path,
-        config.normalize, config.per_fold_norm,
+        normalize=isinstance(config.data, str) and not config.per_fold_norm,
     )
     report = ExperimentReport(config=config)
     for repeat in range(config.repeats):

@@ -32,6 +32,7 @@ __all__ = [
 REASON_GRADIENT = "gradient-tolerance"
 REASON_MAX_ITERS = "max-iterations"
 REASON_LINE_SEARCH = "line-search-failure"
+REASON_NO_DECREASE = "no-decrease"
 
 
 @dataclass(frozen=True)
@@ -175,11 +176,13 @@ def gd_backtracking(
     rejected trial costs one objective value and, for an objective whose
     gradient is built lazily (see ObjectiveEval), nothing more.
     Termination: gradient norm below grad_tol_rel times its starting value
-    ("gradient-tolerance"), max_iters accepted steps ("max-iterations"), or
-    an exhausted line search ("line-search-failure", which returns the
-    incumbent iterate rather than raising).  If the objective itself raises
-    mid-run, the exception propagates with the partial trace attached as a
-    `partial_trace` attribute.
+    ("gradient-tolerance"), max_iters accepted steps ("max-iterations"), an
+    accepted step whose value is not below the incumbent's and whose
+    gradient is above the tolerance ("no-decrease", which returns that
+    step), or an exhausted line search ("line-search-failure", which returns
+    the incumbent iterate rather than raising).  If the objective itself
+    raises mid-run, the exception propagates with the partial trace
+    attached as a `partial_trace` attribute.
     """
     w = np.array(w0, dtype=float)
     if w.ndim != 1 or w.shape[0] < 1:
@@ -245,6 +248,11 @@ def gd_backtracking(
                     seconds=time.perf_counter() - start,
                 )
             )
+            if float(current.value) >= f_current and grad_norm > threshold:
+                # the step passed Armijo only because F - c*alpha*||g||^2
+                # rounds to F; a step onto a converged point stops on the gradient
+                trace.reason = REASON_NO_DECREASE
+                break
     except Exception as exc:
         exc.partial_trace = trace
         raise

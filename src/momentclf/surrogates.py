@@ -107,7 +107,8 @@ def hinge_objective(dataset) -> Objective:
     The hinge is piecewise linear, so its subgradient does not shrink near
     a minimizer and gd_backtracking's relative-gradient stop cannot fire.
     Unless every pair clears the margin (zero loss, zero subgradient), a
-    hinge fit ends on max-iterations by construction.
+    hinge fit ends on max-iterations, or on no-decrease once its steps are
+    too small to lower the value.
     """
     X = dataset.features
     pos = dataset.pos_index

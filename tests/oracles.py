@@ -167,6 +167,8 @@ def cold_backtracking(objective, w0: np.ndarray, config):
         grad = np.asarray(current.gradient, dtype=float)
         grad_norm = float(np.linalg.norm(grad))
         records.append((float(current.value), grad_norm, alpha, backtracks))
+        if float(current.value) >= f_current and grad_norm > threshold:
+            return w, records, "no-decrease", evaluations
 
 
 def brute_auc(scores_pos: np.ndarray, scores_neg: np.ndarray, ties: str = "strict") -> float:

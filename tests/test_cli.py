@@ -309,11 +309,15 @@ class TestCv:
         assert "error: " + method + " trains on samples" in capsys.readouterr().err
         assert not report_out.exists()
 
-    def test_normalize_flags_are_exclusive(self, generated, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["cv", "--method", "lda", "--data", str(generated),
-                  "--no-normalize", "--per-fold-norm",
-                  "--report-out", str(tmp_path / "x.csv")])
+    def test_no_normalize_is_rejected(self, generated, tmp_path, capsys):
+        # cv always z-scores a file; --per-fold-norm is its one switch
+        report_out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as raised:
+            main(["cv", "--method", "lda", "--data", str(generated), "--no-normalize",
+                  "--report-out", str(report_out)])
+        assert raised.value.code == 2
+        assert "unrecognized arguments: --no-normalize" in capsys.readouterr().err
+        assert not report_out.exists()
 
 
 class TestBench:
@@ -355,21 +359,23 @@ class TestBench:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_unknown_key_fails_before_running(self, generated, tmp_path, capsys):
+    # a file is always z-scored, so normalize is no key; per_fold_norm is the one switch
+    @pytest.mark.parametrize("key, value", [("fold", 10), ("normalize", False)])
+    def test_unknown_key_fails_before_running(self, generated, tmp_path, capsys, key, value):
         cfg_path = tmp_path / "typo.json"
         cfg_path.write_text(json.dumps([
             {"name": "ok", "method": "lda", "data": str(generated), "folds": 2, "repeats": 1},
-            {"name": "typo", "method": "lda", "data": str(generated), "fold": 10},
+            {"name": "typo", "method": "lda", "data": str(generated), key: value},
         ]))
         out_dir = tmp_path / "r"
         rc = main(["bench", "--configs", str(cfg_path), "--out-dir", str(out_dir)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "error:" in err and "fold" in err
+        assert err.startswith("error: config typo: ")
+        assert f"unexpected keyword argument '{key}'" in err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("entry, message", [
-        ({"name": "bad", "normalize": "no"}, "config bad: normalize must be a bool or None"),
         ({"name": "bad", "per_fold_norm": "false"}, "config bad: per_fold_norm must be a bool"),
         (1, "config config_01: entry must be a JSON object"),
         ({"name": "bad", "folds": "3"}, "config bad: folds must be an int"),

@@ -18,6 +18,7 @@ from momentclf import (
     inject_outliers,
     kfold_split,
     load_libsvm,
+    load_model,
     load_moments,
     normalize_zscore,
     parse_libsvm,
@@ -34,6 +35,12 @@ class TestDatasetValidation:
     def test_rejects_label_values_other_than_pm_one(self):
         with pytest.raises(ValueError):
             Dataset(features=np.array([[1.0]]), labels=np.array([2]))
+
+    @pytest.mark.parametrize("labels", [[1.5, -1.7], ["1", "-1"], [True, True], [True, False]])
+    def test_labels_are_checked_before_the_int_cast(self, labels):
+        # a cast to int64 before the check would truncate 1.5 to 1 and parse '1'
+        with pytest.raises(ValueError, match="^labels must be"):
+            Dataset(features=np.ones((2, 1)), labels=np.array(labels))
 
     def test_rejects_non_finite_features(self):
         with pytest.raises(ValueError):
@@ -323,7 +330,7 @@ class TestBinaryTwin:
 
     @pytest.mark.parametrize("damage", [
         "truncated", "npy", "no sha256", "no features", "no labels", "one class",
-        "short labels", "labels of 3",
+        "short labels", "labels of 3", "fractional labels", "string labels",
     ])
     def test_damaged_twin_is_ignored(self, tmp_path, monkeypatch, damage):
         writers = {
@@ -335,6 +342,8 @@ class TestBinaryTwin:
             "one class": self._labels(np.ones_like),
             "short labels": self._labels(lambda y: y[:-1]),
             "labels of 3": self._labels(lambda y: 3 * y),
+            "fractional labels": self._labels(lambda y: 1.5 * y),
+            "string labels": self._labels(lambda y: y.astype(str)),
         }
         ds = _twin_cases()["-0.0 and subnormals"]
         path, twin = self._saved(tmp_path, ds)
@@ -738,3 +747,18 @@ class TestMomentsSidecar:
         path.write_text("d 3\nprior_pos 0.5\n")
         with pytest.raises(ParseError):
             load_moments(path)
+
+    @pytest.mark.parametrize("save, load, key", [
+        (lambda path: save_model(LinearModel(w=np.array([1.0, -2.0])), path), load_model, "w"),
+        (lambda path: save_moments(ClassMoments(**oracles.random_class_moments(
+            np.random.default_rng(3), d=2)), path), load_moments, "mu_neg"),
+    ], ids=["model", "moments"])
+    def test_repeated_key_rejected(self, tmp_path, save, load, key):
+        # two lines with one key leave it unclear which value the writer meant
+        path = tmp_path / "written.txt"
+        save(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines.append(next(line for line in lines if line.startswith(key + " ")))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"^line {len(lines)}: key '{key}' repeated$"):
+            load(path)

@@ -15,10 +15,13 @@ from momentclf import (
     emit_report,
     emit_trace,
     estimate_class_moments,
+    evaluate_model,
     gd_backtracking,
     gen_gaussian,
     init_random,
+    kfold_split,
     lda_fit,
+    load_libsvm,
     load_moments,
     logistic_objective,
     normalize_zscore,
@@ -88,26 +91,16 @@ class TestConfigValidation:
         )
         assert cfg.moment_source == "exact"
 
-    def test_normalize_conflicts_with_per_fold(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(
-                method="lda",
-                data=GaussianSpec(d=2, n=40, prior_pos=0.5),
-                normalize=True,
-                per_fold_norm=True,
-            )
-
-    @pytest.mark.parametrize("norm", [{"normalize": True}, {"per_fold_norm": True}])
-    def test_exact_source_accepts_normalization(self, norm):
+    def test_exact_source_accepts_per_fold_normalization(self):
         for data, path in ((GaussianSpec(d=2, n=40, prior_pos=0.5), None),
                            ("some/file.libsvm", "some/file.moments")):
             cfg = ExperimentConfig(method="error-direct", data=data, moment_source="exact",
-                                   moments_path=path, **norm)
+                                   moments_path=path, per_fold_norm=True)
             assert cfg.moment_source == "exact"
 
     @pytest.mark.parametrize("field, value", [
         ("folds", "3"), ("folds", 3.0), ("repeats", True), ("seed", None),
-        ("normalize", "no"), ("normalize", 0), ("per_fold_norm", "false"), ("per_fold_norm", None),
+        ("per_fold_norm", "false"), ("per_fold_norm", None),
         ("moments_path", 0), ("moments_path", True), ("optimizer", {"max_iters": 5}),
         ("optimizer", None),
     ])
@@ -179,22 +172,25 @@ class TestRunExperiment:
 
     def test_exact_source_on_a_file_is_normalized(self, raw_files):
         data_path, sidecar = raw_files
-        common = dict(method="error-direct", data=str(data_path), moment_source="exact",
-                      moments_path=str(sidecar), folds=2, repeats=1, seed=5)
-        default = run_experiment(ExperimentConfig(**common))
-        scaled = run_experiment(ExperimentConfig(normalize=True, **common))
-        raw = run_experiment(ExperimentConfig(normalize=False, **common))
-        assert [r.accuracy for r in default.runs] == [r.accuracy for r in scaled.runs]
-        assert [r.auc for r in default.runs] == [r.auc for r in scaled.runs]
-        # a boundary through the raw origin misses the z-space fit
-        assert default.mean_accuracy >= 0.98 > raw.mean_accuracy
-        # the features and the sidecar are z-scored with the same statistics
-        dataset, exact = load_source("error-direct", str(data_path), "exact", str(sidecar))
-        raw_data, _ = load_source("error-direct", str(data_path), normalize=False)
-        zscored, stats = normalize_zscore(raw_data)
+        report = run_experiment(ExperimentConfig(
+            method="error-direct", data=str(data_path), moment_source="exact",
+            moments_path=str(sidecar), folds=2, repeats=1, seed=5))
+        # the same folds fitted in raw units: a boundary through the raw
+        # origin misses the z-space fit
+        raw_data, truth = load_libsvm(data_path), load_moments(sidecar)
         assert np.abs(raw_data.features.mean(axis=0)).max() > 0.5
+        raw_accuracy = []
+        for train_idx, test_idx in kfold_split(raw_data.n, 2, seed=5):
+            model, _ = fit("error-direct", raw_data.subset(train_idx), truth, LineSearchConfig(),
+                           seed=0)
+            raw_accuracy.append(evaluate_model(model, raw_data.subset(test_idx)).accuracy)
+        assert report.mean_accuracy >= 0.98 > float(np.mean(raw_accuracy))
+        # the features and the sidecar are z-scored with the same statistics
+        dataset, exact = load_source("error-direct", str(data_path), "exact", str(sidecar),
+                                     normalize=True)
+        zscored, stats = normalize_zscore(raw_data)
         assert dataset.features.tobytes() == zscored.features.tobytes()
-        expected = _zscored(load_moments(sidecar), stats)
+        expected = _zscored(truth, stats)
         for name in ("mu_pos", "mu_neg", "sigma_pos", "sigma_neg"):
             assert getattr(exact, name).tobytes() == getattr(expected, name).tobytes()
 
