@@ -58,7 +58,6 @@ from .data import (
 )
 from .harness import (
     METHODS,
-    MOMENT_SOURCES,
     ExperimentConfig,
     ExperimentReport,
     RunResult,
@@ -118,7 +117,6 @@ __all__ = [
     "save_libsvm",
     "save_moments",
     "METHODS",
-    "MOMENT_SOURCES",
     "ExperimentConfig",
     "ExperimentReport",
     "RunResult",

@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .data import (
     GaussianSpec,
+    _twin_path,
     gen_gaussian,
     load_libsvm,
     normalize_zscore,
@@ -60,20 +61,20 @@ def _add_optimizer_flags(parser: argparse.ArgumentParser) -> None:
                            default=f.default, help=OPTIMIZER_HELP[f.name])
 
 
-def _from_args(cls, args: argparse.Namespace):
-    """Build a config dataclass from the flags named after its fields."""
-    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
-
-
-def _moment_source(args: argparse.Namespace) -> str:
-    # a sidecar is the only place exact moments of a file can come from
-    return "exact" if args.moments is not None else "empirical"
+def _from_args(cls, args: argparse.Namespace, **given):
+    """Build a config dataclass from the flags named after its fields and the given fields."""
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls) if f.name not in given}
+    return cls(**flags, **given)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    moments_out = args.moments_out or str(args.out) + ".moments"
+    # the sidecar must not overwrite the data file or its binary twin
+    data_files = (Path(args.out).resolve(), Path(_twin_path(args.out)).resolve())
+    if Path(moments_out).resolve() in data_files:
+        raise ValueError(f"--moments-out {moments_out} names the data file or its binary twin")
     dataset, moments = gen_gaussian(_from_args(GaussianSpec, args))
     twin = save_libsvm(dataset, args.out)
-    moments_out = args.moments_out or str(args.out) + ".moments"
     save_moments(moments, moments_out)
     print(f"wrote {dataset.n} samples (d={dataset.dim}, {dataset.n_pos} positive) to {args.out}")
     print(f"wrote binary twin to {twin}")
@@ -82,8 +83,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    dataset, exact = load_source(args.method, args.data, _moment_source(args), args.moments,
-                                 args.normalize)
+    dataset, exact = load_source(args.method, args.data, args.moments, args.normalize)
     optimizer = _from_args(LineSearchConfig, args)
     model, trace = fit(args.method, dataset, exact, optimizer, args.seed)
     save_model(model, args.model_out)
@@ -125,17 +125,7 @@ def _summary_line(report) -> str:
 
 
 def _cmd_cv(args: argparse.Namespace) -> int:
-    config = ExperimentConfig(
-        method=args.method,
-        data=args.data,
-        moment_source=_moment_source(args),
-        moments_path=args.moments,
-        folds=args.folds,
-        repeats=args.repeats,
-        optimizer=_from_args(LineSearchConfig, args),
-        seed=args.seed,
-        per_fold_norm=args.per_fold_norm,
-    )
+    config = _from_args(ExperimentConfig, args, optimizer=_from_args(LineSearchConfig, args))
     report = run_experiment(config)
     emit_report(report, args.report_out)
     print(f"wrote report to {args.report_out}")

@@ -180,6 +180,8 @@ class GaussianSpec:
             raise ValueError(f"d must be >= 1, got {self.d!r}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if not 0.0 < self.prior_pos < 1.0:
             raise ValueError(f"prior_pos must lie in (0, 1), got {self.prior_pos!r}")
         if self.n * self.prior_pos < 2 or self.n * (1.0 - self.prior_pos) < 2:

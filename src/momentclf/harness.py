@@ -36,7 +36,6 @@ from .surrogates import hinge_objective, lda_fit, logistic_objective
 
 __all__ = [
     "METHODS",
-    "MOMENT_SOURCES",
     "ExperimentConfig",
     "RunResult",
     "ExperimentReport",
@@ -50,7 +49,6 @@ __all__ = [
 METHODS = ("error-direct", "auc-direct", "logistic", "hinge", "lda")
 # Methods that see the data only through class moments; only they can use exact ones.
 MOMENT_METHODS = ("error-direct", "auc-direct", "lda")
-MOMENT_SOURCES = ("empirical", "exact")
 
 REPORT_HEADER = "method,moment_source,run,fold,repeat,accuracy,auc,train_seconds,reason"
 TRACE_HEADER = "iter,objective,grad_norm,step,backtracks,seconds"
@@ -62,11 +60,12 @@ DataSource = Union[GaussianSpec, str]
 class ExperimentConfig:
     """One benchmark cell: a method, a data source, and the CV protocol.
 
-    moment_source picks where the MOMENT_METHODS, the only methods that
-    take exact moments, get their Gaussian moments: "empirical" estimates
-    them from each training fold, "exact" uses generator truth from a
-    GaussianSpec data source or the sidecar at moments_path, which only
-    the exact source takes.  A file is z-scored once, up front, and
+    moments picks where the MOMENT_METHODS, the only methods that take
+    exact moments, get their Gaussian moments: None estimates them on each
+    training fold, a path reads exact ones from that sidecar, for file and
+    generated data alike, and "generator" takes a GaussianSpec data
+    source's exact moments.  The report labels the first "empirical" and
+    the other two "exact".  A file is z-scored once, up front, and
     generated data is left alone; per_fold_norm instead learns the z-score
     on each training fold, for files and generated data alike, and applies
     it to the test fold.  Either way exact moments are mapped through the
@@ -75,8 +74,7 @@ class ExperimentConfig:
 
     method: str
     data: DataSource
-    moment_source: str = "empirical"
-    moments_path: str | None = None
+    moments: str | None = None
     folds: int = 5
     repeats: int = 4
     optimizer: LineSearchConfig = LineSearchConfig()
@@ -86,24 +84,27 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.moment_source not in MOMENT_SOURCES:
-            raise ValueError(
-                f"moment_source must be one of {MOMENT_SOURCES}, got {self.moment_source!r}"
-            )
         if not isinstance(self.data, GaussianSpec) and not isinstance(self.data, str):
             raise ValueError("data must be a GaussianSpec or a file path string")
         _check_ints(self, "folds", "repeats", "seed")
         if not isinstance(self.per_fold_norm, bool):
             raise TypeError(f"per_fold_norm must be a bool, got {self.per_fold_norm!r}")
-        if not (self.moments_path is None or isinstance(self.moments_path, str)):
-            raise TypeError(f"moments_path must be a str or None, got {self.moments_path!r}")
+        if not (self.moments is None or isinstance(self.moments, str)):
+            raise TypeError(f"moments must be a str or None, got {self.moments!r}")
         if not isinstance(self.optimizer, LineSearchConfig):
             raise TypeError(f"optimizer must be a LineSearchConfig, got {self.optimizer!r}")
         if self.folds < 2:
             raise ValueError(f"folds must be >= 2, got {self.folds!r}")
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {self.repeats!r}")
-        _check_source(self.method, self.data, self.moment_source, self.moments_path)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
+        _check_source(self.method, self.data, self.moments)
+
+    @property
+    def moment_source(self) -> str:
+        """The report's label for moments: "empirical" or "exact"."""
+        return "empirical" if self.moments is None else "exact"
 
 
 @dataclass(frozen=True)
@@ -171,47 +172,46 @@ class ExperimentReport:
         return self._mean("train_seconds")
 
 
-def _check_source(method: str, data: DataSource, moment_source: str,
-                  moments_path: str | None) -> None:
-    """Check a method and data source against its moment source.
+def _check_source(method: str, data: DataSource, moments: str | None) -> None:
+    """Check a method and data source against its moments.
 
     Exact moments come from the generator or a sidecar and feed only the
     MOMENT_METHODS.
     """
-    if moment_source == "exact":
-        if method not in MOMENT_METHODS:
-            raise ValueError(f"{method} trains on samples, not moments; exact moments "
-                             f"apply only to {', '.join(MOMENT_METHODS)}")
-        if not isinstance(data, GaussianSpec) and moments_path is None:
-            raise ValueError("exact moment source requires --moments SIDECAR or generated data")
-    elif moments_path is not None:
-        raise ValueError("a moments sidecar is exact moments; it needs moment_source='exact'")
+    if moments is None:
+        return
+    if method not in MOMENT_METHODS:
+        raise ValueError(f"{method} trains on samples, not moments; exact moments "
+                         f"apply only to {', '.join(MOMENT_METHODS)}")
+    if moments == "generator" and not isinstance(data, GaussianSpec):
+        raise ValueError("moments 'generator' needs generated data; "
+                         "a file's exact moments come from a sidecar path")
 
 
 def load_source(
     method: str,
     data: DataSource,
-    moment_source: str = "empirical",
-    moments_path: str | None = None,
+    moments: str | None = None,
     normalize: bool = False,
 ) -> tuple[Dataset, ClassMoments | None]:
     """Load or generate a dataset and the exact moments method should use.
 
-    The checks are ExperimentConfig's, and a sidecar at moments_path must
-    match the data's dimension.  The returned moments are None unless
-    moment_source is "exact".  normalize z-scores the data with its own
-    statistics and maps the exact moments through the same z-score.
+    The checks are ExperimentConfig's, and a sidecar path in moments must
+    match the data's dimension.  The returned moments are None when moments
+    is.  normalize z-scores the data with its own statistics and maps the
+    exact moments through the same z-score.
     """
-    _check_source(method, data, moment_source, moments_path)
+    _check_source(method, data, moments)
     if isinstance(data, GaussianSpec):
         dataset, exact = gen_gaussian(data)
     else:
         dataset, exact = load_libsvm(data), None
-    if moments_path is not None:
-        exact = load_moments(moments_path)
+    if moments is None:
+        exact = None
+    elif moments != "generator":
+        exact = load_moments(moments)
         if exact.dim != dataset.dim:
             raise ValueError(f"moments d={exact.dim} does not match dataset d={dataset.dim}")
-    exact = exact if moment_source == "exact" else None
     if normalize:
         dataset, stats = normalize_zscore(dataset)
         exact = _zscored(exact, stats)
@@ -268,7 +268,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     the aggregates rather than aborting the sweep.
     """
     dataset, exact_moments = load_source(
-        config.method, config.data, config.moment_source, config.moments_path,
+        config.method, config.data, config.moments,
         normalize=isinstance(config.data, str) and not config.per_fold_norm,
     )
     report = ExperimentReport(config=config)

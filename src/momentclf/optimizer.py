@@ -287,6 +287,8 @@ def init_random(d: int, seed: int) -> np.ndarray:
     """Seeded unit-norm standard normal direction in R^d."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(d)
     norm = float(np.linalg.norm(w))

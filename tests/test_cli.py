@@ -9,6 +9,7 @@ import pytest
 
 from momentclf import (
     ClassMoments,
+    ExperimentConfig,
     LineSearchConfig,
     empirical_accuracy,
     kfold_split,
@@ -89,6 +90,17 @@ class TestGen:
                    "--out", str(tmp_path / "x.libsvm")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sidecar", ["same.libsvm", "same.libsvm.npz", "./same.libsvm"])
+    def test_sidecar_may_not_overwrite_the_data(self, tmp_path, capsys, monkeypatch, sidecar):
+        # the sidecar used to replace the data file, which the next load
+        # then failed to parse
+        monkeypatch.chdir(tmp_path)
+        rc = main(["gen", "--d", "2", "--n", "40", "--prior-pos", "0.5", "--out", "same.libsvm",
+                   "--moments-out", sidecar])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: --moments-out {sidecar} names the data")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTrain:
@@ -309,6 +321,29 @@ class TestCv:
         assert "error: " + method + " trains on samples" in capsys.readouterr().err
         assert not report_out.exists()
 
+    def test_flags_build_the_config(self, generated, tmp_path):
+        # every cv flag but --report-out is an ExperimentConfig field or an optimizer flag
+        args = _build_parser().parse_args(["cv", "--method", "lda", "--data", str(generated),
+                                           "--moments", "x.moments", "--folds", "3",
+                                           "--seed", "2", "--per-fold-norm", "--max-iters", "9",
+                                           "--report-out", str(tmp_path / "r.csv")])
+        config = _from_args(ExperimentConfig, args, optimizer=_from_args(LineSearchConfig, args))
+        assert config == ExperimentConfig(
+            method="lda", data=str(generated), moments="x.moments", folds=3, seed=2,
+            per_fold_norm=True, optimizer=LineSearchConfig(max_iters=9))
+
+    # train checks through load_source, cv through ExperimentConfig
+    @pytest.mark.parametrize("command, out_flag", [("cv", "--report-out"),
+                                                   ("train", "--model-out")])
+    def test_generator_moments_refused_for_a_file(self, generated, tmp_path, capsys, command,
+                                                  out_flag):
+        out = tmp_path / "out"
+        rc = main([command, "--method", "error-direct", "--data", str(generated),
+                   "--moments", "generator", out_flag, str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: moments 'generator' needs generated data")
+        assert not out.exists()
+
     def test_no_normalize_is_rejected(self, generated, tmp_path, capsys):
         # cv always z-scores a file; --per-fold-norm is its one switch
         report_out = tmp_path / "x.csv"
@@ -334,7 +369,7 @@ class TestBench:
             {
                 "name": "err_synth",
                 "method": "error-direct",
-                "moment_source": "exact",
+                "moments": "generator",
                 "data": {"d": 3, "n": 100, "prior_pos": 0.5, "seed": 4},
                 "folds": 2,
                 "repeats": 1,
@@ -359,8 +394,11 @@ class TestBench:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
-    # a file is always z-scored, so normalize is no key; per_fold_norm is the one switch
-    @pytest.mark.parametrize("key, value", [("fold", 10), ("normalize", False)])
+    # a file is always z-scored, so normalize is no key; per_fold_norm is the one
+    # switch, and moments alone says where exact moments come from
+    @pytest.mark.parametrize("key, value", [("fold", 10), ("normalize", False),
+                                            ("moment_source", "exact"),
+                                            ("moments_path", "toy.libsvm.moments")])
     def test_unknown_key_fails_before_running(self, generated, tmp_path, capsys, key, value):
         cfg_path = tmp_path / "typo.json"
         cfg_path.write_text(json.dumps([
@@ -386,9 +424,14 @@ class TestBench:
          "config bad: d must be an int"),
         ({"name": "bad", "data": {"d": 2, "n": 40, "prior_pos": 0.5, "seed": 1.5}},
          "config bad: seed must be an int"),
-        ({"name": "bad", "moments_path": 0}, "config bad: moments_path must be a str or None"),
-        ({"name": "bad", "method": "error-direct", "moment_source": "exact", "moments_path": True},
-         "config bad: moments_path must be a str or None"),
+        ({"name": "bad", "moments": 0}, "config bad: moments must be a str or None"),
+        ({"name": "bad", "method": "error-direct", "moments": True},
+         "config bad: moments must be a str or None"),
+        ({"name": "bad", "method": "error-direct", "moments": "generator"},
+         "config bad: moments 'generator' needs generated data"),
+        ({"name": "bad", "seed": -1}, "config bad: seed must be >= 0, got -1"),
+        ({"name": "bad", "data": {"d": 2, "n": 40, "prior_pos": 0.5, "seed": -2}},
+         "config bad: seed must be >= 0, got -2"),
         ({"name": "bad", "data": {"d": 2, "n": 40, "prior_pos": 0.5, "mean_scale": True}},
          "config bad: mean_scale must be a real number"),
         ({"name": "bad", "data": {"d": 2, "n": 40, "prior_pos": "0.5"}},

@@ -1,5 +1,6 @@
 """Tests for the cross-validation experiment runner and CSV emitters."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,8 +11,11 @@ from momentclf import (
     Dataset,
     DegenerateModelError,
     ExperimentConfig,
+    ExperimentReport,
     GaussianSpec,
     LineSearchConfig,
+    RunResult,
+    apply_zscore,
     emit_report,
     emit_trace,
     estimate_class_moments,
@@ -80,28 +84,46 @@ class TestConfigValidation:
         assert set(METHODS) == {"error-direct", "auc-direct", "logistic", "hinge", "lda"}
 
     def test_exact_source_needs_generator_or_sidecar(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(method="error-direct", data="some/file.libsvm", moment_source="exact")
+        with pytest.raises(ValueError, match="^moments 'generator' needs generated data; "):
+            ExperimentConfig(method="error-direct", data="some/file.libsvm", moments="generator")
 
     def test_exact_source_allowed_for_generator(self):
         cfg = ExperimentConfig(
             method="error-direct",
             data=GaussianSpec(d=2, n=40, prior_pos=0.5),
-            moment_source="exact",
+            moments="generator",
         )
         assert cfg.moment_source == "exact"
 
     def test_exact_source_accepts_per_fold_normalization(self):
-        for data, path in ((GaussianSpec(d=2, n=40, prior_pos=0.5), None),
-                           ("some/file.libsvm", "some/file.moments")):
-            cfg = ExperimentConfig(method="error-direct", data=data, moment_source="exact",
-                                   moments_path=path, per_fold_norm=True)
+        spec = GaussianSpec(d=2, n=40, prior_pos=0.5)
+        for data, moments in ((spec, "generator"), (spec, "some/file.moments"),
+                              ("some/file.libsvm", "some/file.moments")):
+            cfg = ExperimentConfig(method="error-direct", data=data, moments=moments,
+                                   per_fold_norm=True)
             assert cfg.moment_source == "exact"
+
+    @pytest.mark.parametrize("field", ["moment_source", "moments_path"])
+    def test_two_field_spelling_is_gone(self, field):
+        # moments alone says where exact moments come from
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{field}'"):
+            ExperimentConfig(method="lda", data="some/file.libsvm", **{field: "exact"})
+
+    @pytest.mark.parametrize("build", [
+        lambda: GaussianSpec(d=2, n=40, prior_pos=0.5, seed=-1),
+        lambda: ExperimentConfig(method="lda", data="some/file.libsvm", seed=-1),
+        lambda: init_random(3, -1),
+    ])
+    def test_seed_must_not_be_negative(self, build):
+        # numpy refuses a negative seed only when it draws, with a message
+        # that names no field
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            build()
 
     @pytest.mark.parametrize("field, value", [
         ("folds", "3"), ("folds", 3.0), ("repeats", True), ("seed", None),
         ("per_fold_norm", "false"), ("per_fold_norm", None),
-        ("moments_path", 0), ("moments_path", True), ("optimizer", {"max_iters": 5}),
+        ("moments", 0), ("moments", True), ("optimizer", {"max_iters": 5}),
         ("optimizer", None),
     ])
     def test_fields_need_their_types(self, field, value):
@@ -128,24 +150,10 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("method", ["logistic", "hinge"])
     def test_exact_source_rejects_sample_methods(self, method):
-        for data, path in ((GaussianSpec(d=2, n=40, prior_pos=0.5), None),
-                           ("some/file.libsvm", "some/file.moments")):
+        for data, moments in ((GaussianSpec(d=2, n=40, prior_pos=0.5), "generator"),
+                              ("some/file.libsvm", "some/file.moments")):
             with pytest.raises(ValueError, match=f"{method} trains on samples"):
-                ExperimentConfig(method=method, data=data, moment_source="exact",
-                                 moments_path=path)
-
-    def test_sidecar_needs_exact_source(self):
-        with pytest.raises(ValueError, match="moment_source='exact'"):
-            ExperimentConfig(method="error-direct", data="some/file.libsvm",
-                             moments_path="some/file.moments")
-
-    def test_unknown_moment_source_rejected(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(
-                method="error-direct",
-                data=GaussianSpec(d=2, n=40, prior_pos=0.5),
-                moment_source="oracle",
-            )
+                ExperimentConfig(method=method, data=data, moments=moments)
 
 
 class TestRunExperiment:
@@ -163,8 +171,7 @@ class TestRunExperiment:
             ExperimentConfig(
                 method="error-direct",
                 data=str(data_path),
-                moment_source="exact",
-                moments_path=str(sidecar),
+                moments=str(sidecar),
                 seed=5,
             )
         )
@@ -173,8 +180,8 @@ class TestRunExperiment:
     def test_exact_source_on_a_file_is_normalized(self, raw_files):
         data_path, sidecar = raw_files
         report = run_experiment(ExperimentConfig(
-            method="error-direct", data=str(data_path), moment_source="exact",
-            moments_path=str(sidecar), folds=2, repeats=1, seed=5))
+            method="error-direct", data=str(data_path), moments=str(sidecar), folds=2,
+            repeats=1, seed=5))
         # the same folds fitted in raw units: a boundary through the raw
         # origin misses the z-space fit
         raw_data, truth = load_libsvm(data_path), load_moments(sidecar)
@@ -186,8 +193,7 @@ class TestRunExperiment:
             raw_accuracy.append(evaluate_model(model, raw_data.subset(test_idx)).accuracy)
         assert report.mean_accuracy >= 0.98 > float(np.mean(raw_accuracy))
         # the features and the sidecar are z-scored with the same statistics
-        dataset, exact = load_source("error-direct", str(data_path), "exact", str(sidecar),
-                                     normalize=True)
+        dataset, exact = load_source("error-direct", str(data_path), str(sidecar), normalize=True)
         zscored, stats = normalize_zscore(raw_data)
         assert dataset.features.tobytes() == zscored.features.tobytes()
         expected = _zscored(truth, stats)
@@ -197,8 +203,8 @@ class TestRunExperiment:
     def test_exact_source_per_fold_maps_each_fold(self, raw_files):
         data_path, sidecar = raw_files
         report = run_experiment(ExperimentConfig(
-            method="error-direct", data=str(data_path), moment_source="exact",
-            moments_path=str(sidecar), folds=2, repeats=1, seed=5, per_fold_norm=True))
+            method="error-direct", data=str(data_path), moments=str(sidecar), folds=2,
+            repeats=1, seed=5, per_fold_norm=True))
         assert report.mean_accuracy >= 0.98
 
     def test_failed_exact_fit_fails_every_fold(self, bayes_files, tmp_path):
@@ -210,8 +216,7 @@ class TestRunExperiment:
             with pytest.raises(ValueError) as raised:
                 fit(method, None, coincident, LineSearchConfig(), seed=0)
             report = run_experiment(ExperimentConfig(
-                method=method, data=str(data_path), moment_source="exact",
-                moments_path=str(sidecar), folds=2, repeats=2))
+                method=method, data=str(data_path), moments=str(sidecar), folds=2, repeats=2))
             assert len(report.runs) == 4
             assert all(r.failed for r in report.runs)
             reason = f"{type(raised.value).__name__}: {raised.value}"
@@ -279,7 +284,7 @@ class TestRunExperiment:
         spec = GaussianSpec(d=3, n=200, prior_pos=0.5, seed=12)
         report = run_experiment(
             ExperimentConfig(
-                method="auc-direct", data=spec, moment_source="exact", folds=2, repeats=1, seed=6
+                method="auc-direct", data=spec, moments="generator", folds=2, repeats=1, seed=6
             )
         )
         assert all(not r.failed for r in report.runs)
@@ -290,13 +295,15 @@ class TestLoadSourceAndFit:
         data_path, _ = raw_files
         _, sidecar = bayes_files
         with pytest.raises(ValueError, match="moments d=2 does not match dataset d=10"):
-            load_source("error-direct", str(data_path), "exact", str(sidecar), normalize=False)
+            load_source("error-direct", str(data_path), str(sidecar), normalize=False)
 
     def test_exact_moments_returned_only_for_exact_source(self, raw_files):
         data_path, sidecar = raw_files
-        _, exact = load_source("error-direct", str(data_path), "exact", str(sidecar))
-        assert exact is not None and exact.dim == 10
-        _, empirical = load_source("error-direct", str(data_path), "empirical")
+        _, exact = load_source("error-direct", str(data_path), str(sidecar))
+        truth = load_moments(sidecar)
+        for name in ("mu_pos", "mu_neg", "sigma_pos", "sigma_neg"):
+            assert getattr(exact, name).tobytes() == getattr(truth, name).tobytes()
+        _, empirical = load_source("error-direct", str(data_path))
         assert empirical is None
 
     def test_logistic_ridge_weight_is_one_over_n(self):
@@ -339,6 +346,85 @@ class TestLoadSourceAndFit:
         ds, _ = gen_gaussian(GaussianSpec(d=3, n=120, prior_pos=0.5, seed=19))
         _, trace = fit("lda", ds, None, LineSearchConfig(), seed=0)
         assert trace is None
+
+
+class TestMomentSpellings:
+    """Each moments spelling gives the report of the two-field spelling it replaced.
+
+    The expected report is the cross-validation loop written out with the
+    moments each old (moment_source, moments_path) pair picked: none for
+    "empirical", the generator's truth for "exact" on generated data, and
+    the sidecar for "exact" with a path.  Timing is zeroed on both sides.
+    """
+
+    SPEC = GaussianSpec(d=4, n=160, prior_pos=0.4, seed=3, mean_scale=0.8)
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("spellings")
+        data_path, sidecar = tmp / "spec.libsvm", tmp / "other.moments"
+        save_libsvm(gen_gaussian(self.SPEC)[0], data_path)
+        # exact moments other than the generator's, so the two exact spellings differ
+        save_moments(gen_gaussian(GaussianSpec(d=4, n=40, prior_pos=0.5, seed=9))[1], sidecar)
+        return str(data_path), str(sidecar)
+
+    @staticmethod
+    def _written(report, path):
+        untimed = [dataclasses.replace(r, train_seconds=0.0) for r in report.runs]
+        emit_report(ExperimentReport(config=report.config, runs=untimed), path)
+        return path.read_bytes()
+
+    @staticmethod
+    def _expected(config, dataset, exact):
+        if isinstance(config.data, str) and not config.per_fold_norm:
+            dataset, stats = normalize_zscore(dataset)
+            exact = _zscored(exact, stats)
+        runs = []
+        for repeat in range(config.repeats):
+            splits = kfold_split(dataset.n, config.folds, seed=config.seed + repeat)
+            for fold, (train_idx, test_idx) in enumerate(splits):
+                run_no = repeat * config.folds + fold
+                train, test, moments = dataset.subset(train_idx), dataset.subset(test_idx), exact
+                if config.per_fold_norm:
+                    train, stats = normalize_zscore(train)
+                    test, moments = apply_zscore(test, stats), _zscored(exact, stats)
+                model, _ = fit(config.method, train, moments, config.optimizer,
+                               config.seed + 7919 * (run_no + 1))
+                scored = evaluate_model(model, test)
+                runs.append(RunResult(run=run_no, fold=fold, repeat=repeat,
+                                      accuracy=scored.accuracy, auc=scored.auc, train_seconds=0.0))
+        return ExperimentReport(config=config, runs=runs)
+
+    @pytest.mark.parametrize("per_fold_norm", [False, True])
+    @pytest.mark.parametrize("source, moments, label", [
+        ("file", None, "empirical"),
+        ("spec", None, "empirical"),
+        ("spec", "generator", "exact"),
+        ("file", "sidecar", "exact"),
+        ("spec", "sidecar", "exact"),
+    ])
+    def test_report_bytes_match_the_old_spelling(self, files, tmp_path, source, moments, label,
+                                                 per_fold_norm):
+        data_path, sidecar = files
+        data = data_path if source == "file" else self.SPEC
+        config = ExperimentConfig(method="error-direct", data=data,
+                                  moments=sidecar if moments == "sidecar" else moments,
+                                  folds=3, repeats=2, seed=4, per_fold_norm=per_fold_norm,
+                                  optimizer=LineSearchConfig(max_iters=40))
+        dataset = load_libsvm(data_path) if source == "file" else gen_gaussian(self.SPEC)[0]
+        exact = {None: None, "generator": gen_gaussian(self.SPEC)[1],
+                 "sidecar": load_moments(sidecar)}[moments]
+        written = self._written(run_experiment(config), tmp_path / "spelled.csv")
+        assert written == self._written(self._expected(config, dataset, exact),
+                                        tmp_path / "expected.csv")
+        rows = [row.split(",") for row in written.decode().splitlines()[1:]]
+        assert {row[1] for row in rows} == {label}
+        # the exact moments move the fits, so the comparison can tell spellings apart
+        if moments is not None:
+            empirical = self._written(run_experiment(dataclasses.replace(config, moments=None)),
+                                      tmp_path / "emp.csv")
+            assert [row[2:] for row in rows] != [
+                row.split(",")[2:] for row in empirical.decode().splitlines()[1:]]
 
 
 class TestEmitReport:
