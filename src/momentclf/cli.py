@@ -73,6 +73,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     data_files = (Path(args.out).resolve(), Path(_twin_path(args.out)).resolve())
     if Path(moments_out).resolve() in data_files:
         raise ValueError(f"--moments-out {moments_out} names the data file or its binary twin")
+    # checked before sampling, so a missing directory leaves no file behind
+    for flag, path in (("--out", args.out), ("--moments-out", moments_out)):
+        if not Path(path).parent.is_dir():
+            raise ValueError(f"{flag} {path}: directory {Path(path).parent} does not exist")
     dataset, moments = gen_gaussian(_from_args(GaussianSpec, args))
     twin = save_libsvm(dataset, args.out)
     save_moments(moments, moments_out)
@@ -83,6 +87,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    # lda and the direct methods never draw from the seed, so check it here
+    if args.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {args.seed!r}")
     dataset, exact = load_source(args.method, args.data, args.moments, args.normalize)
     optimizer = _from_args(LineSearchConfig, args)
     model, trace = fit(args.method, dataset, exact, optimizer, args.seed)

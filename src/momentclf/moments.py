@@ -7,7 +7,7 @@ sample count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -112,7 +112,8 @@ class ClassMoments:
     so a model cannot drift after construction.  The constructor validates
     its input and stores copies; estimate_class_moments and gen_gaussian
     skip the symmetrization and the copies for the arrays they have just
-    built.
+    built.  n_samples is the number of rows estimate_class_moments used;
+    it is None for exact moments and cannot be passed to the constructor.
     """
 
     mu_pos: np.ndarray
@@ -121,6 +122,7 @@ class ClassMoments:
     sigma_neg: np.ndarray
     prior_pos: float
     prior_neg: float
+    n_samples: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mu_pos = np.asarray(self.mu_pos, dtype=float)
@@ -196,7 +198,7 @@ def estimate_class_moments(dataset: Dataset) -> ClassMoments:
         out[f"sigma_{tag}"] = sigma
         out[f"prior_{tag}"] = index.shape[0] / X.shape[0]
     _check_priors(out["prior_pos"], out["prior_neg"])
-    return _built(ClassMoments, **out)
+    return _built(ClassMoments, n_samples=X.shape[0], **out)
 
 
 def auc_moments(moments: ClassMoments) -> AucMoments:

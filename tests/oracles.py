@@ -1,7 +1,9 @@
 """Independent oracles used by the test suite.
 
 Nothing here imports computational code from the package under test (only
-containers), and the numerical routes are deliberately different: the CDF
+containers, and the Cholesky substitution that the discriminant shares with
+the package; it is held against np.linalg.solve on its own), and the
+numerical routes are deliberately different: the CDF
 oracle integrates the density with Gauss-Legendre panels instead of using
 the error function, gradients come from central differences, pair losses
 from O(n^2) enumeration, covariances from explicit two-pass loops, and
@@ -27,6 +29,7 @@ import math
 import numpy as np
 
 from momentclf import Dataset, ParseError
+from momentclf.surrogates import _cholesky_solve
 
 # 64-point Gauss-Legendre rule; composite over unit-length panels this is
 # far below 1e-15 for the Gaussian density.
@@ -408,15 +411,23 @@ def allocating_class_moments(features: np.ndarray, labels: np.ndarray):
     return out
 
 
-def allocating_lda(mu_pos, mu_neg, sigma_pos, sigma_neg, prior_pos, prior_neg):
-    """Pooled-covariance discriminant (w, intercept), jittered by an added identity."""
+def allocating_lda(mu_pos, mu_neg, sigma_pos, sigma_neg, prior_pos, prior_neg, n_samples=None):
+    """Pooled-covariance discriminant (w, intercept), jittered by an added identity.
+
+    Like the package, it skips the unjittered factorization when n_samples
+    rows cannot give a full-rank pooled covariance, and solves with the
+    package's _cholesky_solve on the factor.
+    """
     pooled = prior_pos * sigma_pos + prior_neg * sigma_neg
-    solve_matrix = pooled
-    try:
-        np.linalg.cholesky(solve_matrix)
-    except np.linalg.LinAlgError:
-        d = pooled.shape[0]
-        solve_matrix = pooled + 1e-8 * float(np.trace(pooled)) / d * np.eye(d)
-    w = np.linalg.solve(solve_matrix, mu_pos - mu_neg)
+    d = pooled.shape[0]
+    factor = None
+    if n_samples is None or n_samples - 2 >= d:
+        try:
+            factor = np.linalg.cholesky(pooled)
+        except np.linalg.LinAlgError:
+            pass
+    if factor is None:
+        factor = np.linalg.cholesky(pooled + 1e-8 * float(np.trace(pooled)) / d * np.eye(d))
+    w = _cholesky_solve(factor, mu_pos - mu_neg)
     intercept = float(-0.5 * (w @ (mu_pos + mu_neg)) + math.log(prior_pos / prior_neg))
     return w, intercept

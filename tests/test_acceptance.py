@@ -223,7 +223,7 @@ def lda_benchmark():
         d=800, n=1000, prior_pos=0.5, outlier_pct=0.0, seed=7, mean_scale=0.5, cov_scale=1.0
     )
     dataset, _ = gen_gaussian(spec)
-    ours, baseline, traces = [], [], []
+    ours, baseline, traces, skip_sound = [], [], [], []
     for s in range(BENCH_SPLITS):
         train_idx, test_idx = kfold_split(dataset.n, 2, seed=s)[0]
         test = dataset.subset(test_idx)
@@ -234,7 +234,21 @@ def lda_benchmark():
         traces.append(trace_err)
         ours.append(empirical_accuracy(model_err, test))
         baseline.append(empirical_accuracy(lda_fit(moments), test))
-    return {"ours": np.array(ours), "lda": np.array(baseline), "traces": traces}
+        skip_sound.append(_skipped_attempt_fails(moments))
+    return {"ours": np.array(ours), "lda": np.array(baseline), "traces": traces,
+            "skip_sound": skip_sound}
+
+
+def _skipped_attempt_fails(moments):
+    """lda_fit skips the plain factorization here, and that factorization fails."""
+    if moments.n_samples - 2 >= moments.dim:
+        return False
+    try:
+        np.linalg.cholesky(moments.prior_pos * moments.sigma_pos
+                           + moments.prior_neg * moments.sigma_neg)
+    except np.linalg.LinAlgError:
+        return True
+    return False
 
 
 def test_criterion_05_error_direct_beats_logistic_under_outliers(outlier_benchmark):
@@ -254,6 +268,10 @@ def test_criterion_06_auc_direct_beats_hinge_under_outliers(outlier_benchmark):
 def test_criterion_07_error_direct_beats_lda_under_outliers(lda_benchmark):
     assert lda_benchmark["ours"].mean() >= lda_benchmark["lda"].mean()
     assert int(np.sum(lda_benchmark["ours"] > lda_benchmark["lda"])) >= 15
+
+
+def test_lda_benchmark_skips_only_factorizations_that_fail(lda_benchmark):
+    assert lda_benchmark["skip_sound"] == [True] * BENCH_SPLITS
 
 
 def _step_seconds(objective, w0, iters):

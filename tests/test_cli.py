@@ -102,6 +102,19 @@ class TestGen:
         assert capsys.readouterr().err.startswith(f"error: --moments-out {sidecar} names the data")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("out, sidecar", [
+        ("a.libsvm", "nodir/s.moments"),
+        ("nodir/a.libsvm", "s.moments"),
+    ])
+    def test_missing_directory_leaves_no_file(self, tmp_path, capsys, monkeypatch, out, sidecar):
+        # the data file and its twin used to be written before the sidecar failed
+        monkeypatch.chdir(tmp_path)
+        rc = main(["gen", "--d", "2", "--n", "40", "--prior-pos", "0.5", "--out", out,
+                   "--moments-out", sidecar])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTrain:
     @pytest.mark.parametrize("method", ["error-direct", "auc-direct", "logistic", "hinge", "lda"])
@@ -212,6 +225,16 @@ class TestTrain:
                    "--grad-tol-rel", "inf", "--model-out", str(model_out)])
         assert rc == 1
         assert capsys.readouterr().err == "error: grad_tol_rel must be finite, got inf\n"
+        assert not model_out.exists()
+
+    @pytest.mark.parametrize("method", ["error-direct", "auc-direct", "logistic", "hinge", "lda"])
+    def test_negative_seed_fails_cleanly(self, generated, tmp_path, capsys, method):
+        # lda and the direct methods never draw from the seed, and used to accept it
+        model_out = tmp_path / "m.model"
+        rc = main(["train", "--method", method, "--data", str(generated), "--seed", "-1",
+                   "--model-out", str(model_out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not model_out.exists()
 
     def test_missing_data_file_fails_cleanly(self, tmp_path, capsys):

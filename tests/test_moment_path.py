@@ -35,6 +35,10 @@ SPECS = [
     GaussianSpec(d=7, n=200, prior_pos=0.3, seed=5),
     GaussianSpec(d=7, n=200, prior_pos=0.5, outlier_pct=5.0, seed=6),
     GaussianSpec(d=7, n=200, prior_pos=0.5, seed=7, mean_scale=0.4, cov_scale=2.5),
+    # n - 2 = d, the fewest rows for which lda_fit tries the plain pooled
+    # covariance (it factorizes here), and one row fewer, where it does not
+    GaussianSpec(d=6, n=8, prior_pos=0.5, seed=9),
+    GaussianSpec(d=6, n=7, prior_pos=0.5, seed=10),
     # fewer rows per class than d: the pooled covariance is singular
     GaussianSpec(d=60, n=40, prior_pos=0.5, seed=8),
 ]
@@ -83,7 +87,8 @@ class TestSameBitsAsAllocatingFormulas:
         for m in (exact, estimate_class_moments(ds)):
             model = lda_fit(m)
             w, intercept = oracles.allocating_lda(
-                m.mu_pos, m.mu_neg, m.sigma_pos, m.sigma_neg, m.prior_pos, m.prior_neg
+                m.mu_pos, m.mu_neg, m.sigma_pos, m.sigma_neg, m.prior_pos, m.prior_neg,
+                m.n_samples,
             )
             assert _same_bits(model.w, w)
             assert model.intercept == intercept
@@ -100,9 +105,43 @@ class TestSameBitsAsAllocatingFormulas:
 def test_scarce_spec_takes_the_jitter_path():
     ds, _ = gen_gaussian(SCARCE)
     m = estimate_class_moments(ds)
+    # the attempt lda_fit skips is one that fails
+    assert m.n_samples - 2 < m.dim
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(m.prior_pos * m.sigma_pos + m.prior_neg * m.sigma_neg)
     assert np.all(np.isfinite(lda_fit(m).w))
+
+
+def _singular_exact():
+    # exact moments carry no sample count, so the plain attempt comes first
+    sigma = np.diag([2.0, 1.0, 0.0, 0.0])
+    return ClassMoments(np.ones(4), -np.ones(4), sigma, sigma, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("moments, factorizations", [
+    (lambda: estimate_class_moments(gen_gaussian(SCARCE)[0]), 1),
+    (lambda: estimate_class_moments(gen_gaussian(SPECS[3])[0]), 1),
+    (lambda: gen_gaussian(SCARCE)[1], 1),
+    (_singular_exact, 2),
+], ids=["scarce-estimate", "pd-estimate", "pd-exact", "singular-exact"])
+def test_lda_fit_factors_once_and_solves_with_the_factor(monkeypatch, moments, factorizations):
+    m = moments()
+    calls = []
+    cholesky, solve = np.linalg.cholesky, np.linalg.solve
+
+    def counted_cholesky(a):
+        calls.append(("cholesky", a.shape))
+        return cholesky(a)
+
+    def counted_solve(a, b):
+        calls.append(("solve", a.shape))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    model = lda_fit(m)
+    assert calls == [("cholesky", (m.dim, m.dim))] * factorizations
+    assert np.all(np.isfinite(model.w))
 
 
 def test_public_constructors_store_the_symmetrized_input():

@@ -8,14 +8,19 @@ from momentclf import (
     ClassMoments,
     Dataset,
     DegenerateProjectionError,
+    GaussianSpec,
     InsufficientDataError,
     InvalidModelError,
     auc_moments,
     auc_objective,
     error_objective,
     estimate_class_moments,
+    gen_gaussian,
     load_moments,
+    normalize_zscore,
+    save_moments,
 )
+from momentclf.harness import _zscored
 from momentclf.moments import SIGMA_EPS
 from momentclf.objectives import _projector
 
@@ -185,6 +190,18 @@ class TestBuiltMoments:
         assert (m.prior_pos, m.prior_neg) == (ref.prior_pos, ref.prior_neg)
         with pytest.raises(ValueError):
             m.sigma_pos[0, 1] = 9.0
+
+    def test_only_estimated_moments_know_their_sample_count(self, tmp_path):
+        ds, exact = gen_gaussian(GaussianSpec(d=3, n=90, prior_pos=0.4, seed=4))
+        assert estimate_class_moments(ds).n_samples == ds.n == 90
+        assert exact.n_samples is None
+        save_moments(exact, tmp_path / "exact.moments")
+        assert load_moments(tmp_path / "exact.moments").n_samples is None
+        _, stats = normalize_zscore(ds)
+        assert _zscored(exact, stats).n_samples is None
+        assert _simple_moments().n_samples is None
+        with pytest.raises(TypeError):
+            ClassMoments(np.ones(2), -np.ones(2), np.eye(2), np.eye(2), 0.5, 0.5, n_samples=9)
 
     def test_auc_moments_frozen_symmetric_and_as_constructed(self):
         a = auc_moments(self._estimated())

@@ -287,6 +287,18 @@ class TestLda:
         model = lda_fit(m)
         assert abs(model.intercept - math.log(3.0)) <= 1e-12
 
+    @pytest.mark.parametrize("d", [1, 31, 32, 33, 65, 200])
+    def test_cholesky_solve_matches_linalg_solve(self, d):
+        # one partial block, one exact block and one row past a block edge
+        rng = np.random.default_rng(d)
+        A = rng.normal(size=(d, d + 3))
+        spd = A @ A.T / d + 0.1 * np.eye(d)
+        b = rng.normal(size=d)
+        x = surrogates._cholesky_solve(np.linalg.cholesky(spd), b)
+        ref = np.linalg.solve(spd, b)
+        assert np.linalg.norm(spd @ x - b) <= 1e-13 * np.linalg.norm(b)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
     def test_indefinite_pooled_covariance_is_singular(self):
         # symmetric but indefinite covariance defeats both Cholesky attempts
         bad = np.diag([1.0, -1.0])
