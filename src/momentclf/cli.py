@@ -67,16 +67,39 @@ def _from_args(cls, args: argparse.Namespace, **given):
     return cls(**flags, **given)
 
 
+def _check_outputs(outputs, inputs=()) -> None:
+    """Refuse, before any work, an output that would overwrite a file the
+    command reads or writes, or whose directory does not exist.
+
+    Both arguments are (flag, path) pairs; a None path is skipped.  A
+    LIBSVM file (--data or --out) also stands for its binary twin.
+    """
+    taken = {}
+
+    def take(flag, path):
+        if flag in ("--data", "--out"):
+            for p in (path, _twin_path(path)):
+                taken[Path(p).resolve()] = "the data file or its binary twin"
+        else:
+            taken[Path(path).resolve()] = f"the {flag} file"
+
+    for flag, path in inputs:
+        if path is not None:
+            take(flag, path)
+    for flag, path in outputs:
+        if path is None:
+            continue
+        target = Path(path)
+        if not target.parent.is_dir():
+            raise ValueError(f"{flag} {path}: directory {target.parent} does not exist")
+        if target.resolve() in taken:
+            raise ValueError(f"{flag} {path} names {taken[target.resolve()]}")
+        take(flag, path)
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     moments_out = args.moments_out or str(args.out) + ".moments"
-    # the sidecar must not overwrite the data file or its binary twin
-    data_files = (Path(args.out).resolve(), Path(_twin_path(args.out)).resolve())
-    if Path(moments_out).resolve() in data_files:
-        raise ValueError(f"--moments-out {moments_out} names the data file or its binary twin")
-    # checked before sampling, so a missing directory leaves no file behind
-    for flag, path in (("--out", args.out), ("--moments-out", moments_out)):
-        if not Path(path).parent.is_dir():
-            raise ValueError(f"{flag} {path}: directory {Path(path).parent} does not exist")
+    _check_outputs([("--out", args.out), ("--moments-out", moments_out)])
     dataset, moments = gen_gaussian(_from_args(GaussianSpec, args))
     twin = save_libsvm(dataset, args.out)
     save_moments(moments, moments_out)
@@ -90,6 +113,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     # lda and the direct methods never draw from the seed, so check it here
     if args.seed < 0:
         raise ValueError(f"seed must be >= 0, got {args.seed!r}")
+    _check_outputs([("--model-out", args.model_out), ("--trace-out", args.trace_out)],
+                   [("--data", args.data), ("--moments", args.moments)])
     dataset, exact = load_source(args.method, args.data, args.moments, args.normalize)
     optimizer = _from_args(LineSearchConfig, args)
     model, trace = fit(args.method, dataset, exact, optimizer, args.seed)
@@ -132,6 +157,8 @@ def _summary_line(report) -> str:
 
 
 def _cmd_cv(args: argparse.Namespace) -> int:
+    _check_outputs([("--report-out", args.report_out)],
+                   [("--data", args.data), ("--moments", args.moments)])
     config = _from_args(ExperimentConfig, args, optimizer=_from_args(LineSearchConfig, args))
     report = run_experiment(config)
     emit_report(report, args.report_out)

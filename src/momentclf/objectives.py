@@ -82,9 +82,9 @@ def _projector(mu: np.ndarray, sigma: np.ndarray):
     over sigma for Sw, and sd = sqrt(w'Sw) with the quadratic form clamped
     at zero, where rounding can push it for PSD sigma.  An sd below
     SIGMA_EPS raises DegenerateProjectionError, because the ratio w'mu / sd
-    would be meaningless.  The ratio is not clamped: beyond |ratio| =
-    normal.SATURATION the CDF is pinned to 0 or 1 and the density
-    underflows to 0, so the value and gradient are already exact there.
+    would be meaningless.  The ratio is not clamped: beyond |ratio| ~ 38.5
+    erfc already returns an exact CDF of 0 or 1 and the density underflows
+    to 0, so the value and gradient are already exact there.
     """
 
     def project(w: np.ndarray) -> tuple[float, float, np.ndarray]:

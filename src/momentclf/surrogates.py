@@ -10,7 +10,7 @@ import numpy as np
 from .errors import SingularModelError
 from .model import LinearModel
 from .moments import ClassMoments, _mean_difference
-from .objectives import Objective, ObjectiveEval
+from .objectives import Objective, ObjectiveEval, _checked
 
 __all__ = [
     "logistic_objective",
@@ -46,9 +46,7 @@ def logistic_objective(dataset, lam: float) -> Objective:
     n = X.shape[0]
 
     def evaluate(w: np.ndarray) -> ObjectiveEval:
-        w = np.asarray(w, dtype=float)
-        if w.shape != (X.shape[1],):
-            raise ValueError(f"w must have shape ({X.shape[1]},), got {w.shape}")
+        w = _checked(w, X.shape[1])
         t = neg_y * (X @ w)
         # the sum and division ndarray.mean performs, without its wrapper
         value = float(np.add.reduce(np.logaddexp(0.0, t)) / n + lam * (w @ w))
@@ -121,9 +119,7 @@ def hinge_objective(dataset) -> Objective:
     n_pos = pos.shape[0]
 
     def evaluate(w: np.ndarray) -> ObjectiveEval:
-        w = np.asarray(w, dtype=float)
-        if w.shape != (X.shape[1],):
-            raise ValueError(f"w must have shape ({X.shape[1]},), got {w.shape}")
+        w = _checked(w, X.shape[1])
         # score the whole matrix once and split the score vector; copying the
         # class submatrices would move 8*n*d bytes per call
         scores = X @ w
@@ -160,24 +156,21 @@ def _cholesky_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Forward then back substitution in blocks of _SOLVE_BLOCK rows (numpy
     has no triangular solve): one matrix-vector product folds everything
-    already solved into a block, and a row loop finishes the block.  Its
-    O(d) Python steps are small next to the O(d^3) factorization, which an
-    LU solve of the whole matrix would repeat.
+    already solved into a block (a zero for the first), and np.linalg.solve
+    on the block's diagonal sub-block of the factor finishes it.  Each costs
+    O(B^3) in one LAPACK call for B <= _SOLVE_BLOCK rows, small next to the
+    O(d^3) factorization, which an LU solve of the whole matrix would repeat.
     """
     d = factor.shape[0]
     x = np.array(b, dtype=float)
     for i0 in range(0, d, _SOLVE_BLOCK):
         i1 = min(i0 + _SOLVE_BLOCK, d)
-        if i0:
-            x[i0:i1] -= factor[i0:i1, :i0] @ x[:i0]
-        for i in range(i0, i1):
-            x[i] = (x[i] - factor[i, i0:i] @ x[i0:i]) / factor[i, i]
+        x[i0:i1] -= factor[i0:i1, :i0] @ x[:i0]
+        x[i0:i1] = np.linalg.solve(factor[i0:i1, i0:i1], x[i0:i1])
     for i1 in range(d, 0, -_SOLVE_BLOCK):
         i0 = max(i1 - _SOLVE_BLOCK, 0)
-        if i1 < d:
-            x[i0:i1] -= factor[i1:, i0:i1].T @ x[i1:]
-        for i in range(i1 - 1, i0 - 1, -1):
-            x[i] = (x[i] - factor[i + 1:i1, i] @ x[i + 1:i1]) / factor[i, i]
+        x[i0:i1] -= factor[i1:, i0:i1].T @ x[i1:]
+        x[i0:i1] = np.linalg.solve(factor[i0:i1, i0:i1].T, x[i0:i1])
     return x
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -114,6 +115,36 @@ class TestGen:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
+
+
+class TestOutputRule:
+    """An output may not name an input, another output or a missing directory.
+
+    Each probe used to exit 0 over a clobbered file, or to write the model
+    before failing on the trace.  Now the command exits 1 before any work.
+    """
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--method", "error-direct", "--data", "g.libsvm",
+         "--model-out", "m.txt", "--trace-out", "m.txt"],
+        ["cv", "--method", "lda", "--data", "g.libsvm", "--report-out", "g.libsvm"],
+        ["train", "--method", "lda", "--data", "g.libsvm", "--model-out", "g.libsvm"],
+        ["train", "--method", "error-direct", "--data", "g.libsvm",
+         "--model-out", "m.txt", "--trace-out", "nodir/t.csv"],
+        ["train", "--method", "lda", "--data", "g.libsvm", "--model-out", "./g.libsvm.npz"],
+        ["cv", "--method", "lda", "--data", "g.libsvm", "--moments", "g.libsvm.moments",
+         "--report-out", "g.libsvm.moments"],
+    ], ids=["model-is-trace", "report-is-data", "model-is-data", "trace-dir-missing",
+            "model-is-twin", "report-is-sidecar"])
+    def test_refused_before_any_work(self, generated, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        for suffix in ("", ".npz", ".moments"):
+            shutil.copy(str(generated) + suffix, "g.libsvm" + suffix)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestTrain:

@@ -24,6 +24,7 @@ from momentclf import (
     lda_fit,
     parse_libsvm,
 )
+from momentclf.surrogates import _SOLVE_BLOCK
 
 import oracles
 
@@ -126,7 +127,7 @@ def _singular_exact():
 ], ids=["scarce-estimate", "pd-estimate", "pd-exact", "singular-exact"])
 def test_lda_fit_factors_once_and_solves_with_the_factor(monkeypatch, moments, factorizations):
     m = moments()
-    calls = []
+    calls, solves = [], []
     cholesky, solve = np.linalg.cholesky, np.linalg.solve
 
     def counted_cholesky(a):
@@ -134,13 +135,15 @@ def test_lda_fit_factors_once_and_solves_with_the_factor(monkeypatch, moments, f
         return cholesky(a)
 
     def counted_solve(a, b):
-        calls.append(("solve", a.shape))
+        solves.append(a.shape)
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
     model = lda_fit(m)
     assert calls == [("cholesky", (m.dim, m.dim))] * factorizations
+    # the factor's diagonal blocks are solved, never the whole d x d matrix
+    assert all(rows == cols <= _SOLVE_BLOCK for rows, cols in solves)
     assert np.all(np.isfinite(model.w))
 
 

@@ -16,7 +16,9 @@ from momentclf import (
     error_objective,
     estimate_class_moments,
     gen_gaussian,
+    hinge_objective,
     load_moments,
+    logistic_objective,
     normalize_zscore,
     save_moments,
 )
@@ -263,14 +265,19 @@ class TestProjectedStats:
         assert project(np.array([SIGMA_EPS * 10.0]))[1] >= SIGMA_EPS
 
     def test_factories_check_w_on_every_call(self):
-        for objective in (error_objective(_simple_moments(2)),
-                          auc_objective(auc_moments(_simple_moments(2)))):
+        data = Dataset(np.array([[1.0, 0.5], [-1.0, 0.0], [0.5, -1.0]]), np.array([1, -1, -1]))
+        direct = (error_objective(_simple_moments(2)),
+                  auc_objective(auc_moments(_simple_moments(2))))
+        for objective in direct + (logistic_objective(data, 0.1), hinge_objective(data)):
             with pytest.raises(ValueError, match=r"w must have shape \(2,\), got \(3,\)"):
                 objective(np.ones(3))
             with pytest.raises(ValueError, match=r"w must have shape \(2,\), got \(1, 2\)"):
                 objective(np.ones((1, 2)))
-            with pytest.raises(ValueError, match="w contains non-finite entries"):
-                objective(np.array([1.0, np.nan]))
+            # a NaN w used to give the surrogates a NaN value and a RuntimeWarning
+            for bad in (np.nan, np.inf):
+                with pytest.raises(ValueError, match="w contains non-finite entries"):
+                    objective(np.array([1.0, bad]))
+        for objective in direct:
             assert 0.0 <= objective([1, 0]).value <= 1.0
 
     def test_matches_double_loop_quadratic_form(self):

@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from momentclf.normal import SATURATION, std_normal_cdf, std_normal_pdf
+from momentclf.normal import std_normal_cdf, std_normal_pdf
 
 import oracles
+
+# erfc returns an exact CDF of 0 or 1 from about |x| = 38.5 on
+SATURATION = 40.0
 
 
 def test_cdf_at_zero_is_exactly_half():
@@ -49,6 +52,8 @@ def test_cdf_saturates_exactly_beyond_threshold():
     assert std_normal_cdf(SATURATION) == 1.0
     assert std_normal_cdf(-SATURATION) == 0.0
     assert std_normal_pdf(SATURATION) == 0.0
+    assert std_normal_cdf(1e308) == 1.0
+    assert std_normal_cdf(-1e308) == 0.0
 
 
 def test_cdf_rejects_non_finite():
