@@ -69,9 +69,11 @@ def _from_args(cls, args: argparse.Namespace, **given):
 
 def _check_outputs(outputs, inputs=()) -> None:
     """Refuse, before any work, an output that would overwrite a file the
-    command reads or writes, or whose directory does not exist.
+    command reads or writes, that is a directory, or whose directory does
+    not exist.
 
-    Both arguments are (flag, path) pairs; a None path is skipped.  A
+    Both arguments are (flag, path) pairs, where a flag may be any label
+    that starts the refusal; a None path is skipped.  A
     LIBSVM file (--data or --out) also stands for its binary twin.
     """
     taken = {}
@@ -92,6 +94,8 @@ def _check_outputs(outputs, inputs=()) -> None:
         target = Path(path)
         if not target.parent.is_dir():
             raise ValueError(f"{flag} {path}: directory {target.parent} does not exist")
+        if target.is_dir():
+            raise ValueError(f"{flag} {path} is a directory")
         if target.resolve() in taken:
             raise ValueError(f"{flag} {path} names {taken[target.resolve()]}")
         take(flag, path)
@@ -144,27 +148,36 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _summary_line(report) -> str:
-    cfg = report.config
-    if report.completed_runs == 0:
-        return f"{cfg.method} ({cfg.moment_source}): no run completed (0/{len(report.runs)} runs)"
-    return (
-        f"{cfg.method} ({cfg.moment_source}): "
-        f"accuracy {report.mean_accuracy:.6f} +- {report.std_accuracy:.6f}, "
-        f"auc {report.mean_auc:.6f} +- {report.std_auc:.6f}, "
-        f"train {report.mean_seconds:.4f}s over {report.completed_runs}/{len(report.runs)} runs"
-    )
+def _run_and_report(jobs) -> int:
+    """Run (label, ExperimentConfig, report path) jobs, each to its report.
+
+    Every report is checked first against every job's input files and the
+    other reports.  A job with no completed run fails the command at the end.
+    """
+    inputs = [("--data", c.data) for _, c, _ in jobs if isinstance(c.data, str)]
+    inputs += [("--moments", c.moments) for _, c, _ in jobs if c.moments != "generator"]
+    _check_outputs([(label, path) for label, _, path in jobs], inputs)
+    empty = []
+    for _, config, path in jobs:
+        report = run_experiment(config)
+        emit_report(report, path)
+        print(f"wrote report to {path}")
+        head = f"{config.method} ({config.moment_source}): "
+        if report.completed_runs == 0:
+            print(head + f"no run completed (0/{len(report.runs)} runs)")
+            empty.append(str(path))
+            continue
+        print(head + f"accuracy {report.mean_accuracy:.6f} +- {report.std_accuracy:.6f}, "
+              f"auc {report.mean_auc:.6f} +- {report.std_auc:.6f}, train "
+              f"{report.mean_seconds:.4f}s over {report.completed_runs}/{len(report.runs)} runs")
+    if empty:
+        raise ValueError(f"no run completed for {', '.join(empty)}")
+    return 0
 
 
 def _cmd_cv(args: argparse.Namespace) -> int:
-    _check_outputs([("--report-out", args.report_out)],
-                   [("--data", args.data), ("--moments", args.moments)])
     config = _from_args(ExperimentConfig, args, optimizer=_from_args(LineSearchConfig, args))
-    report = run_experiment(config)
-    emit_report(report, args.report_out)
-    print(f"wrote report to {args.report_out}")
-    print(_summary_line(report))
-    return 0
+    return _run_and_report([("--report-out", config, args.report_out)])
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -173,7 +186,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if not isinstance(entries, list) or not entries:
         raise ValueError("configs file must hold a non-empty JSON list")
     # build every config first so a bad entry fails before any sweep runs
-    named = []
+    out_dir = Path(args.out_dir)
+    jobs = []
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ValueError(f"config config_{i:02d}: entry must be a JSON object, got {entry!r}")
@@ -182,23 +196,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         # each name is the file name of one report in the output directory
         if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
             raise ValueError(f"config config_{i:02d}: name must be a plain file name, got {name!r}")
-        if any(name == earlier for earlier, _ in named):
-            raise ValueError(f"config {name}: name is already used by an earlier entry")
         try:
             if isinstance(fields.get("data"), dict):
                 fields["data"] = GaussianSpec(**fields["data"])
             if "optimizer" in fields:
                 fields["optimizer"] = LineSearchConfig(**fields["optimizer"])
-            named.append((name, ExperimentConfig(**fields)))
+            jobs.append((f"config {name}", ExperimentConfig(**fields), out_dir / f"{name}.csv"))
         except (TypeError, ValueError) as exc:  # unknown or missing key, bad value
             raise ValueError(f"config {name}: {exc}") from None
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for i, (name, config) in enumerate(named):
-        report = run_experiment(config)
-        emit_report(report, out_dir / f"{name}.csv")
-        print(f"[{i + 1}/{len(named)}] {name}: {_summary_line(report)}")
-    return 0
+    return _run_and_report(jobs)
 
 
 @functools.cache

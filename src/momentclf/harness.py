@@ -109,16 +109,24 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Metrics of one (repeat, fold) run; failed runs carry a reason instead."""
+    """Metrics and optimizer trace of one (repeat, fold) run.
+
+    A failed run carries the reason instead.  trace is None for
+    closed-form lda and for failed runs.
+    """
 
     run: int
     fold: int
     repeat: int
-    accuracy: float | None
-    auc: float | None
-    train_seconds: float | None
-    failed: bool = False
+    accuracy: float | None = None
+    auc: float | None = None
+    train_seconds: float | None = None
+    trace: OptimizationTrace | None = None
     reason: str = ""
+
+    @property
+    def failed(self) -> bool:
+        return bool(self.reason)
 
 
 @dataclass
@@ -126,13 +134,11 @@ class ExperimentReport:
     """All runs of one config plus aggregate statistics.
 
     Aggregates are over completed runs only; std uses the (runs - 1)
-    denominator.  traces is parallel to runs (None for closed-form or
-    failed runs) so optimizer behavior stays auditable per run.
+    denominator.
     """
 
     config: ExperimentConfig
     runs: list[RunResult] = field(default_factory=list)
-    traces: list[OptimizationTrace | None] = field(default_factory=list)
 
     def _completed(self, attr: str) -> np.ndarray:
         return np.array(
@@ -289,22 +295,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 model, trace = fit(config.method, train, moments, config.optimizer, run_seed)
                 train_seconds = time.perf_counter() - started
                 scored = evaluate_model(model, test)
-                result = RunResult(run=run_no, fold=fold, repeat=repeat, accuracy=scored.accuracy,
-                                   auc=scored.auc, train_seconds=train_seconds)
+                result = RunResult(run_no, fold, repeat, scored.accuracy, scored.auc,
+                                   train_seconds, trace)
             except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
-                result = RunResult(
-                    run=run_no,
-                    fold=fold,
-                    repeat=repeat,
-                    accuracy=None,
-                    auc=None,
-                    train_seconds=None,
-                    failed=True,
-                    reason=f"{type(exc).__name__}: {exc}",
-                )
-                trace = None
+                result = RunResult(run_no, fold, repeat, reason=f"{type(exc).__name__}: {exc}")
             report.runs.append(result)
-            report.traces.append(trace)
     return report
 
 

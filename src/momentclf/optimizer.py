@@ -199,7 +199,6 @@ def gd_backtracking(
     trace = OptimizationTrace(initial_value=float(current.value), initial_grad_norm=grad_norm,
                               evaluations=1)
     threshold = config.grad_tol_rel * grad_norm
-    total_backtracks = 0
     rung = 0
     passed = {}
 
@@ -226,25 +225,24 @@ def gd_backtracking(
                 break
             f_current = float(current.value)
             decrease_slope = config.c * grad_norm * grad_norm
-            evaluations_before = trace.evaluations
             passed.clear()
             rung = _first_passing_rung(margin_at, rung if current.convex else 0,
                                        config.max_backtracks, _ROUNDING * abs(f_current))
             if rung is None:
                 trace.reason = REASON_LINE_SEARCH
                 break
-            accepted = passed[rung]
-            total_backtracks += trace.evaluations - evaluations_before - 1
-            w, current = accepted
+            w, current = passed[rung]
             grad = np.asarray(current.gradient, dtype=float)
             grad_norm = math.sqrt(float(grad @ grad))
+            iteration = len(trace.records) + 1
             trace.records.append(
                 TraceRecord(
-                    iteration=len(trace.records) + 1,
+                    iteration=iteration,
                     value=float(current.value),
                     grad_norm=grad_norm,
                     step=alphas[rung],
-                    backtracks=total_backtracks,
+                    # every evaluation so far is the start, an accepted step or a backtrack
+                    backtracks=trace.evaluations - 1 - iteration,
                     seconds=time.perf_counter() - start,
                 )
             )

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from momentclf import (
     load_moments,
     save_moments,
 )
+from momentclf import cli
 from momentclf.cli import _build_parser, _from_args, main
 from momentclf.harness import REPORT_HEADER, TRACE_HEADER
 
@@ -44,6 +46,12 @@ def raw_units(tmp_path_factory):
                "--seed", "3", "--out", str(out)])
     assert rc == 0
     return out
+
+
+def _snapshot(root):
+    """Every file's bytes under root, and every directory as None, by relative path."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
 
 
 def _masked_report(path):
@@ -134,17 +142,25 @@ class TestOutputRule:
         ["train", "--method", "lda", "--data", "g.libsvm", "--model-out", "./g.libsvm.npz"],
         ["cv", "--method", "lda", "--data", "g.libsvm", "--moments", "g.libsvm.moments",
          "--report-out", "g.libsvm.moments"],
+        ["train", "--method", "error-direct", "--data", "g.libsvm", "--model-out", "adir"],
+        ["cv", "--method", "lda", "--data", "g.libsvm", "--report-out", "adir"],
     ], ids=["model-is-trace", "report-is-data", "model-is-data", "trace-dir-missing",
-            "model-is-twin", "report-is-sidecar"])
+            "model-is-twin", "report-is-sidecar", "model-is-directory", "report-is-directory"])
     def test_refused_before_any_work(self, generated, tmp_path, capsys, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
         for suffix in ("", ".npz", ".moments"):
             shutil.copy(str(generated) + suffix, "g.libsvm" + suffix)
-        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        (tmp_path / "adir").mkdir()
+        before = _snapshot(tmp_path)
+        # train's work starts with load_source, cv's with run_experiment
+        started = []
+        for name in ("load_source", "run_experiment"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name: started.append(name))
         assert main(argv) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
-        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert started == []
+        assert _snapshot(tmp_path) == before
 
 
 class TestTrain:
@@ -362,9 +378,12 @@ class TestCv:
         report_out = tmp_path / "cv.csv"
         rc = main(["cv", "--method", "lda", "--data", str(generated), "--moments", str(sidecar),
                    "--folds", "3", "--repeats", "2", "--report-out", str(report_out)])
-        assert rc == 0
-        summary = capsys.readouterr().out.splitlines()[-1]
-        assert summary == "lda (exact): no run completed (0/6 runs)"
+        # the report is still written, then the command fails
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out.splitlines()[-1] == "lda (exact): no run completed (0/6 runs)"
+        assert err == f"error: no run completed for {report_out}\n"
+        assert len(report_out.read_text().splitlines()) == 1 + 6 + 1
 
     @pytest.mark.parametrize("method", ["logistic", "hinge"])
     def test_sample_methods_reject_sidecar(self, generated, tmp_path, capsys, method):
@@ -434,12 +453,16 @@ class TestBench:
         cfg_path = tmp_path / "configs.json"
         cfg_path.write_text(json.dumps(configs))
         out_dir = tmp_path / "reports"
+        out_dir.mkdir()
         rc = main(["bench", "--configs", str(cfg_path), "--out-dir", str(out_dir)])
         assert rc == 0
         assert (out_dir / "lda_file.csv").exists()
         assert (out_dir / "err_synth.csv").exists()
-        out = capsys.readouterr().out
-        assert "lda_file" in out and "err_synth" in out
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == f"wrote report to {out_dir / 'lda_file.csv'}"
+        assert out[1].startswith("lda (empirical): accuracy ")
+        assert out[2] == f"wrote report to {out_dir / 'err_synth.csv'}"
+        assert out[3].startswith("error-direct (exact): accuracy ")
 
     def test_empty_config_list_fails_cleanly(self, tmp_path, capsys):
         cfg_path = tmp_path / "empty.json"
@@ -510,7 +533,6 @@ class TestBench:
         ({"name": "."}, "config config_01: name must be a plain file name"),
         ({"name": ".."}, "config config_01: name must be a plain file name"),
         ({"name": 5}, "config config_01: name must be a plain file name, got 5"),
-        ({"name": "ok"}, "config ok: name is already used by an earlier entry"),
     ])
     def test_malformed_entry_fails_before_running(self, generated, tmp_path, capsys,
                                                   entry, message):
@@ -525,17 +547,64 @@ class TestBench:
         assert capsys.readouterr().err.startswith("error: " + message)
         assert not out_dir.exists()
 
-    def test_default_name_counts_as_taken(self, generated, tmp_path, capsys):
-        # an unnamed entry i is config_<i>, so a named entry cannot take its report
+    @staticmethod
+    def _refused(tmp_path, capsys, entries, out_dir, label):
+        """bench exits 1 with one error line for label and changes no file."""
+        (tmp_path / "bench.json").write_text(json.dumps(entries))
+        before = _snapshot(tmp_path)
+        assert main(["bench", "--configs", "bench.json", "--out-dir", out_dir]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: config {label} ")
+        assert _snapshot(tmp_path) == before
+
+    def test_report_may_not_overwrite_the_data(self, generated, tmp_path, capsys, monkeypatch):
+        # this sweep used to exit 0 and replace toy.csv with its report
+        monkeypatch.chdir(tmp_path)
+        shutil.copy(generated, "toy.csv")
+        entry = {"name": "toy", "method": "lda", "data": "toy.csv", "folds": 3, "repeats": 1}
+        self._refused(tmp_path, capsys, [entry], ".", "toy")
+
+    def test_report_may_not_overwrite_a_sidecar(self, generated, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        shutil.copy(str(generated) + ".moments", "m.csv")
+        entry = {"name": "m", "method": "lda", "data": str(generated), "moments": "m.csv",
+                 "folds": 2, "repeats": 1}
+        self._refused(tmp_path, capsys, [entry], ".", "m")
+
+    # an unnamed entry i is config_<i>, so a named entry cannot take its report
+    @pytest.mark.parametrize("first, second", [("twice", "twice"), ("config_01", None)],
+                             ids=["same-name", "default-name"])
+    def test_two_entries_may_not_share_a_report(self, generated, tmp_path, capsys, monkeypatch,
+                                                first, second):
+        monkeypatch.chdir(tmp_path)
+        Path("reports").mkdir()
         entry = {"method": "lda", "data": str(generated), "folds": 2, "repeats": 1}
-        cfg_path = tmp_path / "clash.json"
-        cfg_path.write_text(json.dumps([{**entry, "name": "config_01"}, entry]))
-        out_dir = tmp_path / "r"
-        rc = main(["bench", "--configs", str(cfg_path), "--out-dir", str(out_dir)])
+        named = [{**entry, "name": name} if name else entry for name in (first, second)]
+        self._refused(tmp_path, capsys, named, "reports", first)
+
+    def test_missing_out_dir_is_refused(self, generated, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        entry = {"name": "ok", "method": "lda", "data": str(generated), "folds": 2, "repeats": 1}
+        self._refused(tmp_path, capsys, [entry], "nodir", "ok")
+
+    def test_entry_with_no_completed_run_fails_the_sweep(self, generated, tmp_path, capsys):
+        # coinciding class means give lda no direction, so every fold of "bad" fails
+        sidecar = tmp_path / "same-means.moments"
+        save_moments(ClassMoments(np.zeros(4), np.zeros(4), np.eye(4), np.eye(4), 0.5, 0.5),
+                     sidecar)
+        good = {"name": "good", "method": "lda", "data": str(generated), "folds": 2, "repeats": 1}
+        cfg_path = tmp_path / "bench.json"
+        cfg_path.write_text(json.dumps([{**good, "name": "bad", "moments": str(sidecar)}, good]))
+        rc = main(["bench", "--configs", str(cfg_path), "--out-dir", str(tmp_path)])
         assert rc == 1
-        assert capsys.readouterr().err.startswith(
-            "error: config config_01: name is already used by an earlier entry")
-        assert not out_dir.exists()
+        out, err = capsys.readouterr()
+        assert out.splitlines()[1] == "lda (exact): no run completed (0/2 runs)"
+        assert out.splitlines()[3].endswith(" over 2/2 runs")
+        assert err == f"error: no run completed for {tmp_path / 'bad.csv'}\n"
+        for name, completed in (("bad", 0), ("good", 2)):
+            rows = (tmp_path / f"{name}.csv").read_text().splitlines()[1:-1]
+            assert sum(row.split(",")[5] != "" for row in rows) == completed
 
 
 class TestParserBuiltOnce:

@@ -229,8 +229,16 @@ class TestRunExperiment:
                 method="error-direct", data=str(data_path), folds=2, repeats=1, seed=0
             )
         )
-        assert len(report.traces) == 2
-        assert all(t.iterations >= 1 for t in report.traces)
+        assert len(report.runs) == 2
+        assert all(r.trace.iterations >= 1 for r in report.runs)
+        # closed-form lda and failed runs carry no trace
+        spec = GaussianSpec(d=3, n=200, prior_pos=0.5, seed=8)
+        lda = run_experiment(ExperimentConfig(method="lda", data=spec, folds=2, repeats=1))
+        assert [r.trace for r in lda.runs] == [None, None]
+        failing = run_experiment(ExperimentConfig(method="error-direct", data=spec, folds=200,
+                                                  repeats=1))
+        assert len(failing.runs) == 200
+        assert all(r.failed and r.trace is None for r in failing.runs)
 
     def test_generator_source_runs_all_methods(self):
         spec = GaussianSpec(d=3, n=200, prior_pos=0.5, seed=8)
