@@ -35,14 +35,14 @@ class ObjectiveEval:
 
     `gradient` is given either as an array or as a zero-argument function
     that builds it.  A function runs on the first read of `.gradient` and
-    its result is kept, so a caller that only compares values (a rejected
+    its result is kept, so a caller that only compares values (a failing
     line-search trial) never pays for the gradient.  Such a function may
     read only what the evaluation itself built or what cannot change.
 
     `convex` says the objective is convex in w.  gd_backtracking then
-    starts each line search at the previous accepted step, which finds the
-    same step with fewer trials; an objective that is not convex, or not
-    known to be, leaves it False and every search starts at alpha0.
+    starts each search at the last accepted step and bounds larger steps
+    by the gradient at a trial that passes; an objective not known to be
+    convex leaves it False, and every search starts at alpha0.
     """
 
     __slots__ = ("value", "_gradient", "convex")
@@ -106,7 +106,14 @@ def _cdf_chain_gradient(mu, ratio, sigma_w, sigma_times_w):
     dens = std_normal_pdf(ratio)
     if dens == 0.0:
         return np.zeros_like(sigma_times_w)
-    return dens * (sigma_w * mu - ratio * sigma_times_w) / (sigma_w * sigma_w)
+    # dens * (sigma_w * mu - ratio * Sw) / (sigma_w * sigma_w), in place;
+    # Sw is the evaluation's own product, so it may be overwritten
+    grad = sigma_w * mu
+    sigma_times_w *= ratio
+    grad -= sigma_times_w
+    grad *= dens
+    grad /= sigma_w * sigma_w
+    return grad
 
 
 def error_objective(moments: ClassMoments) -> Objective:
@@ -129,7 +136,11 @@ def error_objective(moments: ClassMoments) -> Objective:
         value = prior_pos * (1.0 - std_normal_cdf(r_pos)) + prior_neg * std_normal_cdf(r_neg)
         g_pos = _cdf_chain_gradient(mu_pos, r_pos, s_pos, sw_pos)
         g_neg = _cdf_chain_gradient(mu_neg, r_neg, s_neg, sw_neg)
-        return ObjectiveEval(value=value, gradient=prior_neg * g_neg - prior_pos * g_pos)
+        # prior_neg * g_neg - prior_pos * g_pos, in place
+        g_neg *= prior_neg
+        g_pos *= prior_pos
+        g_neg -= g_pos
+        return ObjectiveEval(value=value, gradient=g_neg)
 
     return evaluate
 

@@ -12,6 +12,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,14 +70,14 @@ class LineSearchConfig:
             raise ValueError(f"max_backtracks must be >= 1, got {self.max_backtracks!r}")
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """State after one accepted step.
+class TraceRecord(NamedTuple):
+    """State after one accepted step, a tuple in field order.
 
     iteration is 1-based; value and grad_norm describe the new iterate;
     step is the accepted alpha; backtracks counts, cumulatively, the trial
     steps that were evaluated but not taken (for an objective that is not
-    convex, exactly the steps rejected on the way down from alpha0);
+    convex, exactly the steps rejected on the way down from alpha0; for a
+    convex one, fewer, as steps the search rules out are never evaluated);
     seconds is wall-clock time since the run started.
     """
 
@@ -123,19 +124,22 @@ class OptimizationTrace:
 _ROUNDING = 2.0**-44
 
 
-def _first_passing_rung(margin_at, first, last, slack):
+def _first_passing_rung(margin_at, first, last, slack, rules_out_next):
     """The smallest k in 0..last with margin_at(k) <= 0, or None.
 
     margin_at(k) evaluates the Armijo test at rung k (step alpha0*beta^k)
-    and returns how far the trial value lies above the line.  The rungs
-    from first up to larger steps are tried until one fails by more than
-    slack, then the rungs below first in order.  For a convex objective the
-    margin is a convex function of the step that is 0 at step 0, so once
-    positive it grows at least in proportion to the step: a failure by
-    more than slack rules out every larger step, while a failure within
-    slack may be rounding and rules out nothing.  From first=0 this is the
-    plain search from alpha0 down.  Rungs ruled out are tried last, so a
-    search that finds nothing has tried every rung once.
+    and returns how far the trial value lies above the line (<= 0 for a
+    pass).  The rungs from first up to larger steps are tried until one
+    fails by more than slack, then the rungs below first in order.  For a
+    convex objective the margin is a convex function of the step that is 0
+    at step 0, so once positive it grows at least in proportion to the
+    step: a failure by more than slack rules out every larger step, while a
+    failure within slack may be rounding and rules out nothing.  After a
+    pass at k > 0 the climb also stops, without evaluating rung k-1, when
+    rules_out_next(k, margin_at(k)) says so.  From first=0 this is the
+    plain search from alpha0 down, which never consults rules_out_next.
+    Rungs ruled out are tried last, so a search that finds nothing has
+    tried every rung once.
     """
     found = None
     ruled_out = 0
@@ -143,6 +147,8 @@ def _first_passing_rung(margin_at, first, last, slack):
         margin = margin_at(k)
         if margin <= 0.0:
             found = k
+            if k and rules_out_next(k, margin):
+                break
         elif margin > slack:
             ruled_out = k
             break
@@ -170,11 +176,14 @@ def gd_backtracking(
     [0, alpha*], so the same step is found from any rung: the search then
     starts at the previous iteration's accepted rung and climbs while the
     test holds, or descends until it does (see _first_passing_rung for the
-    failures near rounding level that it does not trust).  A failed search
-    costs max_backtracks + 1 evaluations either way.
-    The gradient is read only at the start and at accepted points, so a
-    rejected trial costs one objective value and, for an objective whose
-    gradient is built lazily (see ObjectiveEval), nothing more.
+    failures near rounding level that it does not trust).  While it climbs,
+    the tangent at a trial that passed bounds the next-larger step's test,
+    and a bound failing by over twice the rounding slack ends the climb
+    without evaluating that step.  A failed search costs max_backtracks + 1
+    evaluations either way.  The gradient is read only at the start, at
+    accepted points and at trials that pass during a climb, so a failing
+    trial costs one objective value and, for an objective whose gradient is
+    built lazily (see ObjectiveEval), nothing more.
     Termination: gradient norm below grad_tol_rel times its starting value
     ("gradient-tolerance"), max_iters accepted steps ("max-iterations"), an
     accepted step whose value is not below the incumbent's and whose
@@ -203,17 +212,23 @@ def gd_backtracking(
     passed = {}
 
     def margin_at(k):
-        # how far the value at rung k lies above the Armijo line, 0 for a
-        # rung that passes, which keeps its trial point and evaluation
+        # how far the value at rung k lies above the Armijo line; a rung
+        # that passes keeps its trial point and evaluation
         trace.evaluations += 1
-        trial_w = w - alphas[k] * grad
+        trial_w = alphas[k] * grad
+        np.subtract(w, trial_w, out=trial_w)
         trial = objective(trial_w)
         value = float(trial.value)
         bound = f_current - alphas[k] * decrease_slope
         if value <= bound:
             passed[k] = (trial_w, trial)
-            return 0.0
         return value - bound
+
+    def rules_out_next(k, margin):
+        # a convex F lies above its tangent at w_k, so rung k-1's margin is at
+        # least margin + (step increase) * slope; past 2*slack it truly fails
+        slope = decrease_slope - float(grad @ passed[k][1].gradient)
+        return margin + (alphas[k - 1] - alphas[k]) * slope > 2.0 * slack
 
     try:
         while True:
@@ -225,9 +240,10 @@ def gd_backtracking(
                 break
             f_current = float(current.value)
             decrease_slope = config.c * grad_norm * grad_norm
+            slack = _ROUNDING * abs(f_current)
             passed.clear()
             rung = _first_passing_rung(margin_at, rung if current.convex else 0,
-                                       config.max_backtracks, _ROUNDING * abs(f_current))
+                                       config.max_backtracks, slack, rules_out_next)
             if rung is None:
                 trace.reason = REASON_LINE_SEARCH
                 break
@@ -235,17 +251,10 @@ def gd_backtracking(
             grad = np.asarray(current.gradient, dtype=float)
             grad_norm = math.sqrt(float(grad @ grad))
             iteration = len(trace.records) + 1
-            trace.records.append(
-                TraceRecord(
-                    iteration=iteration,
-                    value=float(current.value),
-                    grad_norm=grad_norm,
-                    step=alphas[rung],
-                    # every evaluation so far is the start, an accepted step or a backtrack
-                    backtracks=trace.evaluations - 1 - iteration,
-                    seconds=time.perf_counter() - start,
-                )
-            )
+            # every evaluation so far is the start, an accepted step or a backtrack
+            trace.records.append(TraceRecord(iteration, float(current.value), grad_norm,
+                                             alphas[rung], trace.evaluations - 1 - iteration,
+                                             time.perf_counter() - start))
             if float(current.value) >= f_current and grad_norm > threshold:
                 # the step passed Armijo only because F - c*alpha*||g||^2
                 # rounds to F; a step onto a converged point stops on the gradient

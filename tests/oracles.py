@@ -8,14 +8,15 @@ oracle integrates the density with Gauss-Legendre panels instead of using
 the error function, gradients come from central differences, pair losses
 from O(n^2) enumeration, covariances from explicit two-pass loops, and
 expectations from Monte-Carlo sampling.  The exceptions are the eager
-surrogate gradients, the generator, moment estimator and discriminant
+surrogate gradients, the direct objectives' gradients with a fresh array
+per operation, the generator, moment estimator and discriminant
 as first written, with an identity matrix, an explicit symmetrization and
 a fresh array per step, the line search as first written, from alpha0
 down on every iteration, and the LIBSVM parser as first written, with a
 tuple per entry: they repeat the package's formulas operation for
-operation, so that its lazily built gradients, its in-place moment path,
-its warm-started line search and its array-backed parser can be compared
-bit for bit.  The parser builds the Dataset container and raises the
+operation, so that its lazily built and in-place gradients, its in-place
+moment path, its warm-started line search and its array-backed parser can
+be compared bit for bit.  The parser builds the Dataset container and raises the
 package's ParseError, so its messages can be compared too.  So do the
 writers, the stable sigmoid and the logistic value as first written, one
 wrapper call per value or array operation, against which the package's
@@ -126,6 +127,33 @@ def eager_logistic_gradient(w: np.ndarray, features: np.ndarray, labels: np.ndar
     sigmoid[~up] = e / (1.0 + e)
     coef = sigmoid * (-y) / features.shape[0]
     return features.T @ coef + 2.0 * lam * w
+
+
+def _cdf_chain_gradient_as_first_written(mu, sigma, w):
+    # the projection and chain rule of the direct objectives, one fresh
+    # array per operation
+    sigma_times_w = sigma @ w
+    q = float(w @ sigma_times_w)
+    sigma_w = math.sqrt(q) if q > 0.0 else 0.0
+    ratio = float(w @ mu) / sigma_w
+    dens = _INV_SQRT_2PI * math.exp(-0.5 * ratio * ratio)
+    if dens == 0.0:
+        return np.zeros_like(sigma_times_w)
+    return dens * (sigma_w * mu - ratio * sigma_times_w) / (sigma_w * sigma_w)
+
+
+def error_gradient_as_first_written(moments, w: np.ndarray) -> np.ndarray:
+    """Gradient of the expected-error objective as first written."""
+    w = np.asarray(w, dtype=float)
+    g_pos = _cdf_chain_gradient_as_first_written(moments.mu_pos, moments.sigma_pos, w)
+    g_neg = _cdf_chain_gradient_as_first_written(moments.mu_neg, moments.sigma_neg, w)
+    return moments.prior_neg * g_neg - moments.prior_pos * g_pos
+
+
+def auc_gradient_as_first_written(pair_moments, w: np.ndarray) -> np.ndarray:
+    """Gradient of the expected ranking loss as first written."""
+    w = np.asarray(w, dtype=float)
+    return _cdf_chain_gradient_as_first_written(pair_moments.mu_hat, pair_moments.sigma_hat, w)
 
 
 def cold_backtracking(objective, w0: np.ndarray, config):

@@ -230,3 +230,46 @@ class TestObjectiveFactories:
         for obj in (error_objective(m), auc_objective(auc_moments(m))):
             with pytest.raises(DegenerateProjectionError):
                 obj(np.zeros(3))
+
+
+class TestInPlaceGradients:
+    """The direct gradients are built in place, in the operation order of
+    the formulas as first written, so they match those bytes exactly."""
+
+    @staticmethod
+    def _case(d):
+        rng = np.random.default_rng(d)
+        m = ClassMoments(**oracles.random_class_moments(rng, d=d))
+        points = [rng.normal(size=d) for _ in range(3)] + [m.mu_pos.copy(), m.mu_neg.copy()]
+        return m, auc_moments(m), points
+
+    @pytest.mark.parametrize("d", [5, 50, 800])
+    def test_gradients_match_the_formulas_as_first_written(self, d):
+        m, pair, points = self._case(d)
+        error, auc = error_objective(m), auc_objective(pair)
+        for w in points:
+            assert error(w).gradient.tobytes() == (
+                oracles.error_gradient_as_first_written(m, w).tobytes())
+            assert auc(w).gradient.tobytes() == (
+                oracles.auc_gradient_as_first_written(pair, w).tobytes())
+
+    def test_saturated_class_matches_the_formulas_as_first_written(self):
+        # one class's density underflows to 0, the other's does not
+        m = ClassMoments(np.array([1e6, 0.0]), np.array([0.5, 0.25]), np.eye(2), np.eye(2),
+                         0.3, 0.7)
+        w = np.array([1.0, 0.5])
+        assert error_objective(m)(w).gradient.tobytes() == (
+            oracles.error_gradient_as_first_written(m, w).tobytes())
+
+    def test_earlier_gradients_and_the_callers_w_are_not_written(self):
+        m, pair, points = self._case(50)
+        for objective in (error_objective(m), auc_objective(pair)):
+            kept = []
+            for w in points:
+                before = w.tobytes()
+                gradient = objective(w).gradient
+                kept.append((gradient, gradient.tobytes()))
+                assert w.tobytes() == before
+            for w in reversed(points):
+                objective(w).gradient
+            assert all(gradient.tobytes() == first for gradient, first in kept)

@@ -23,6 +23,7 @@ from momentclf import (
     kfold_split,
     logistic_objective,
 )
+from momentclf import optimizer
 from momentclf.optimizer import (
     REASON_GRADIENT,
     REASON_LINE_SEARCH,
@@ -170,6 +171,24 @@ class TestGdBacktracking:
         assert trace.reason == REASON_GRADIENT
         assert trace.iterations == 1
 
+    @pytest.mark.parametrize("case", ["hinge", "logistic-lam"])
+    def test_points_are_never_written_once_evaluated(self, convex_cases, case):
+        objective, d = convex_cases[case]
+        seen = []
+
+        def keeping(w):
+            # the array itself, not a copy, with its bytes at evaluation
+            seen.append((w, w.tobytes()))
+            return objective(w)
+
+        w0 = init_random(d, 1)
+        start = w0.tobytes()
+        model, trace = gd_backtracking(keeping, w0, LineSearchConfig(alpha0=8.0, max_iters=60))
+        assert trace.records[-1].backtracks > 0
+        assert w0.tobytes() == start
+        assert all(w.tobytes() == at for w, at in seen)
+        assert any(model.w.tobytes() == at for _, at in seen)
+
     def test_midrun_exception_carries_partial_trace(self):
         calls = {"n": 0}
 
@@ -260,6 +279,57 @@ class TestLazyGradient:
         assert built == accepted
         assert len(evals) == accepted[-1] + 1 == trace.evaluations
 
+    @pytest.mark.parametrize("start", [1, 2, 3])
+    @pytest.mark.parametrize("case", ["hinge", "hinge-ties", "logistic-lam"])
+    def test_convex_gradient_built_only_at_points_that_pass(self, convex_cases, case, start):
+        objective, d = convex_cases[case]
+        points, values, built = [], [], []
+
+        def counting(w):
+            index = len(points)
+            points.append(np.array(w))
+            ev = objective(w)
+            values.append(float(ev.value))
+
+            def gradient():
+                built.append(index)
+                return ev.gradient
+
+            return ObjectiveEval(value=ev.value, gradient=gradient, convex=ev.convex)
+
+        config = LineSearchConfig(alpha0=8.0, max_iters=60)
+        _, trace = gd_backtracking(counting, init_random(d, start), config)
+        assert trace.reason != REASON_LINE_SEARCH
+        alphas = config.alpha0 * config.beta ** np.arange(config.max_backtracks + 1)
+        # the evaluations up to the end of each search; a climb may end on a
+        # failing trial, so the accepted point need not be the last of them
+        ends = [0] + [r.iteration + r.backtracks for r in trace.records]
+        grad_norms = [trace.initial_grad_norm] + [r.grad_norm for r in trace.records]
+        accepted, passing, passed_over = [0], [], []
+        for i, record in enumerate(trace.records):
+            # replay each trial of the search from the last accepted point:
+            # its rung from its bytes, then its Armijo test
+            at = accepted[-1]
+            grad = objective(points[at]).gradient
+            slope = config.c * grad_norms[i] * grad_norms[i]
+            rung_of = {(points[at] - a * grad).tobytes(): k for k, a in enumerate(alphas)}
+            trials = {t: rung_of[points[t].tobytes()] for t in range(ends[i] + 1, ends[i + 1] + 1)}
+            accepted.append(next(t for t, k in trials.items() if alphas[k] == record.step))
+            for t, k in trials.items():
+                if values[t] <= values[at] - alphas[k] * slope:
+                    passing.append(t)
+                    if t != accepted[-1]:
+                        # a larger step than the one accepted: the climb went past it
+                        assert k > trials[accepted[-1]]
+                        passed_over.append(t)
+        # the start, every passing trial and so every accepted point; never
+        # a failing trial
+        assert built == [0] + passing
+        assert set(accepted) <= set(built)
+        assert len(built) == trace.iterations + 1 + len(passed_over)
+        assert passed_over, "no climb went past a passing trial"
+        assert len(points) == trace.evaluations
+
     def test_failed_line_search_builds_only_the_start_gradient(self):
         built = []
 
@@ -280,14 +350,15 @@ class TestFirstPassingRung:
     """The rung search on scripted margins: > 0 fails, <= 0 passes."""
 
     @staticmethod
-    def _search(margins, first):
+    def _search(margins, first, rules_out_next=lambda k, margin: False):
         calls = []
 
         def margin_at(k):
             calls.append(k)
             return margins[k]
 
-        return _first_passing_rung(margin_at, first, len(margins) - 1, 1e-12), calls
+        return _first_passing_rung(margin_at, first, len(margins) - 1, 1e-12,
+                                   rules_out_next), calls
 
     def test_from_zero_is_the_search_from_alpha0(self):
         k, calls = self._search([8.0, 4.0, 2.0, -1.0, -0.5], 0)
@@ -322,6 +393,68 @@ class TestFirstPassingRung:
             assert k is None
             assert sorted(calls) == list(range(len(margins)))
 
+    @staticmethod
+    def _recording(answer):
+        consulted = []
+
+        def rules_out_next(k, margin):
+            consulted.append((k, margin))
+            return answer(k)
+
+        return rules_out_next, consulted
+
+    def test_hook_is_consulted_only_after_a_pass_above_rung_0(self):
+        # climb from 5: pass, fail within slack, pass, pass, fail beyond slack
+        margins = [8.0, 4.0, -1.0, -0.5, 1e-15, -0.125]
+        hook, consulted = self._recording(lambda k: False)
+        k, calls = self._search(margins, 5, hook)
+        assert (k, calls) == (2, [5, 4, 3, 2, 1])
+        assert consulted == [(5, -0.125), (3, -0.5), (2, -1.0)]
+        # a climb that reaches alpha0 passes there without consulting
+        hook, consulted = self._recording(lambda k: False)
+        k, calls = self._search([-2.0, -1.0, -0.5], 2, hook)
+        assert (k, calls) == (0, [2, 1, 0])
+        assert consulted == [(2, -0.5), (1, -1.0)]
+        # a pass found on the way down after a failure ends the search
+        hook, consulted = self._recording(lambda k: False)
+        k, calls = self._search([8.0, 4.0, 2.0, 1.0, -0.5, -0.25], 2, hook)
+        assert (k, calls) == (4, [2, 3, 4])
+        assert consulted == []
+
+    def test_true_hook_ends_the_climb_at_its_pass(self):
+        margins = [8.0, 4.0, -1.0, -0.5, -0.25, -0.125]
+        hook, consulted = self._recording(lambda k: k == 4)
+        k, calls = self._search(margins, 5, hook)
+        assert k == 4
+        # rung 3 passes, but the hook ruled it out and it is never evaluated
+        assert calls == [5, 4]
+        assert consulted == [(5, -0.125), (4, -0.25)]
+
+    def test_false_hook_leaves_the_calls_unchanged(self):
+        margins = [8.0, 4.0, 2.0, 1.0, -0.5, -0.25, -0.125, -0.0625]
+        for first in range(len(margins)):
+            hook, consulted = self._recording(lambda k: False)
+            k, calls = self._search(margins, first, hook)
+            assert k == 4
+            if first >= 4:
+                # every pass of the climb is consulted, each with its margin
+                assert calls == list(range(first, 2, -1))
+                assert consulted == [(j, margins[j]) for j in range(first, 3, -1)]
+            else:
+                assert calls == list(range(first, 5))
+                assert consulted == []
+
+    def test_search_from_alpha0_never_consults_the_hook(self):
+        # gd_backtracking starts every search of a non-convex objective at
+        # rung 0, so these scripts cover it
+        for margins in ([8.0, 4.0, -1.0, -0.5], [-1.0, -0.5], [1e-15, -1.0, 1e-15, -0.5],
+                        [4.0, 2.0, 1e-15, 1.0, float("nan")]):
+            hook, consulted = self._recording(lambda k: True)
+            k, calls = self._search(margins, 0, hook)
+            assert consulted == []
+            assert k == next((j for j, m in enumerate(margins) if m <= 0.0), None)
+            assert calls == list(range(len(margins) if k is None else k + 1))
+
 
 def _tied_hinge_data():
     # the rows sit on a small integer grid and each appears once per class
@@ -351,11 +484,11 @@ def _record_bytes(values):
     return np.array(values, dtype=float).tobytes()
 
 
-def _against_cold_search(objective, d, config):
+def _against_cold_search(objective, d, config, start=1):
     """Run the optimizer and the cold-search oracle from one start and
     require the same weights and the same value, grad_norm and step bytes
     on every record."""
-    w0 = init_random(d, 1)
+    w0 = init_random(d, start)
     model, trace = gd_backtracking(objective, w0, config)
     w, records, reason, evaluations = oracles.cold_backtracking(objective, w0, config)
     assert trace.reason == reason
@@ -376,17 +509,68 @@ class TestWarmStartedSearch:
     def test_convex_fit_matches_cold_search(self, convex_cases, case, beta, alpha0):
         objective, d = convex_cases[case]
         config = LineSearchConfig(alpha0=alpha0, beta=beta, max_iters=60)
-        trace, cold_evaluations = _against_cold_search(objective, d, config)
-        assert trace.iterations > 0
-        assert trace.reason != REASON_LINE_SEARCH
-        assert trace.evaluations == 1 + trace.iterations + trace.records[-1].backtracks
-        if case.startswith("hinge"):
-            # a search from alpha0 rejects most of its trials on the hinge
-            assert trace.evaluations < cold_evaluations
-        elif alpha0 == 8.0:
-            # the searches start below alpha0; climbing back up can cost a
-            # trial more than searching down from alpha0 would
-            assert trace.evaluations != cold_evaluations
+        # the tied scores make the hinge's kinks, where rounding and the
+        # convexity bound are most delicate, so it runs from many starts
+        for start in range(1, 9) if case == "hinge-ties" else [1]:
+            trace, cold_evaluations = _against_cold_search(objective, d, config, start)
+            assert trace.iterations > 0
+            assert trace.reason != REASON_LINE_SEARCH
+            assert trace.evaluations == 1 + trace.iterations + trace.records[-1].backtracks
+            if case.startswith("hinge"):
+                # a search from alpha0 rejects most of its trials on the hinge
+                assert trace.evaluations < cold_evaluations
+            elif alpha0 == 8.0:
+                # the searches start below alpha0; climbing back up can cost a
+                # trial more than searching down from alpha0 would
+                assert trace.evaluations != cold_evaluations
+
+    @staticmethod
+    def _with_hook(monkeypatch, replace):
+        """Route every rung search's rules_out_next through replace(hook)."""
+        search = optimizer._first_passing_rung
+
+        def routed(margin_at, first, last, slack, rules_out_next):
+            return search(margin_at, first, last, slack, replace(rules_out_next))
+
+        monkeypatch.setattr(optimizer, "_first_passing_rung", routed)
+
+    @pytest.mark.parametrize("case", ["hinge-ties", "hinge", "logistic-lam"])
+    def test_convexity_bound_removes_only_evaluations(self, convex_cases, monkeypatch, case):
+        objective, d = convex_cases[case]
+        config = LineSearchConfig(alpha0=8.0, max_iters=60)
+        w0 = init_random(d, 1)
+        model, trace = gd_backtracking(objective, w0, config)
+        self._with_hook(monkeypatch, lambda hook: lambda k, margin: False)
+        unbounded_model, unbounded = gd_backtracking(objective, w0, config)
+        assert model.w.tobytes() == unbounded_model.w.tobytes()
+        assert trace.reason == unbounded.reason
+        assert _record_bytes([(r.value, r.grad_norm, r.step) for r in trace.records]) == (
+            _record_bytes([(r.value, r.grad_norm, r.step) for r in unbounded.records]))
+        assert all(a.backtracks <= b.backtracks
+                   for a, b in zip(trace.records, unbounded.records))
+        assert trace.evaluations < unbounded.evaluations
+
+    def test_only_convex_objectives_consult_the_bound(self, convex_cases, monkeypatch):
+        consulted = []
+
+        def counted(hook):
+            def rules_out_next(k, margin):
+                consulted.append(k)
+                return hook(k, margin)
+            return rules_out_next
+
+        self._with_hook(monkeypatch, counted)
+        dataset, _ = gen_gaussian(GaussianSpec(d=5, n=200, prior_pos=0.5, seed=4))
+        moments = estimate_class_moments(dataset)
+        # a large first step makes the ranking objective backtrack
+        config = LineSearchConfig(alpha0=1000.0, max_iters=60)
+        _, trace = gd_backtracking(auc_objective(auc_moments(moments)), init_w0_error(moments),
+                                   config)
+        assert trace.records[-1].backtracks > 0
+        assert consulted == []
+        objective, d = convex_cases["hinge"]
+        gd_backtracking(objective, init_random(d, 1), config)
+        assert consulted and all(k > 0 for k in consulted)
 
     @pytest.mark.parametrize("case, alpha0, beta, max_backtracks", [
         ("hinge", 1.0, 0.5, 3),
@@ -431,23 +615,31 @@ class TestWarmStartedSearch:
 
     def test_hinge_fit_of_criterion_05_makes_few_evaluations(self):
         # the first contaminated split of criterion 05.  Over its first 150
-        # iterations the steps stay above 1e-5 and the search reads 2.0
-        # evaluations per iteration.  At iteration 170 an accepted step
-        # leaves the value where it was, and the fit stops there having read
-        # 2.3 per iteration; run on to max_iters=250, its last 53 steps fall
-        # below 1e-10 and the whole fit reads 8.6
+        # iterations the steps stay above 1e-5 and the search reads 1.8
+        # evaluations per iteration (2.0 without the convexity bound).  At
+        # iteration 170 an accepted step leaves the value where it was, and
+        # the fit stops there having read 2.1 per iteration (2.3); run on to
+        # max_iters=250, its last 53 steps fall below 1e-10 and the whole
+        # fit reads 8.5 (8.6)
         spec = GaussianSpec(d=50, n=5000, prior_pos=0.5, seed=2, mean_scale=0.55)
         dataset, _ = gen_gaussian(spec)
         train_idx, _ = kfold_split(dataset.n, 2, seed=0)[0]
         train = inject_outliers(dataset.subset(train_idx), 10.0, seed=50_000)
-        _, trace = gd_backtracking(hinge_objective(train), init_random(train.dim, seed=2_000))
+        objective, w0 = hinge_objective(train), init_random(train.dim, seed=2_000)
+        model, trace = gd_backtracking(objective, w0)
+        # fewer evaluations, the same fit: its stalled tail is where a bound
+        # without rounding slack gives a different step
+        w, records, _, _ = oracles.cold_backtracking(objective, w0, LineSearchConfig())
+        assert model.w.tobytes() == w.tobytes()
+        assert _record_bytes([(r.value, r.grad_norm, r.step) for r in trace.records]) == (
+            _record_bytes([rec[:3] for rec in records]))
         assert trace.reason == REASON_NO_DECREASE
         assert trace.iterations < 250
         assert trace.records[-1].value >= trace.records[-2].value
         early = trace.records[149]
         assert early.step >= 1e-5
-        assert 1 + early.iteration + early.backtracks <= 2.5 * early.iteration
-        assert trace.evaluations <= 3 * trace.iterations
+        assert 1 + early.iteration + early.backtracks <= 1.9 * early.iteration
+        assert trace.evaluations <= 2.2 * trace.iterations
 
 
 @pytest.mark.parametrize("method", ["error-direct", "auc-direct", "logistic", "hinge"])
