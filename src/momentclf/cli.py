@@ -137,7 +137,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    dataset = load_libsvm(args.data)
+    dataset = load_libsvm(args.data, model.w.shape[0])
     if args.normalize:
         dataset, _ = normalize_zscore(dataset)
     result = evaluate_model(model, dataset, ties=args.ties)

@@ -45,10 +45,10 @@ __all__ = [
 _STD_EPS = 1e-12
 
 
-def _check_features(X: np.ndarray) -> None:
+def _check_features(X: np.ndarray, finite: bool = False) -> None:
     if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
         raise ValueError(f"features must be a non-empty 2-d matrix, got shape {X.shape}")
-    if not np.all(np.isfinite(X)):
+    if not finite and not np.all(np.isfinite(X)):
         raise ValueError("features contain non-finite entries")
 
 
@@ -79,17 +79,19 @@ class Dataset:
         object.__setattr__(self, "labels", y)
 
     @classmethod
-    def _built(cls, features: np.ndarray, labels: np.ndarray) -> Dataset:
+    def _built(cls, features: np.ndarray, labels: np.ndarray, finite: bool = False) -> Dataset:
         """Construct a dataset from arrays the package has just built.
 
         They are a float64 (n, d) matrix and an int64 vector of -1/+1
         labels of matching length, and no caller may write to them, so the
         public constructor's conversions, label checks and copies could
-        not change them.  Features are checked to be non-empty and finite;
-        both arrays are frozen in place and kept as they are, and may be
-        shared with another dataset.  The counterpart of moments._built.
+        not change them.  Features are checked to be non-empty, and to be
+        finite unless finite says the caller already knows they are (rows
+        of a dataset, or entries the parser has checked); both arrays are
+        frozen in place and kept as they are, and may be shared with
+        another dataset.  The counterpart of moments._built.
         """
-        _check_features(features)
+        _check_features(features, finite)
         features.setflags(write=False)
         labels.setflags(write=False)
         out = object.__new__(cls)
@@ -130,7 +132,7 @@ class Dataset:
     def subset(self, indices) -> Dataset:
         """New dataset holding the given rows, in the given order."""
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset._built(self.features[idx], self.labels[idx])
+        return Dataset._built(self.features[idx], self.labels[idx], finite=True)
 
 
 @dataclass(frozen=True)
@@ -199,21 +201,28 @@ def _strip_comment(line: str) -> str:
     return line if cut < 0 else line[:cut]
 
 
-def parse_libsvm(text: str | bytes) -> Dataset:
+def parse_libsvm(text: str | bytes, dim: int | None = None) -> Dataset:
     """Parse LIBSVM-format text into a dense dataset.
 
     Each non-empty line is `<label> <index>:<value> ...` with 1-based,
-    strictly increasing indices; `#` starts a comment.  The width is the
-    largest index seen anywhere; unlisted entries are zero.  Exactly two
-    distinct raw label values must occur, and the numerically larger one
-    maps to +1.  Malformed input raises ParseError naming the line, and so
-    does an index too large to store or to allocate the matrix for.
+    strictly increasing indices; `#` starts a comment.  Unlisted entries
+    are zero, so the text alone cannot show trailing zero features: the
+    width is dim when it is given (a model's or moment sidecar's
+    dimension), and otherwise the largest index seen anywhere.  Exactly
+    two distinct raw label values must occur, and the numerically larger
+    one maps to +1.  Malformed input raises ParseError naming the line,
+    and so does an index above dim, or too large to store or to allocate
+    the matrix for.
 
     Entries are collected into flat typed arrays, 16 bytes each, and
     scattered into one zeroed matrix at the end, so a dense file's parse
     holds its split lines, the entries and then the matrix, not a Python
     object per entry.
     """
+    if dim is not None and dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim!r}")
+    # the first line above dim is the first to raise the largest index past it
+    limit = math.inf if dim is None else dim
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     raw_labels: list[float] = []
@@ -257,12 +266,14 @@ def parse_libsvm(text: str | bytes) -> Dataset:
                 raise ParseError(f"line {lineno}: index {index} is too large") from None
             values.append(value)
         if previous > max_index:
+            if previous > limit:
+                raise ParseError(f"line {lineno}: index {previous} is above the dimension {dim}")
             max_index, max_line = previous, lineno
         raw_labels.append(label)
         counts.append(len(tokens) - 1)
     if not raw_labels:
         raise ParseError("no samples found in input")
-    if max_index == 0:
+    if max_index == 0 and dim is None:
         raise ParseError("no feature entries found in input")
     distinct = sorted(set(raw_labels))
     if len(distinct) != 2:
@@ -270,15 +281,17 @@ def parse_libsvm(text: str | bytes) -> Dataset:
             f"expected exactly two distinct labels, found {len(distinct)}: {distinct}"
         )
     n = len(raw_labels)
+    width = max_index if dim is None else dim
     try:
-        features = np.zeros((n, max_index))
+        features = np.zeros((n, width))
     except (MemoryError, ValueError):  # ValueError: too many elements to address
-        raise ParseError(f"line {max_line}: index {max_index} makes a matrix of {n} x "
-                         f"{max_index} entries that cannot be allocated") from None
+        cause = f"line {max_line}: index {max_index}" if dim is None else f"dimension {dim}"
+        raise ParseError(f"{cause} makes a matrix of {n} x {width} entries that cannot be "
+                         "allocated") from None
     rows = np.repeat(np.arange(n), np.frombuffer(counts, dtype=np.int64))
     features[rows, np.frombuffer(columns, dtype=np.int64)] = np.frombuffer(values)
     labels = np.where(np.array(raw_labels) == distinct[1], 1, -1).astype(np.int64, copy=False)
-    return Dataset._built(features, labels)
+    return Dataset._built(features, labels, finite=True)
 
 
 def format_libsvm(dataset: Dataset) -> str:
@@ -302,20 +315,29 @@ def _twin_path(path) -> str:
     return os.fspath(path) + ".npz"
 
 
-def load_libsvm(path) -> Dataset:
+def load_libsvm(path, dim: int | None = None) -> Dataset:
     """Read a LIBSVM file from disk, from its binary twin when that is current.
 
     The twin PATH.npz, which save_libsvm writes, is used only when it is an
     npz archive that loads without pickles, its digest equals the SHA-256
     of the file's bytes, and its arrays pass the Dataset constructor with
     both classes present.  Otherwise the text is parsed, with parse_libsvm's
-    results and errors.  The text is authoritative: a stale, damaged or
-    missing twin only costs the parse.  Loading never writes a file.
+    results and errors; dim is parse_libsvm's.  A twin narrower than dim
+    is padded with zero columns, as the parse would be, and one wider is
+    not used, so the parse names the line above dim.  The text is
+    authoritative: a stale, damaged or missing twin only costs the parse.
+    Loading never writes a file.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     dataset = _read_twin(_twin_path(path), raw)
-    return dataset if dataset is not None else parse_libsvm(raw)
+    if dataset is None or (dim is not None and dataset.dim > dim):
+        return parse_libsvm(raw, dim)
+    if dim is not None and dataset.dim < dim:
+        features = np.zeros((dataset.n, dim))
+        features[:, : dataset.dim] = dataset.features
+        dataset = Dataset._built(features, dataset.labels, finite=True)
+    return dataset
 
 
 def _read_twin(path: str, raw: bytes) -> Dataset | None:
@@ -469,7 +491,7 @@ def inject_outliers(dataset: Dataset, pct: float, seed: int) -> Dataset:
         labels[rng.choice(dataset.pos_index, size=k_pos, replace=False)] = -1
     if k_neg > 0:
         labels[rng.choice(dataset.neg_index, size=k_neg, replace=False)] = 1
-    return Dataset._built(dataset.features, labels)
+    return Dataset._built(dataset.features, labels, finite=True)
 
 
 def kfold_split(n: int, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:

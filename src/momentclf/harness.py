@@ -203,21 +203,21 @@ def load_source(
     """Load or generate a dataset and the exact moments method should use.
 
     The checks are ExperimentConfig's, and a sidecar path in moments must
-    match the data's dimension.  The returned moments are None when moments
-    is.  normalize z-scores the data with its own statistics and maps the
-    exact moments through the same z-score.
+    match the data's dimension: a file is read in the sidecar's dimension
+    (see load_libsvm), and generated data must have it.  The returned
+    moments are None when moments is.  normalize z-scores the data with its
+    own statistics and maps the exact moments through the same z-score.
     """
     _check_source(method, data, moments)
+    exact = None if moments in (None, "generator") else load_moments(moments)
     if isinstance(data, GaussianSpec):
-        dataset, exact = gen_gaussian(data)
+        dataset, generated = gen_gaussian(data)
+        if moments == "generator":
+            exact = generated
     else:
-        dataset, exact = load_libsvm(data), None
-    if moments is None:
-        exact = None
-    elif moments != "generator":
-        exact = load_moments(moments)
-        if exact.dim != dataset.dim:
-            raise ValueError(f"moments d={exact.dim} does not match dataset d={dataset.dim}")
+        dataset = load_libsvm(data, None if exact is None else exact.dim)
+    if exact is not None and exact.dim != dataset.dim:
+        raise ValueError(f"moments d={exact.dim} does not match dataset d={dataset.dim}")
     if normalize:
         dataset, stats = normalize_zscore(dataset)
         exact = _zscored(exact, stats)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DegenerateProjectionError
 from .moments import SIGMA_EPS, AucMoments, ClassMoments
-from .normal import std_normal_cdf, std_normal_pdf
+from .normal import _INV_SQRT_2PI, std_normal_cdf
 
 __all__ = [
     "ObjectiveEval",
@@ -29,6 +29,7 @@ __all__ = [
     "error_objective",
     "auc_objective",
 ]
+
 
 class ObjectiveEval:
     """Value and gradient of an objective at one point.
@@ -65,13 +66,32 @@ Objective = Callable[[np.ndarray], ObjectiveEval]
 
 
 def _checked(w, d: int) -> np.ndarray:
-    """w as a float vector; ValueError unless it has shape (d,) and is finite."""
+    """w as a float vector; ValueError unless it has shape (d,) and is finite.
+
+    w'w is finite exactly when every entry is finite and the sum of
+    squares does not overflow, so a finite w'w passes w without the
+    entrywise scan.  Only a w'w that is not finite (a non-finite entry,
+    or finite entries above about 1e154) pays for np.isfinite, which
+    decides.
+    """
     w = np.asarray(w, dtype=float)
     if w.shape != (d,):
         raise ValueError(f"w must have shape ({d},), got {w.shape}")
-    if not np.isfinite(w).all():
+    if not math.isfinite(w.dot(w)) and not np.isfinite(w).all():
         raise ValueError("w contains non-finite entries")
     return w
+
+
+def _scalar(value) -> np.ndarray:
+    """value as a read-only 0-d array, for a constant operand of array arithmetic.
+
+    A ufunc takes a 0-d array as it is but converts a Python scalar on
+    every call, which costs about as much as the arithmetic on a few
+    hundred elements; the result is the same.
+    """
+    out = np.array(value)
+    out.setflags(write=False)
+    return out
 
 
 def _projector(mu: np.ndarray, sigma: np.ndarray):
@@ -87,10 +107,11 @@ def _projector(mu: np.ndarray, sigma: np.ndarray):
     to 0, so the value and gradient are already exact there.
     """
 
+    # ndarray.dot makes the same BLAS calls as @, without the ufunc dispatch
     def project(w: np.ndarray) -> tuple[float, float, np.ndarray]:
-        mu_w = float(w @ mu)
-        sigma_times_w = sigma @ w
-        q = float(w @ sigma_times_w)
+        mu_w = float(w.dot(mu))
+        sigma_times_w = sigma.dot(w)
+        q = float(w.dot(sigma_times_w))
         sigma_w = math.sqrt(q) if q > 0.0 else 0.0
         if sigma_w < SIGMA_EPS:
             raise DegenerateProjectionError(
@@ -102,8 +123,12 @@ def _projector(mu: np.ndarray, sigma: np.ndarray):
 
 
 def _cdf_chain_gradient(mu, ratio, sigma_w, sigma_times_w):
-    """Gradient of phi(w'mu / sqrt(w'Sw)) with respect to w, given Sw."""
-    dens = std_normal_pdf(ratio)
+    """Gradient of phi(w'mu / sqrt(w'Sw)) with respect to w, given Sw.
+
+    The density at ratio is std_normal_pdf's expression inline; ratio is
+    finite here, as std_normal_cdf has already been given it.
+    """
+    dens = _INV_SQRT_2PI * math.exp(-0.5 * ratio * ratio)
     if dens == 0.0:
         return np.zeros_like(sigma_times_w)
     # dens * (sigma_w * mu - ratio * Sw) / (sigma_w * sigma_w), in place;
@@ -128,6 +153,7 @@ def error_objective(moments: ClassMoments) -> Objective:
     project_pos = _projector(mu_pos, moments.sigma_pos)
     project_neg = _projector(mu_neg, moments.sigma_neg)
     d = moments.dim
+    weight_pos, weight_neg = _scalar(prior_pos), _scalar(prior_neg)
 
     def evaluate(w: np.ndarray) -> ObjectiveEval:
         w = _checked(w, d)
@@ -137,10 +163,10 @@ def error_objective(moments: ClassMoments) -> Objective:
         g_pos = _cdf_chain_gradient(mu_pos, r_pos, s_pos, sw_pos)
         g_neg = _cdf_chain_gradient(mu_neg, r_neg, s_neg, sw_neg)
         # prior_neg * g_neg - prior_pos * g_pos, in place
-        g_neg *= prior_neg
-        g_pos *= prior_pos
+        g_neg *= weight_neg
+        g_pos *= weight_pos
         g_neg -= g_pos
-        return ObjectiveEval(value=value, gradient=g_neg)
+        return ObjectiveEval(value, g_neg)
 
     return evaluate
 
@@ -158,9 +184,7 @@ def auc_objective(pair_moments: AucMoments) -> Objective:
 
     def evaluate(w: np.ndarray) -> ObjectiveEval:
         ratio, sigma_w, sigma_times_w = project(_checked(w, d))
-        return ObjectiveEval(
-            value=std_normal_cdf(ratio),
-            gradient=_cdf_chain_gradient(mu_hat, ratio, sigma_w, sigma_times_w),
-        )
+        value = std_normal_cdf(ratio)
+        return ObjectiveEval(value, _cdf_chain_gradient(mu_hat, ratio, sigma_w, sigma_times_w))
 
     return evaluate

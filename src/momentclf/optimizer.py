@@ -19,7 +19,7 @@ import numpy as np
 from .errors import _check_ints, _check_reals
 from .model import LinearModel
 from .moments import ClassMoments, _mean_difference
-from .objectives import Objective
+from .objectives import Objective, _scalar
 
 __all__ = [
     "LineSearchConfig",
@@ -196,38 +196,44 @@ def gd_backtracking(
     w = np.array(w0, dtype=float)
     if w.ndim != 1 or w.shape[0] < 1:
         raise ValueError(f"w0 must be a 1-d vector, got shape {w.shape}")
+    c, max_iters, max_backtracks = config.c, config.max_iters, config.max_backtracks
     # the rungs by repeated multiplication, as a shrinking alpha visits them
     alphas = [config.alpha0]
-    for _ in range(config.max_backtracks):
+    for _ in range(max_backtracks):
         alphas.append(alphas[-1] * config.beta)
-    start = time.perf_counter()
+    steps = [_scalar(alpha) for alpha in alphas]
+    clock = time.perf_counter
+    start = clock()
     current = objective(w)
+    value = float(current.value)
     grad = np.asarray(current.gradient, dtype=float)
     # what np.linalg.norm computes for a 1-d float vector, without its wrapper
-    grad_norm = math.sqrt(float(grad @ grad))
-    trace = OptimizationTrace(initial_value=float(current.value), initial_grad_norm=grad_norm,
-                              evaluations=1)
+    grad_norm = math.sqrt(float(grad.dot(grad)))
+    trace = OptimizationTrace(initial_value=value, initial_grad_norm=grad_norm)
+    records = trace.records
     threshold = config.grad_tol_rel * grad_norm
+    evaluations = 1
     rung = 0
     passed = {}
 
     def margin_at(k):
         # how far the value at rung k lies above the Armijo line; a rung
         # that passes keeps its trial point and evaluation
-        trace.evaluations += 1
-        trial_w = alphas[k] * grad
-        np.subtract(w, trial_w, out=trial_w)
+        nonlocal evaluations
+        evaluations += 1
+        trial_w = steps[k] * grad
+        np.subtract(w, trial_w, trial_w)
         trial = objective(trial_w)
-        value = float(trial.value)
+        trial_value = float(trial.value)
         bound = f_current - alphas[k] * decrease_slope
-        if value <= bound:
+        if trial_value <= bound:
             passed[k] = (trial_w, trial)
-        return value - bound
+        return trial_value - bound
 
     def rules_out_next(k, margin):
         # a convex F lies above its tangent at w_k, so rung k-1's margin is at
         # least margin + (step increase) * slope; past 2*slack it truly fails
-        slope = decrease_slope - float(grad @ passed[k][1].gradient)
+        slope = decrease_slope - float(grad.dot(passed[k][1].gradient))
         return margin + (alphas[k - 1] - alphas[k]) * slope > 2.0 * slack
 
     try:
@@ -235,27 +241,27 @@ def gd_backtracking(
             if grad_norm <= threshold:
                 trace.reason = REASON_GRADIENT
                 break
-            if len(trace.records) >= config.max_iters:
+            if len(records) >= max_iters:
                 trace.reason = REASON_MAX_ITERS
                 break
-            f_current = float(current.value)
-            decrease_slope = config.c * grad_norm * grad_norm
+            f_current = value
+            decrease_slope = c * grad_norm * grad_norm
             slack = _ROUNDING * abs(f_current)
             passed.clear()
             rung = _first_passing_rung(margin_at, rung if current.convex else 0,
-                                       config.max_backtracks, slack, rules_out_next)
+                                       max_backtracks, slack, rules_out_next)
             if rung is None:
                 trace.reason = REASON_LINE_SEARCH
                 break
             w, current = passed[rung]
+            value = float(current.value)
             grad = np.asarray(current.gradient, dtype=float)
-            grad_norm = math.sqrt(float(grad @ grad))
-            iteration = len(trace.records) + 1
+            grad_norm = math.sqrt(float(grad.dot(grad)))
+            iteration = len(records) + 1
             # every evaluation so far is the start, an accepted step or a backtrack
-            trace.records.append(TraceRecord(iteration, float(current.value), grad_norm,
-                                             alphas[rung], trace.evaluations - 1 - iteration,
-                                             time.perf_counter() - start))
-            if float(current.value) >= f_current and grad_norm > threshold:
+            records.append(TraceRecord(iteration, value, grad_norm, alphas[rung],
+                                       evaluations - 1 - iteration, clock() - start))
+            if value >= f_current and grad_norm > threshold:
                 # the step passed Armijo only because F - c*alpha*||g||^2
                 # rounds to F; a step onto a converged point stops on the gradient
                 trace.reason = REASON_NO_DECREASE
@@ -263,6 +269,8 @@ def gd_backtracking(
     except Exception as exc:
         exc.partial_trace = trace
         raise
+    finally:
+        trace.evaluations = evaluations
     return LinearModel(w=w, intercept=0.0), trace
 
 

@@ -10,7 +10,7 @@ import numpy as np
 from .errors import SingularModelError
 from .model import LinearModel
 from .moments import ClassMoments, _mean_difference
-from .objectives import Objective, ObjectiveEval, _checked
+from .objectives import Objective, ObjectiveEval, _checked, _scalar
 
 __all__ = [
     "logistic_objective",
@@ -21,12 +21,24 @@ __all__ = [
 # rows per block of _cholesky_solve; 32 measured fastest at d=800
 _SOLVE_BLOCK = 32
 
+# constant operands of the ufuncs below (see objectives._scalar)
+_ZERO, _ONE, _MINUS_ONE = _scalar(0.0), _scalar(1.0), _scalar(-1.0)
+
 
 def _stable_sigmoid(t: np.ndarray) -> np.ndarray:
-    # 1/(1+exp(-t)) without overflow in either tail: with e = exp(-|t|),
-    # that is 1/(1+e) where t >= 0 and e/(1+e) elsewhere
-    e = np.exp(-np.abs(t))
-    return np.where(t >= 0, 1.0, e) / (1.0 + e)
+    """1/(1+exp(-t)) elementwise, written over t, which it returns.
+
+    Without overflow in either tail: with e = exp(-|t|), that is 1/(1+e)
+    where t >= 0 and e/(1+e) elsewhere.  -|t| is copysign(t, -1), and e
+    is built in t's own storage.
+    """
+    nonneg = t >= _ZERO
+    e = np.copysign(t, _MINUS_ONE, out=t)
+    np.exp(e, out=e)
+    denom = e + _ONE
+    np.putmask(e, nonneg, _ONE)
+    e /= denom
+    return e
 
 
 def logistic_objective(dataset, lam: float) -> Objective:
@@ -35,29 +47,38 @@ def logistic_objective(dataset, lam: float) -> Objective:
     The per-sample term log(1 + exp(-y_i w'x_i)) is computed as
     logaddexp(0, -y_i w'x_i), which is exact in both tails instead of
     overflowing for strongly misclassified samples.  The gradient (a
-    sigmoid per sample and X'c) is built on first read.  With lam >= 0
-    the criterion is convex, and each evaluation says so.
+    sigmoid per sample and X'c) is built on first read, in the margins'
+    own storage.  With lam >= 0 the criterion is convex, and each
+    evaluation says so.
     """
     lam = float(lam)
     if lam < 0.0 or not math.isfinite(lam):
         raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
     X = dataset.features
+    XT = X.T
     neg_y = -dataset.labels.astype(float)
-    n = X.shape[0]
+    n, d = X.shape
+    n_float, two_lam = _scalar(float(n)), _scalar(2.0 * lam)
 
     def evaluate(w: np.ndarray) -> ObjectiveEval:
-        w = _checked(w, X.shape[1])
-        t = neg_y * (X @ w)
+        w = _checked(w, d)
+        # ndarray.dot makes the same BLAS calls as @, without the ufunc dispatch
+        t = X.dot(w)
+        t *= neg_y
         # the sum and division ndarray.mean performs, without its wrapper
-        value = float(np.add.reduce(np.logaddexp(0.0, t)) / n + lam * (w @ w))
+        value = float(np.add.reduce(np.logaddexp(_ZERO, t))) / n + lam * float(w.dot(w))
         # taken now, so a caller that later writes to w cannot move the gradient
-        ridge = 2.0 * lam * w
+        ridge = two_lam * w
 
         def gradient() -> np.ndarray:
-            coef = _stable_sigmoid(t) * neg_y / n
-            return X.T @ coef + ridge
+            coef = _stable_sigmoid(t)
+            coef *= neg_y
+            coef /= n_float
+            grad = XT.dot(coef)
+            grad += ridge
+            return grad
 
-        return ObjectiveEval(value=value, gradient=gradient, convex=True)
+        return ObjectiveEval(value, gradient, True)
 
     return evaluate
 
@@ -70,29 +91,29 @@ def _hinge_score_eval(sp: np.ndarray, sn: np.ndarray):
     prefix sums.  Returns (value, active_pos), where active_pos[k] counts
     the positives in an active pair with the k-th smallest negative.  Only
     sorted values are needed here; the gradient redoes the sort as argsort,
-    which orders the values the same way.
+    which orders the values the same way.  The ndarray methods stand in
+    for np.sort, np.searchsorted, np.cumsum and ndarray.sum, which reach
+    the same code through a Python wrapper.
     """
     n_pos = sp.shape[0]
-    n_neg = sn.shape[0]
-    n_pairs = n_pos * n_neg
-    # the methods on copies sort as np.sort does, without its wrapper
-    sp_sorted = sp.copy()
+    prefix = np.empty(n_pos + 1)
+    prefix[0] = 0.0
+    sp_sorted = prefix[1:]
+    sp_sorted[...] = sp
     sp_sorted.sort()
     thresholds = sn.copy()
     thresholds.sort()
-    thresholds += 1.0
+    thresholds += _ONE
     # pair (i, j) is active iff sp_i < sn_j + 1; both count directions
     # compare against the one shifted array, and the queries are sorted so
     # successive binary searches stay cache-local (random-order queries
     # are what pushes the large-n wall time off the n log n curve)
-    active_pos = np.searchsorted(sp_sorted, thresholds, side="left")
-    prefix = np.empty(n_pos + 1)
-    prefix[0] = 0.0
-    np.cumsum(sp_sorted, out=prefix[1:])
-    value = float(
-        (np.einsum("i,i->", active_pos, thresholds) - prefix[active_pos].sum())
-        / n_pairs
-    )
+    active_pos = sp_sorted.searchsorted(thresholds)
+    # prefix[k] is the sum of the k smallest positive scores; the sorted
+    # scores are not needed again, so they are summed where they lie
+    sp_sorted.cumsum(out=sp_sorted)
+    value = (float(np.einsum("i,i->", active_pos, thresholds))
+             - float(np.add.reduce(prefix[active_pos]))) / (n_pos * sn.shape[0])
     return value, active_pos
 
 
@@ -112,17 +133,19 @@ def hinge_objective(dataset) -> Objective:
     too small to lower the value.
     """
     X = dataset.features
+    XT = X.T
     pos = dataset.pos_index
     neg = dataset.neg_index
     if pos.shape[0] == 0 or neg.shape[0] == 0:
         raise ValueError("pairwise hinge needs at least one sample of each class")
-    n_pos = pos.shape[0]
+    n_pos, n_neg = pos.shape[0], neg.shape[0]
+    n_pairs, n_neg_int = _scalar(float(n_pos * n_neg)), _scalar(n_neg)
+    d = X.shape[1]
 
     def evaluate(w: np.ndarray) -> ObjectiveEval:
-        w = _checked(w, X.shape[1])
         # score the whole matrix once and split the score vector; copying the
         # class submatrices would move 8*n*d bytes per call
-        scores = X @ w
+        scores = X.dot(_checked(w, d))
         sp = scores[pos]
         sn = scores[neg]
         value, active_pos = _hinge_score_eval(sp, sn)
@@ -132,9 +155,8 @@ def hinge_objective(dataset) -> Objective:
             # active_pos: t_k <= sp at sorted rank r exactly when
             # active_pos[k] <= r, so a cumulative histogram of active_pos
             # gives them without a second search
-            covered = np.cumsum(np.bincount(active_pos, minlength=n_pos + 1))
-            signed_pos = covered[:n_pos]
-            signed_pos -= sn.shape[0]
+            signed_pos = np.bincount(active_pos, minlength=n_pos + 1).cumsum()[:n_pos]
+            signed_pos -= n_neg_int
             # scatter the sorted-rank counts straight to their dataset rows
             # through the composed permutations (tied scores share a count,
             # so any sorting permutation gives the same result), then
@@ -142,11 +164,11 @@ def hinge_objective(dataset) -> Objective:
             g_scores = np.empty_like(scores)
             g_scores[pos[sp.argsort()]] = signed_pos
             g_scores[neg[sn.argsort()]] = active_pos
-            grad = X.T @ g_scores
-            grad /= float(n_pos * sn.shape[0])
+            grad = XT.dot(g_scores)
+            grad /= n_pairs
             return grad
 
-        return ObjectiveEval(value=value, gradient=gradient, convex=True)
+        return ObjectiveEval(value, gradient, True)
 
     return evaluate
 

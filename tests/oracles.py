@@ -20,7 +20,8 @@ be compared bit for bit.  The parser builds the Dataset container and raises the
 package's ParseError, so its messages can be compared too.  So do the
 writers, the stable sigmoid and the logistic value as first written, one
 wrapper call per value or array operation, against which the package's
-leaner forms are held byte for byte.
+leaner forms are held byte for byte, as are its logistic and hinge
+evaluations, value and gradient, against theirs as first written.
 """
 
 from __future__ import annotations
@@ -327,6 +328,59 @@ def mean_logistic_value(w: np.ndarray, features: np.ndarray, labels: np.ndarray,
     neg_y = -labels.astype(float)
     t = neg_y * (features @ w)
     return float(np.logaddexp(0.0, t).mean() + lam * (w @ w))
+
+
+def logistic_as_first_written(w: np.ndarray, features: np.ndarray, labels: np.ndarray,
+                              lam: float):
+    """Regularized logistic value and gradient as first written.
+
+    A fresh array per operation, the @ operator, and the sigmoid through
+    np.where; returns (value, gradient).
+    """
+    w = np.asarray(w, dtype=float)
+    neg_y = -labels.astype(float)
+    n = features.shape[0]
+    t = neg_y * (features @ w)
+    value = float(np.add.reduce(np.logaddexp(0.0, t)) / n + lam * (w @ w))
+    ridge = 2.0 * lam * w
+    e = np.exp(-np.abs(t))
+    coef = np.where(t >= 0, 1.0, e) / (1.0 + e) * neg_y / n
+    return value, features.T @ coef + ridge
+
+
+def hinge_as_first_written(w: np.ndarray, features: np.ndarray, labels: np.ndarray):
+    """Sorted-count pairwise hinge value and gradient as first written.
+
+    np.sort, np.searchsorted, np.cumsum and ndarray.sum, a separate prefix
+    array, and a second sort as argsort for the gradient; returns
+    (value, gradient).
+    """
+    w = np.asarray(w, dtype=float)
+    pos = np.flatnonzero(labels == 1)
+    neg = np.flatnonzero(labels == -1)
+    n_pos, n_neg = pos.shape[0], neg.shape[0]
+    scores = features @ w
+    sp = scores[pos]
+    sn = scores[neg]
+    sp_sorted = np.sort(sp)
+    thresholds = np.sort(sn)
+    thresholds += 1.0
+    active_pos = np.searchsorted(sp_sorted, thresholds, side="left")
+    prefix = np.empty(n_pos + 1)
+    prefix[0] = 0.0
+    np.cumsum(sp_sorted, out=prefix[1:])
+    value = float(
+        (np.einsum("i,i->", active_pos, thresholds) - prefix[active_pos].sum()) / (n_pos * n_neg)
+    )
+    covered = np.cumsum(np.bincount(active_pos, minlength=n_pos + 1))
+    signed_pos = covered[:n_pos]
+    signed_pos -= n_neg
+    g_scores = np.empty_like(scores)
+    g_scores[pos[np.argsort(sp)]] = signed_pos
+    g_scores[neg[np.argsort(sn)]] = active_pos
+    gradient = features.T @ g_scores
+    gradient /= float(n_pos * n_neg)
+    return value, gradient
 
 
 def _strip_comment(line: str) -> str:

@@ -232,7 +232,8 @@ class TestTrain:
                    "--moments", str(generated) + ".moments",
                    "--model-out", str(model_out)])
         assert rc == 1
-        assert "error: moments d=4 does not match dataset d=10" in capsys.readouterr().err
+        # the file is read in the sidecar's dimension, and its entries go past it
+        assert "error: line 1: index 10 is above the dimension 4" in capsys.readouterr().err
         assert not model_out.exists()
 
     @pytest.mark.parametrize("method", ["error-direct", "auc-direct", "lda"])
@@ -298,13 +299,13 @@ class TestEval:
                      "--model-out", str(model_out)]) == 0
         capsys.readouterr()
         data = tmp_path / "wide.libsvm"
-        # 2 x 1e16 entries are past any 64-bit address space
+        # eval reads the file in the model's d=4, so the index is refused
+        # before a matrix of 2 x 1e16 entries is attempted
         data.write_text("+1 1:1\n-1 10000000000000000:2\n")
         rc = main(["eval", "--model", str(model_out), "--data", str(data)])
         assert rc == 1
         assert capsys.readouterr().err == (
-            "error: line 2: index 10000000000000000 makes a matrix of 2 x 10000000000000000 "
-            "entries that cannot be allocated\n")
+            "error: line 2: index 10000000000000000 is above the dimension 4\n")
 
     def test_prints_metrics(self, generated, tmp_path, capsys):
         model_out = tmp_path / "m.model"
@@ -319,6 +320,53 @@ class TestEval:
         assert 0.5 <= float(metrics["auc"]) <= 1.0
         assert int(metrics["n_pos"]) == 150
         assert int(metrics["n_neg"]) == 150
+
+
+class TestTrailingZeroFeatures:
+    """A file whose last feature is zero in every row lists no entry for it,
+    so it is read in the dimension of the model or sidecar it meets."""
+
+    @staticmethod
+    def _files(generated, tmp_path):
+        # the generated d=4 file with every 4: entry dropped, and with every
+        # 4: entry written as an explicit zero; neither has a binary twin
+        lines = generated.read_text(encoding="utf-8").splitlines()
+        trimmed, zeroed = tmp_path / "trimmed.libsvm", tmp_path / "zeroed.libsvm"
+        trimmed.write_text("".join(re.sub(r" 4:\S+$", "", line) + "\n" for line in lines))
+        zeroed.write_text("".join(re.sub(r" 4:\S+$", " 4:0.0", line) + "\n" for line in lines))
+        assert " 4:" not in trimmed.read_text()
+        return trimmed, zeroed
+
+    def test_eval_reads_the_file_in_the_models_dimension(self, generated, tmp_path, capsys):
+        trimmed, zeroed = self._files(generated, tmp_path)
+        model_out = tmp_path / "m.model"
+        assert main(["train", "--method", "lda", "--data", str(generated),
+                     "--model-out", str(model_out)]) == 0
+        outputs = []
+        for data in (trimmed, zeroed):
+            capsys.readouterr()
+            assert main(["eval", "--model", str(model_out), "--data", str(data)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert int(dict(line.split() for line in outputs[0].splitlines())["n_pos"]) == 150
+
+    def test_cv_and_train_read_the_file_in_the_sidecars_dimension(self, generated, tmp_path,
+                                                                  capsys):
+        trimmed, zeroed = self._files(generated, tmp_path)
+        sidecar = str(generated) + ".moments"
+        reports = []
+        for data in (trimmed, zeroed):
+            report = tmp_path / f"{data.stem}.csv"
+            assert main(["cv", "--method", "error-direct", "--data", str(data), "--moments",
+                         sidecar, "--folds", "3", "--repeats", "1", "--seed", "2",
+                         "--report-out", str(report)]) == 0
+            assert capsys.readouterr().out.rstrip().endswith(" over 3/3 runs")
+            reports.append(_masked_report(report))
+            model_out = tmp_path / f"{data.stem}.model"
+            assert main(["train", "--method", "auc-direct", "--data", str(data), "--moments",
+                         sidecar, "--normalize", "--model-out", str(model_out)]) == 0
+        assert reports[0] == reports[1]
+        assert (tmp_path / "trimmed.model").read_bytes() == (tmp_path / "zeroed.model").read_bytes()
 
 
 class TestCv:

@@ -138,6 +138,38 @@ class TestParseLibsvm:
             parse_libsvm(text)
         assert str(info.value) == message
 
+    def test_dim_pads_trailing_zero_columns(self):
+        text = "+1 1:0.5 3:2.0\n-1 2:1.0\n"
+        ds = parse_libsvm(text, dim=5)
+        assert ds.features.shape == (2, 5)
+        assert ds.features[:, :3].tobytes() == parse_libsvm(text).features.tobytes()
+        assert not ds.features[:, 3:].any()
+        assert parse_libsvm(text, dim=3).features.tobytes() == parse_libsvm(text).features.tobytes()
+
+    def test_dim_reads_rows_without_entries(self):
+        # the dimension is known, so a file of zero rows still has a width
+        ds = parse_libsvm("+1\n-1\n", dim=2)
+        assert ds.features.tobytes() == np.zeros((2, 2)).tobytes()
+        with pytest.raises(ParseError, match="no feature entries"):
+            parse_libsvm("+1\n-1\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("+1 1:1 3:2\n-1 2:1\n", "line 1: index 3 is above the dimension 2"),
+        ("+1 1:1\n# note\n-1 2:1\n+1 1:1 4:1\n-1 5:1\n", "line 4: index 4 is above the dimension 3"),
+        ("+1 1:1\n-1 10000000000000000:2\n",
+         "line 2: index 10000000000000000 is above the dimension 3"),
+    ])
+    def test_index_above_dim_names_the_first_such_line(self, text, message):
+        dim = int(message.rsplit(" ", 1)[1])
+        with pytest.raises(ParseError) as info:
+            parse_libsvm(text, dim=dim)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("dim", [0, -3])
+    def test_dim_below_one_rejected(self, dim):
+        with pytest.raises(ValueError, match="dim must be >= 1"):
+            parse_libsvm("+1 1:1\n-1 1:2\n", dim=dim)
+
 
 class TestRoundTrip:
     def test_serializer_round_trips_bit_exactly(self):
@@ -252,9 +284,9 @@ class TestBinaryTwin:
         # count the text parses load_libsvm makes
         calls = []
 
-        def parse(raw):
+        def parse(raw, dim=None):
             calls.append(raw)
-            return parse_libsvm(raw)
+            return parse_libsvm(raw, dim)
 
         monkeypatch.setattr(data_module, "parse_libsvm", parse)
         return calls
@@ -351,6 +383,26 @@ class TestBinaryTwin:
         writers[damage](twin, raw, ds)
         calls = self._parses(monkeypatch)
         assert _outcome(load_libsvm, path) == _outcome(parse_libsvm, raw)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", sorted(_twin_cases()))
+    def test_narrow_twin_is_padded_as_the_parse_would_be(self, tmp_path, monkeypatch, name):
+        ds = _twin_cases()[name]
+        path, _ = self._saved(tmp_path, ds)
+        dim = ds.dim + 3
+        expected = _outcome(lambda raw: parse_libsvm(raw, dim), path.read_bytes())
+        calls = self._parses(monkeypatch)
+        assert _outcome(lambda p: load_libsvm(p, dim), path) == expected
+        assert calls == []
+        assert _outcome(lambda p: load_libsvm(p, ds.dim), path) == _outcome(load_libsvm, path)
+        assert calls == []
+
+    def test_wide_twin_gives_the_parse_error(self, tmp_path, monkeypatch):
+        ds = _twin_cases()["prior 0.3"]
+        path, _ = self._saved(tmp_path, ds)
+        calls = self._parses(monkeypatch)
+        assert _outcome(lambda p: load_libsvm(p, 2), path) == (
+            "error", "line 1: index 4 is above the dimension 2")
         assert len(calls) == 1
 
     def test_every_corrupted_byte_loads_the_text(self, tmp_path):
@@ -673,6 +725,23 @@ class TestBuiltDatasets:
     def test_empty_subset_rejected(self):
         with pytest.raises(ValueError, match="non-empty 2-d matrix"):
             self._ds().subset([])
+
+    def test_rows_of_a_checked_dataset_are_not_scanned_again(self, monkeypatch):
+        ds = self._ds()
+        scans = []
+        isfinite = np.isfinite
+
+        def counted(*args, **kwargs):
+            scans.append(args[0].shape)
+            return isfinite(*args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counted)
+        ds.subset([3, 1, 2])
+        inject_outliers(ds, 10.0, 4)
+        assert scans == []
+        # a z-score can overflow, so its result is still checked
+        normalize_zscore(ds)
+        assert (ds.n, ds.dim) in scans
 
     def test_public_constructor_copies_caller_arrays(self):
         X = np.arange(6, dtype=float).reshape(3, 2)

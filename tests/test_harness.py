@@ -14,6 +14,7 @@ from momentclf import (
     ExperimentReport,
     GaussianSpec,
     LineSearchConfig,
+    ParseError,
     RunResult,
     apply_zscore,
     emit_report,
@@ -302,8 +303,12 @@ class TestLoadSourceAndFit:
     def test_sidecar_dimension_checked(self, raw_files, bayes_files):
         data_path, _ = raw_files
         _, sidecar = bayes_files
-        with pytest.raises(ValueError, match="moments d=2 does not match dataset d=10"):
+        with pytest.raises(ParseError, match="line 1: index 10 is above the dimension 2"):
             load_source("error-direct", str(data_path), str(sidecar), normalize=False)
+        # generated data has its own dimension, which the sidecar must match
+        spec = GaussianSpec(d=3, n=40, prior_pos=0.5, seed=1)
+        with pytest.raises(ValueError, match="moments d=2 does not match dataset d=3"):
+            load_source("error-direct", spec, str(sidecar))
 
     def test_exact_moments_returned_only_for_exact_source(self, raw_files):
         data_path, sidecar = raw_files

@@ -24,7 +24,7 @@ from momentclf import (
 )
 from momentclf.harness import _zscored
 from momentclf.moments import SIGMA_EPS
-from momentclf.objectives import _projector
+from momentclf.objectives import ObjectiveEval, _checked, _projector
 
 import oracles
 
@@ -279,6 +279,36 @@ class TestProjectedStats:
                     objective(np.array([1.0, bad]))
         for objective in direct:
             assert 0.0 <= objective([1, 0]).value <= 1.0
+
+    def test_finite_w_whose_sums_overflow_passes_the_check(self):
+        # every entry is finite, but sum(w) and w'w overflow, so the cheap
+        # test fails and the entrywise one must let w through; the means and
+        # features are small enough that each objective then evaluates
+        moments = ClassMoments(np.full(2, 1e-10), np.full(2, -1e-10), np.eye(2), np.eye(2),
+                               0.5, 0.5)
+        data = Dataset(1e-10 * np.array([[1.0, 0.5], [-1.0, 0.0], [0.5, -1.0]]),
+                       np.array([1, -1, -1]))
+        w = np.array([1e308, 1e308])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(w.sum()) and not np.isfinite(w @ w)
+            for objective in (error_objective(moments), auc_objective(auc_moments(moments)),
+                              logistic_objective(data, 0.0), hinge_objective(data)):
+                assert isinstance(objective(w), ObjectiveEval)
+                assert _checked(w, 2) is w
+
+    @pytest.mark.parametrize("w", [[np.inf, -np.inf], [-np.inf, np.inf, 1.0], [np.nan, 1.0, 2.0],
+                                   [1.0, -np.nan, np.inf], [1e308, 1e308, np.inf]])
+    def test_non_finite_w_is_refused_whatever_its_sum(self, w):
+        # sums of these are NaN (inf - inf, NaN) or inf; so is w'w
+        d = len(w)
+        data = Dataset(np.eye(d), np.array([1] + [-1] * (d - 1)))
+        objectives = (error_objective(_simple_moments(d)),
+                      auc_objective(auc_moments(_simple_moments(d))),
+                      logistic_objective(data, 0.1), hinge_objective(data))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for objective in objectives:
+                with pytest.raises(ValueError, match="^w contains non-finite entries$"):
+                    objective(np.array(w))
 
     def test_matches_double_loop_quadratic_form(self):
         rng = np.random.default_rng(23)

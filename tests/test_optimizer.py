@@ -203,6 +203,8 @@ class TestGdBacktracking:
         partial = info.value.partial_trace
         assert partial.iterations >= 1
         assert partial.records[0].value <= partial.initial_value
+        # the call that raised counts as an evaluation
+        assert partial.evaluations == calls["n"] == 9
 
     def test_deterministic_across_runs(self):
         rng = np.random.default_rng(21)

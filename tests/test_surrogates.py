@@ -209,7 +209,9 @@ class TestFirstWrittenForms:
                    -1e16, 745.0, -745.0, 745.2, -745.2, 746.0, -746.0, 800.0, -800.0, 1e308,
                    -1e308, math.inf, -math.inf]
         t = np.concatenate([special, rng.normal(size=500) * 10.0 ** rng.integers(-8, 4, size=500)])
-        assert surrogates._stable_sigmoid(t).tobytes() == oracles.two_division_sigmoid(t).tobytes()
+        # the sigmoid is written over its argument, so it gets a copy
+        assert (surrogates._stable_sigmoid(t.copy()).tobytes()
+                == oracles.two_division_sigmoid(t).tobytes())
 
     def test_logistic_value(self):
         rng = np.random.default_rng(13)
@@ -221,6 +223,44 @@ class TestFirstWrittenForms:
                 value = logistic_objective(ds, lam)(w).value
                 expected = oracles.mean_logistic_value(w, ds.features, ds.labels, lam)
                 assert np.float64(value).tobytes() == np.float64(expected).tobytes()
+
+
+class TestEvaluationsAsFirstWritten:
+    """Each logistic and hinge evaluation, value and gradient, byte for byte
+    against the same arithmetic as first written."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(14)
+        for n_pos, n_neg, d in ((1, 1, 1), (7, 30, 3), (250, 250, 50), (600, 1900, 4),
+                                (260, 240, 800)):
+            X_pos, X_neg = rng.normal(size=(n_pos, d)), rng.normal(size=(n_neg, d))
+            w = rng.normal(size=d)
+            yield "random", w, X_pos, X_neg
+            # margins of 1e3 and more: exp(-|t|) underflows, logaddexp is linear
+            yield "saturated", w * 1e3, X_pos, X_neg
+            # integer features and weights: tied scores, many of them on a kink
+            yield ("tied", rng.integers(-2, 3, size=d).astype(float),
+                   rng.integers(-3, 4, size=(n_pos, d)).astype(float),
+                   rng.integers(-3, 4, size=(n_neg, d)).astype(float))
+
+    def test_logistic(self):
+        for kind, w, X_pos, X_neg in self._cases():
+            ds = _dataset(X_pos, X_neg)
+            for lam in (0.0, 1.0 / ds.n):
+                ev = logistic_objective(ds, lam)(w)
+                value, gradient = oracles.logistic_as_first_written(w, ds.features, ds.labels,
+                                                                    lam)
+                assert np.float64(ev.value).tobytes() == np.float64(value).tobytes(), kind
+                assert ev.gradient.tobytes() == gradient.tobytes(), kind
+
+    def test_hinge(self):
+        for kind, w, X_pos, X_neg in self._cases():
+            ds = _dataset(X_pos, X_neg)
+            ev = hinge_objective(ds)(w)
+            value, gradient = oracles.hinge_as_first_written(w, ds.features, ds.labels)
+            assert np.float64(ev.value).tobytes() == np.float64(value).tobytes(), kind
+            assert ev.gradient.tobytes() == gradient.tobytes(), kind
 
 
 def test_baseline_evaluations_say_they_are_convex():
