@@ -11,10 +11,8 @@ from .errors import (
     ParseError,
     SingularModelError,
 )
-from .normal import std_normal_cdf, std_normal_pdf
 from .moments import (
     SIGMA_EPS,
-    AucMoments,
     ClassMoments,
     auc_moments,
     estimate_class_moments,
@@ -25,6 +23,7 @@ from .objectives import (
     ObjectiveEval,
     auc_objective,
     error_objective,
+    std_normal_cdf,
 )
 from .surrogates import (
     hinge_objective,
@@ -75,10 +74,7 @@ __all__ = [
     "InvalidModelError",
     "ParseError",
     "SingularModelError",
-    "std_normal_cdf",
-    "std_normal_pdf",
     "SIGMA_EPS",
-    "AucMoments",
     "ClassMoments",
     "auc_moments",
     "estimate_class_moments",
@@ -89,6 +85,7 @@ __all__ = [
     "ObjectiveEval",
     "auc_objective",
     "error_objective",
+    "std_normal_cdf",
     "hinge_objective",
     "lda_fit",
     "logistic_objective",

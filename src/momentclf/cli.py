@@ -221,10 +221,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--d", type=int, required=True, help="feature dimension")
     p_gen.add_argument("--n", type=int, required=True, help="total sample count")
     p_gen.add_argument("--prior-pos", type=float, required=True, help="positive-class probability")
-    p_gen.add_argument("--outlier-pct", type=float, default=0.0, help="percent of each class to label-flip")
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--mean-scale", type=float, default=1.0)
-    p_gen.add_argument("--cov-scale", type=float, default=1.0)
+    p_gen.add_argument("--outlier-pct", type=float, default=GaussianSpec.outlier_pct,
+                       help="percent of each class to label-flip")
+    p_gen.add_argument("--seed", type=int, default=GaussianSpec.seed)
+    p_gen.add_argument("--mean-scale", type=float, default=GaussianSpec.mean_scale)
+    p_gen.add_argument("--cov-scale", type=float, default=GaussianSpec.cov_scale)
     p_gen.add_argument("--out", required=True, help="output LIBSVM path; its binary twin OUT.npz, "
                        "which later loads read instead of parsing the unchanged text, "
                        "is written next to it")
@@ -254,10 +255,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cv = sub.add_parser("cv", help="repeated k-fold benchmark of one method")
     p_cv.add_argument("--method", choices=METHODS, required=True)
     p_cv.add_argument("--data", required=True, help="LIBSVM path")
-    p_cv.add_argument("--moments", default=None, help="exact-moments sidecar; selects exact moments")
-    p_cv.add_argument("--folds", type=int, default=5)
-    p_cv.add_argument("--repeats", type=int, default=4)
-    p_cv.add_argument("--seed", type=int, default=0)
+    p_cv.add_argument("--moments", default=ExperimentConfig.moments,
+                      help="exact-moments sidecar; selects exact moments")
+    p_cv.add_argument("--folds", type=int, default=ExperimentConfig.folds)
+    p_cv.add_argument("--repeats", type=int, default=ExperimentConfig.repeats)
+    p_cv.add_argument("--seed", type=int, default=ExperimentConfig.seed)
     p_cv.add_argument("--per-fold-norm", action="store_true",
                       help="learn the z-score on each training fold (default: z-score the "
                            "file once before CV)")

@@ -19,7 +19,7 @@ class InsufficientDataError(ValueError):
 
 
 class InvalidModelError(ValueError):
-    """Supplied moment inputs are structurally inconsistent (shapes, symmetry, priors, definiteness)."""
+    """Moment inputs fail ClassMoments' checks: shapes, finiteness, symmetry or priors."""
 
 
 class SingularModelError(ValueError):

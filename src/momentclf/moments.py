@@ -24,7 +24,6 @@ if TYPE_CHECKING:
 __all__ = [
     "SIGMA_EPS",
     "ClassMoments",
-    "AucMoments",
     "estimate_class_moments",
     "auc_moments",
 ]
@@ -155,18 +154,14 @@ class ClassMoments:
 
 @dataclass(frozen=True)
 class AucMoments:
-    """Moments of the pair difference X- minus X+ used by the ranking objective."""
+    """Moments of the pair difference X- minus X+ used by the ranking objective.
+
+    Only auc_moments builds one, from ClassMoments that are already
+    checked; the constructor validates nothing.
+    """
 
     mu_hat: np.ndarray
     sigma_hat: np.ndarray
-
-    def __post_init__(self):
-        mu_hat = np.asarray(self.mu_hat, dtype=float)
-        sigma_hat = np.asarray(self.sigma_hat, dtype=float)
-        _check_vector("mu_hat", mu_hat)
-        _check_covariance("sigma_hat", sigma_hat, mu_hat.shape[0])
-        object.__setattr__(self, "mu_hat", _readonly(mu_hat))
-        object.__setattr__(self, "sigma_hat", _symmetrized(sigma_hat))
 
     @property
     def dim(self) -> int:

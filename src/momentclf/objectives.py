@@ -6,10 +6,11 @@ moments.  An evaluation computes the value and makes one matrix-vector
 product Sw per Gaussian (two for the error objective, one for the ranking
 objective); the gradient, a few d-vector operations on that product, is
 built in the same call.  Each objective's factory binds its moment model,
-which its constructor has checked, and returns the one function that
+which was checked when it was built, and returns the one function that
 evaluates it; that function checks only w.  Both objectives are
 0-homogeneous in w: scaling w leaves the value unchanged and the gradient
-is always orthogonal to w.
+is always orthogonal to w.  The standard normal CDF, the one
+transcendental function both need, is defined here too.
 """
 
 from __future__ import annotations
@@ -21,14 +22,30 @@ import numpy as np
 
 from .errors import DegenerateProjectionError
 from .moments import SIGMA_EPS, AucMoments, ClassMoments
-from .normal import _INV_SQRT_2PI, std_normal_cdf
 
 __all__ = [
     "ObjectiveEval",
     "Objective",
     "error_objective",
     "auc_objective",
+    "std_normal_cdf",
 ]
+
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_INV_SQRT_2 = 1.0 / math.sqrt(2.0)
+
+
+def std_normal_cdf(x: float) -> float:
+    """P(N(0,1) <= x).  Accurate to a few ulp over the whole real line.
+
+    It goes through the complementary error function, which keeps full
+    double precision in both tails and reaches exact 0 and 1 far out in
+    them without a clamp.
+    """
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"std_normal_cdf requires a finite argument, got {x!r}")
+    return 0.5 * math.erfc(-x * _INV_SQRT_2)
 
 
 class ObjectiveEval:
@@ -125,8 +142,8 @@ def _projector(mu: np.ndarray, sigma: np.ndarray):
 def _cdf_chain_gradient(mu, ratio, sigma_w, sigma_times_w):
     """Gradient of phi(w'mu / sqrt(w'Sw)) with respect to w, given Sw.
 
-    The density at ratio is std_normal_pdf's expression inline; ratio is
-    finite here, as std_normal_cdf has already been given it.
+    dens is the standard normal density at ratio; ratio is finite here,
+    as std_normal_cdf has already been given it.
     """
     dens = _INV_SQRT_2PI * math.exp(-0.5 * ratio * ratio)
     if dens == 0.0:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import dataclasses
 import json
 import math
 import re
@@ -12,6 +13,7 @@ import pytest
 from momentclf import (
     ClassMoments,
     ExperimentConfig,
+    GaussianSpec,
     LineSearchConfig,
     empirical_accuracy,
     kfold_split,
@@ -695,3 +697,29 @@ class TestParserBuiltOnce:
         assert self._run(capsys, plain) == fresh
         assert model_out.read_bytes() == fresh_model
         assert not trace_out.exists()
+
+
+class TestConfigDefaults:
+    """gen and cv take every config field left off the command line from its dataclass."""
+
+    @staticmethod
+    def _assert_dataclass_defaults(cls, args, given):
+        left_out = [f for f in dataclasses.fields(cls) if f.name not in given]
+        assert left_out
+        for f in left_out:
+            value = getattr(args, f.name)
+            assert value == f.default and type(value) is type(f.default), f.name
+
+    def test_gen(self):
+        args = _build_parser().parse_args(["gen", "--d", "3", "--n", "40", "--prior-pos", "0.5",
+                                           "--out", "unused.libsvm"])
+        self._assert_dataclass_defaults(GaussianSpec, args, {"d", "n", "prior_pos"})
+        assert _from_args(GaussianSpec, args) == GaussianSpec(d=3, n=40, prior_pos=0.5)
+
+    def test_cv(self):
+        args = _build_parser().parse_args(["cv", "--method", "lda", "--data", "unused.libsvm",
+                                           "--report-out", "unused.csv"])
+        self._assert_dataclass_defaults(ExperimentConfig, args, {"method", "data", "optimizer"})
+        self._assert_dataclass_defaults(LineSearchConfig, args, set())
+        config = _from_args(ExperimentConfig, args, optimizer=_from_args(LineSearchConfig, args))
+        assert config == ExperimentConfig(method="lda", data="unused.libsvm")

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from momentclf import (
-    AucMoments,
     ClassMoments,
     GaussianSpec,
     InvalidModelError,
@@ -154,7 +153,6 @@ def test_public_constructors_store_the_symmetrized_input():
     sigma = fields["sigma_pos"]
     assert not np.array_equal(sigma, sigma.T)
     assert _same_bits(ClassMoments(**fields).sigma_pos, 0.5 * (sigma + sigma.T))
-    assert _same_bits(AucMoments(fields["mu_pos"], sigma).sigma_hat, 0.5 * (sigma + sigma.T))
     fields["sigma_pos"] = sigma + 1e-6 * np.triu(np.ones((6, 6)), 1)
     with pytest.raises(InvalidModelError, match="sigma_pos is not symmetric"):
         ClassMoments(**fields)

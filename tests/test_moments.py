@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from momentclf import (
-    AucMoments,
     ClassMoments,
     Dataset,
     DegenerateProjectionError,
@@ -206,13 +205,23 @@ class TestBuiltMoments:
             ClassMoments(np.ones(2), -np.ones(2), np.eye(2), np.eye(2), 0.5, 0.5, n_samples=9)
 
     def test_auc_moments_frozen_symmetric_and_as_constructed(self):
-        a = auc_moments(self._estimated())
-        ref = AucMoments(a.mu_hat, a.sigma_hat)
-        assert not a.mu_hat.flags.writeable
-        assert not a.sigma_hat.flags.writeable
-        assert np.array_equal(a.sigma_hat, a.sigma_hat.T)
-        assert np.array_equal(a.mu_hat, ref.mu_hat)
-        assert np.array_equal(a.sigma_hat, ref.sigma_hat)
+        # AucMoments validates nothing; auc_moments is its only builder, and
+        # these are the moments the package hands it: estimated, generated
+        # and z-scored, besides moments from the checking constructor
+        ds, exact = gen_gaussian(GaussianSpec(d=7, n=120, prior_pos=0.4, seed=8))
+        _, stats = normalize_zscore(ds)
+        for m in (self._estimated(), estimate_class_moments(ds), exact, _zscored(exact, stats),
+                  _zscored(estimate_class_moments(ds), stats), _simple_moments(3)):
+            a = auc_moments(m)
+            assert np.array_equal(a.mu_hat, m.mu_neg - m.mu_pos)
+            assert np.array_equal(a.sigma_hat, m.sigma_neg + m.sigma_pos)
+            assert np.array_equal(a.sigma_hat, a.sigma_hat.T)
+            assert np.all(np.isfinite(a.mu_hat)) and np.all(np.isfinite(a.sigma_hat))
+            assert a.dim == m.dim
+            for array in (a.mu_hat, a.sigma_hat):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 9.0
 
     def test_overflowing_estimate_rejected(self):
         ds = Dataset(
@@ -223,14 +232,6 @@ class TestBuiltMoments:
             InvalidModelError, match="sigma_pos contains non-finite entries"
         ):
             estimate_class_moments(ds)
-
-    def test_asymmetric_auc_moments_rejected(self):
-        with pytest.raises(InvalidModelError, match="not symmetric"):
-            AucMoments(np.ones(2), np.array([[1.0, 0.5], [0.1, 1.0]]))
-
-    def test_non_finite_auc_mean_rejected(self):
-        with pytest.raises(InvalidModelError, match="non-finite"):
-            AucMoments(np.array([np.inf, 0.0]), np.eye(2))
 
     def test_asymmetric_sidecar_rejected(self, tmp_path):
         path = tmp_path / "asym.moments"
@@ -256,7 +257,7 @@ class TestProjectedStats:
         with pytest.raises(DegenerateProjectionError):
             _projector(np.ones(2), np.eye(2))(np.zeros(2))
         with pytest.raises(DegenerateProjectionError):
-            auc_objective(AucMoments(np.ones(2), np.eye(2)))(np.zeros(2))
+            auc_objective(auc_moments(_simple_moments()))(np.zeros(2))
 
     def test_threshold_uses_sigma_eps(self):
         project = _projector(np.ones(1), np.eye(1))

@@ -20,6 +20,18 @@ import oracles
 SATURATION = 40.0
 
 
+def _pair_moments(mu_hat, sigma_hat):
+    """Pair moments with exactly this mu_hat and sigma_hat, built as the package builds them.
+
+    mu_hat - 0 and sigma_hat / 2 + sigma_hat / 2 give back both inputs bit for bit.
+    """
+    half = 0.5 * sigma_hat
+    a = auc_moments(ClassMoments(mu_pos=np.zeros_like(mu_hat), mu_neg=mu_hat,
+                                 sigma_pos=half, sigma_neg=half, prior_pos=0.5, prior_neg=0.5))
+    assert np.array_equal(a.mu_hat, mu_hat) and np.array_equal(a.sigma_hat, sigma_hat)
+    return a
+
+
 def _moments_e1(d=3, prior_pos=0.5):
     e1 = np.zeros(d)
     e1[0] = 1.0
@@ -112,9 +124,7 @@ class TestErrorGradient:
 
 class TestAucValue:
     def test_zero_mu_hat_gives_half(self):
-        from momentclf import AucMoments
-
-        a = AucMoments(mu_hat=np.zeros(3), sigma_hat=np.eye(3))
+        a = _pair_moments(np.zeros(3), np.eye(3))
         rng = np.random.default_rng(7)
         for _ in range(10):
             assert auc_objective(a)(rng.normal(size=3)).value == 0.5
@@ -149,10 +159,8 @@ class TestAucValue:
 
 class TestAucGradient:
     def test_gradient_at_mu_z_zero(self):
-        from momentclf import AucMoments
-
         mu_hat = np.array([0.0, 2.0])
-        a = AucMoments(mu_hat=mu_hat, sigma_hat=np.eye(2))
+        a = _pair_moments(mu_hat, np.eye(2))
         w = np.array([3.0, 0.0])
         # Sigma-hat term vanishes against the orthogonal complement of w
         # only in the ratio; at mu_Z = 0 the whole Sigma w term drops.
@@ -162,10 +170,8 @@ class TestAucGradient:
         assert np.allclose(got, expect, rtol=1e-14, atol=0.0)
 
     def test_gradient_parallel_to_mu_hat_when_orthogonal(self):
-        from momentclf import AucMoments
-
         mu_hat = np.array([0.0, 1.5])
-        a = AucMoments(mu_hat=mu_hat, sigma_hat=np.eye(2))
+        a = _pair_moments(mu_hat, np.eye(2))
         g = auc_objective(a)(np.array([2.0, 0.0])).gradient
         assert g[0] == 0.0
         assert g[1] != 0.0
