@@ -233,6 +233,27 @@ class TestBuiltMoments:
         ):
             estimate_class_moments(ds)
 
+    def test_asymmetric_auc_moments_rejected(self):
+        # auc_moments is the only builder of pair moments; an asymmetric
+        # covariance on either side is stopped before it can reach one
+        bad = np.array([[1.0, 0.5], [0.1, 1.0]])
+        for name in ("sigma_pos", "sigma_neg"):
+            fields = dict(mu_pos=np.ones(2), mu_neg=-np.ones(2), sigma_pos=np.eye(2),
+                          sigma_neg=np.eye(2), prior_pos=0.5, prior_neg=0.5)
+            fields[name] = bad
+            with pytest.raises(InvalidModelError, match=f"{name} is not symmetric"):
+                auc_moments(ClassMoments(**fields))
+
+    def test_non_finite_auc_mean_rejected(self):
+        # a non-finite class mean on either side is stopped before its
+        # difference can become mu_hat
+        for name in ("mu_pos", "mu_neg"):
+            fields = dict(mu_pos=np.ones(2), mu_neg=-np.ones(2), sigma_pos=np.eye(2),
+                          sigma_neg=np.eye(2), prior_pos=0.5, prior_neg=0.5)
+            fields[name] = np.array([np.inf, 0.0])
+            with pytest.raises(InvalidModelError, match="non-finite"):
+                auc_moments(ClassMoments(**fields))
+
     def test_asymmetric_sidecar_rejected(self, tmp_path):
         path = tmp_path / "asym.moments"
         path.write_text(

@@ -79,3 +79,23 @@ def test_finite_difference_of_cdf_matches_pdf():
         fd = (std_normal_cdf(lo + h) - std_normal_cdf(lo - h)) / (2.0 * h)
         ref = _pdf(lo)
         assert abs(fd - ref) <= 1e-6 * abs(ref)
+
+
+def test_cdf_lives_in_objectives_and_is_exported_once():
+    import momentclf
+    from momentclf import objectives
+
+    assert std_normal_cdf is objectives.std_normal_cdf
+    assert momentclf.__all__.count("std_normal_cdf") == 1
+    for name in momentclf.__all__:
+        getattr(momentclf, name)
+
+
+def test_retired_names_stay_gone():
+    import importlib.util
+
+    import momentclf
+
+    for name in ("AucMoments", "std_normal_pdf"):
+        assert name not in momentclf.__all__ and not hasattr(momentclf, name), name
+    assert importlib.util.find_spec("momentclf.normal") is None
