@@ -148,13 +148,15 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_and_report(jobs) -> int:
+def _run_and_report(jobs, inputs=()) -> int:
     """Run (label, ExperimentConfig, report path) jobs, each to its report.
 
-    Every report is checked first against every job's input files and the
-    other reports.  A job with no completed run fails the command at the end.
+    Every report is checked first against the given (flag, path) inputs,
+    every job's input files and the other reports.  A job with no completed
+    run fails the command at the end.
     """
-    inputs = [("--data", c.data) for _, c, _ in jobs if isinstance(c.data, str)]
+    inputs = list(inputs)
+    inputs += [("--data", c.data) for _, c, _ in jobs if isinstance(c.data, str)]
     inputs += [("--moments", c.moments) for _, c, _ in jobs if c.moments != "generator"]
     _check_outputs([(label, path) for label, _, path in jobs], inputs)
     empty = []
@@ -201,10 +203,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 fields["data"] = GaussianSpec(**fields["data"])
             if "optimizer" in fields:
                 fields["optimizer"] = LineSearchConfig(**fields["optimizer"])
-            jobs.append((f"config {name}", ExperimentConfig(**fields), out_dir / f"{name}.csv"))
-        except (TypeError, ValueError) as exc:  # unknown or missing key, bad value
+            config = ExperimentConfig(**fields)
+            for key in ("data", "moments"):
+                path = getattr(config, key)
+                if isinstance(path, str) and path != "generator" and not Path(path).is_file():
+                    raise ValueError(f"no {key} file {path}")
+            jobs.append((f"config {name}", config, out_dir / f"{name}.csv"))
+        except (TypeError, ValueError) as exc:  # unknown or missing key, bad value or file
             raise ValueError(f"config {name}: {exc}") from None
-    return _run_and_report(jobs)
+    return _run_and_report(jobs, [("--configs", args.configs)])
 
 
 @functools.cache

@@ -176,14 +176,8 @@ class GaussianSpec:
     cov_scale: float = 1.0
 
     def __post_init__(self):
-        _check_ints(self, "d", "n", "seed")
+        _check_ints(self, d=1, n=1, seed=0)
         _check_reals(self, "prior_pos", "outlier_pct", "mean_scale", "cov_scale")
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d!r}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if not 0.0 < self.prior_pos < 1.0:
             raise ValueError(f"prior_pos must lie in (0, 1), got {self.prior_pos!r}")
         if self.n * self.prior_pos < 2 or self.n * (1.0 - self.prior_pos) < 2:

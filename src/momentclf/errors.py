@@ -1,5 +1,6 @@
-"""Exception types shared across the package, its int and real field checks
-and its key-value text reader.
+"""Exception types shared across the package, its field checks (an int field
+is an int and at least its minimum, a real field is finite) and its
+key-value text reader.
 
 Everything derives from ValueError so callers that only care about
 "bad input vs. bug" can catch one class, while tests and the harness
@@ -8,6 +9,15 @@ can still tell the failure modes apart.
 
 import math
 import numbers
+
+__all__ = [
+    "DegenerateProjectionError",
+    "InsufficientDataError",
+    "InvalidModelError",
+    "SingularModelError",
+    "DegenerateModelError",
+    "ParseError",
+]
 
 
 class DegenerateProjectionError(ValueError):
@@ -34,12 +44,17 @@ class ParseError(ValueError):
     """Malformed text input; the message names the offending line."""
 
 
-def _check_ints(obj, *names: str) -> None:
-    """Raise TypeError unless each named field of obj is an int; a bool is not one."""
-    for name in names:
+def _check_ints(obj, **minimums: int) -> None:
+    """Raise TypeError unless each named field of obj is an int (a bool is not
+    one), then ValueError unless each is at least its minimum."""
+    for name in minimums:
         value = getattr(obj, name)
         if not isinstance(value, int) or isinstance(value, bool):
             raise TypeError(f"{name} must be an int, got {value!r}")
+    for name, minimum in minimums.items():
+        value = getattr(obj, name)
+        if value < minimum:
+            raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
 
 
 def _check_reals(obj, *names: str) -> None:

@@ -39,8 +39,6 @@ __all__ = [
     "ExperimentConfig",
     "RunResult",
     "ExperimentReport",
-    "load_source",
-    "fit",
     "run_experiment",
     "emit_report",
     "emit_trace",
@@ -86,19 +84,13 @@ class ExperimentConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if not isinstance(self.data, GaussianSpec) and not isinstance(self.data, str):
             raise ValueError("data must be a GaussianSpec or a file path string")
-        _check_ints(self, "folds", "repeats", "seed")
+        _check_ints(self, folds=2, repeats=1, seed=0)
         if not isinstance(self.per_fold_norm, bool):
             raise TypeError(f"per_fold_norm must be a bool, got {self.per_fold_norm!r}")
         if not (self.moments is None or isinstance(self.moments, str)):
             raise TypeError(f"moments must be a str or None, got {self.moments!r}")
         if not isinstance(self.optimizer, LineSearchConfig):
             raise TypeError(f"optimizer must be a LineSearchConfig, got {self.optimizer!r}")
-        if self.folds < 2:
-            raise ValueError(f"folds must be >= 2, got {self.folds!r}")
-        if self.repeats < 1:
-            raise ValueError(f"repeats must be >= 1, got {self.repeats!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         _check_source(self.method, self.data, self.moments)
 
     @property

@@ -54,7 +54,7 @@ class LineSearchConfig:
     max_backtracks: int = 60
 
     def __post_init__(self):
-        _check_ints(self, "max_iters", "max_backtracks")
+        _check_ints(self, max_iters=1, max_backtracks=1)
         _check_reals(self, "c", "beta", "alpha0", "grad_tol_rel")
         if not 0.0 < self.c < 1.0:
             raise ValueError(f"c must lie in (0, 1), got {self.c!r}")
@@ -62,12 +62,8 @@ class LineSearchConfig:
             raise ValueError(f"beta must lie in (0, 1), got {self.beta!r}")
         if not self.alpha0 > 0.0:
             raise ValueError(f"alpha0 must be positive, got {self.alpha0!r}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters!r}")
         if not self.grad_tol_rel > 0.0:
             raise ValueError(f"grad_tol_rel must be positive, got {self.grad_tol_rel!r}")
-        if self.max_backtracks < 1:
-            raise ValueError(f"max_backtracks must be >= 1, got {self.max_backtracks!r}")
 
 
 class TraceRecord(NamedTuple):

@@ -598,15 +598,16 @@ class TestBench:
         assert not out_dir.exists()
 
     @staticmethod
-    def _refused(tmp_path, capsys, entries, out_dir, label):
-        """bench exits 1 with one error line for label and changes no file."""
-        (tmp_path / "bench.json").write_text(json.dumps(entries))
+    def _refused(tmp_path, capsys, entries, out_dir, label, configs="bench.json"):
+        """bench exits 1 with one error line for label and changes no file; returns the line."""
+        (tmp_path / configs).write_text(json.dumps(entries))
         before = _snapshot(tmp_path)
-        assert main(["bench", "--configs", "bench.json", "--out-dir", out_dir]) == 1
+        assert main(["bench", "--configs", configs, "--out-dir", out_dir]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith(f"error: config {label} ")
         assert _snapshot(tmp_path) == before
+        return err
 
     def test_report_may_not_overwrite_the_data(self, generated, tmp_path, capsys, monkeypatch):
         # this sweep used to exit 0 and replace toy.csv with its report
@@ -614,6 +615,26 @@ class TestBench:
         shutil.copy(generated, "toy.csv")
         entry = {"name": "toy", "method": "lda", "data": "toy.csv", "folds": 3, "repeats": 1}
         self._refused(tmp_path, capsys, [entry], ".", "toy")
+
+    def test_report_may_not_overwrite_the_configs(self, generated, tmp_path, capsys,
+                                                   monkeypatch):
+        # this sweep used to exit 0 and replace its own configs file with a report
+        monkeypatch.chdir(tmp_path)
+        Path("out").mkdir()
+        entry = {"name": "c", "method": "lda", "data": str(generated), "folds": 2, "repeats": 1}
+        err = self._refused(tmp_path, capsys, [entry], "out", "c", configs="out/c.csv")
+        assert err == "error: config c out/c.csv names the --configs file\n"
+
+    # a missing input used to surface only when its entry ran, after the
+    # entries before it had written their reports
+    @pytest.mark.parametrize("key", ["data", "moments"])
+    def test_missing_input_is_refused_before_any_entry_runs(self, generated, tmp_path, capsys,
+                                                            monkeypatch, key):
+        monkeypatch.chdir(tmp_path)
+        ok = {"name": "a", "method": "lda", "data": str(generated), "folds": 2, "repeats": 1}
+        typo = {**ok, "name": "b", key: f"typo.{key}"}
+        err = self._refused(tmp_path, capsys, [ok, typo], ".", "b:")
+        assert err == f"error: config b: no {key} file typo.{key}\n"
 
     def test_report_may_not_overwrite_a_sidecar(self, generated, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -121,6 +121,29 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
             build()
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: GaussianSpec(d=0, n=40, prior_pos=0.5), "d must be >= 1, got 0"),
+        (lambda: GaussianSpec(d=2, n=0, prior_pos=0.5), "n must be >= 1, got 0"),
+        (lambda: GaussianSpec(d=2, n=40, prior_pos=0.5, seed=-1), "seed must be >= 0, got -1"),
+        (lambda: LineSearchConfig(max_iters=0), "max_iters must be >= 1, got 0"),
+        (lambda: LineSearchConfig(max_backtracks=0), "max_backtracks must be >= 1, got 0"),
+        (lambda: ExperimentConfig(method="lda", data="some/file.libsvm", folds=1),
+         "folds must be >= 2, got 1"),
+        (lambda: ExperimentConfig(method="lda", data="some/file.libsvm", repeats=0),
+         "repeats must be >= 1, got 0"),
+        (lambda: ExperimentConfig(method="lda", data="some/file.libsvm", seed=-1),
+         "seed must be >= 0, got -1"),
+    ], ids=["spec.d", "spec.n", "spec.seed", "max_iters", "max_backtracks", "folds", "repeats",
+            "config.seed"])
+    def test_int_field_one_below_its_minimum(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert type(info.value) is ValueError and str(info.value) == message
+
+    def test_int_types_are_checked_before_minimums(self):
+        with pytest.raises(TypeError, match="^seed must be an int, got None$"):
+            ExperimentConfig(method="lda", data="some/file.libsvm", folds=1, seed=None)
+
     @pytest.mark.parametrize("field, value", [
         ("folds", "3"), ("folds", 3.0), ("repeats", True), ("seed", None),
         ("per_fold_norm", "false"), ("per_fold_norm", None),

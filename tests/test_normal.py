@@ -99,3 +99,20 @@ def test_retired_names_stay_gone():
     for name in ("AucMoments", "std_normal_pdf"):
         assert name not in momentclf.__all__ and not hasattr(momentclf, name), name
     assert importlib.util.find_spec("momentclf.normal") is None
+
+
+def test_package_exports_each_module_list_once():
+    import momentclf
+    from momentclf import (data, errors, harness, metrics, model, moments, objectives,
+                           optimizer, surrogates)
+
+    modules = (errors, moments, model, objectives, surrogates, optimizer, metrics, data, harness)
+    names = [name for module in modules for name in module.__all__] + ["__version__"]
+    assert len(set(names)) == len(names)
+    assert sorted(momentclf.__all__) == sorted(names)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(momentclf, name) is getattr(module, name), name
+    # harness helpers the CLI shares stay in their module
+    for name in ("fit", "load_source", "REPORT_HEADER"):
+        assert hasattr(harness, name) and not hasattr(momentclf, name), name
