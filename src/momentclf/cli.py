@@ -27,6 +27,7 @@ from .data import (
     save_libsvm,
     save_moments,
 )
+from .errors import _check_min
 from .harness import (
     METHODS,
     ExperimentConfig,
@@ -115,8 +116,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     # lda and the direct methods never draw from the seed, so check it here
-    if args.seed < 0:
-        raise ValueError(f"seed must be >= 0, got {args.seed!r}")
+    _check_min("seed", args.seed, 0)
     _check_outputs([("--model-out", args.model_out), ("--trace-out", args.trace_out)],
                    [("--data", args.data), ("--moments", args.moments)])
     dataset, exact = load_source(args.method, args.data, args.moments, args.normalize)

@@ -20,8 +20,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ParseError, _check_ints, _check_reals, _read_key_values
-from .moments import ClassMoments, _built, _check_priors
+from .errors import (
+    ParseError,
+    _check_ints,
+    _check_min,
+    _check_reals,
+    _read_key_values,
+    _write_key_values,
+)
+from .moments import ClassMoments, _built
 
 __all__ = [
     "Dataset",
@@ -213,8 +220,8 @@ def parse_libsvm(text: str | bytes, dim: int | None = None) -> Dataset:
     holds its split lines, the entries and then the matrix, not a Python
     object per entry.
     """
-    if dim is not None and dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim!r}")
+    if dim is not None:
+        _check_min("dim", dim, 1)
     # the first line above dim is the first to raise the largest index past it
     limit = math.inf if dim is None else dim
     if isinstance(text, bytes):
@@ -452,8 +459,6 @@ def gen_gaussian(spec: GaussianSpec) -> tuple[Dataset, ClassMoments]:
     if spec.outlier_pct > 0.0:
         dataset = inject_outliers(dataset, spec.outlier_pct, spec.seed)
     prior_pos = float(spec.prior_pos)
-    prior_neg = 1.0 - prior_pos
-    _check_priors(prior_pos, prior_neg)
     moments = _built(
         ClassMoments,
         mu_pos=mu_pos,
@@ -461,7 +466,7 @@ def gen_gaussian(spec: GaussianSpec) -> tuple[Dataset, ClassMoments]:
         sigma_pos=sigmas[0],
         sigma_neg=sigmas[1],
         prior_pos=prior_pos,
-        prior_neg=prior_neg,
+        prior_neg=1.0 - prior_pos,
     )
     return dataset, moments
 
@@ -495,8 +500,7 @@ def kfold_split(n: int, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]
     the extra sample.  Index arrays come back sorted.  Every index lands
     in exactly one test fold.
     """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k!r}")
+    _check_min("k", k, 2)
     if n < k:
         raise ValueError(f"need n >= k, got n={n!r}, k={k!r}")
     permutation = np.random.default_rng(seed).permutation(n)
@@ -517,22 +521,9 @@ def save_moments(moments: ClassMoments, path) -> None:
     emits next to a dataset so exact moments survive the trip to disk.
     """
 
-    def fmt(values) -> str:
-        # the container holds float64 arrays, whose tolist() gives Python floats
-        return " ".join(map(repr, values.ravel().tolist()))
-
-    lines = [
-        f"d {moments.dim}",
-        f"prior_pos {moments.prior_pos!r}",
-        f"prior_neg {moments.prior_neg!r}",
-        f"mu_pos {fmt(moments.mu_pos)}",
-        f"mu_neg {fmt(moments.mu_neg)}",
-        f"sigma_pos {fmt(moments.sigma_pos)}",
-        f"sigma_neg {fmt(moments.sigma_neg)}",
-        "",
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
+    _write_key_values(path, d=moments.dim, prior_pos=moments.prior_pos,
+                      prior_neg=moments.prior_neg, mu_pos=moments.mu_pos, mu_neg=moments.mu_neg,
+                      sigma_pos=moments.sigma_pos, sigma_neg=moments.sigma_neg)
 
 
 def load_moments(path) -> ClassMoments:

@@ -1,6 +1,8 @@
 """Exception types shared across the package, its field checks (an int field
-is an int and at least its minimum, a real field is finite) and its
-key-value text reader.
+is an int, a real field is finite), the one minimum rule for integers
+(`{name} must be >= {m}, got {value!r}`), and its text-file reader and
+writers: every model, sidecar, report and trace file is UTF-8 lines, each
+ended by a newline, with floats written as their repr and arrays row-major.
 
 Everything derives from ValueError so callers that only care about
 "bad input vs. bug" can catch one class, while tests and the harness
@@ -52,9 +54,13 @@ def _check_ints(obj, **minimums: int) -> None:
         if not isinstance(value, int) or isinstance(value, bool):
             raise TypeError(f"{name} must be an int, got {value!r}")
     for name, minimum in minimums.items():
-        value = getattr(obj, name)
-        if value < minimum:
-            raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+        _check_min(name, getattr(obj, name), minimum)
+
+
+def _check_min(name: str, value, minimum: int) -> None:
+    """Raise ValueError unless value is at least minimum."""
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
 
 
 def _check_reals(obj, *names: str) -> None:
@@ -94,3 +100,24 @@ def _read_key_values(path, kind: str, expected: str, parse):
         return parse(fields)
     except (KeyError, ValueError) as exc:
         raise ParseError(f"{kind} file {path!s} is malformed: {exc}") from exc
+
+
+def _write_lines(path, lines) -> None:
+    """Write lines as UTF-8 text, each ended by a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join([*lines, ""]))
+
+
+def _write_key_values(path, **fields) -> None:
+    """Write one `key values` line per field, in order, for _read_key_values.
+
+    An int or float is written as its repr; a numpy array or scalar as the
+    reprs of its entries in row-major order, so floats round-trip exactly.
+    """
+
+    def text(value) -> str:
+        if hasattr(value, "ravel"):
+            return " ".join(map(repr, value.ravel().tolist()))
+        return repr(value)
+
+    _write_lines(path, [f"{key} {text(value)}" for key, value in fields.items()])

@@ -26,7 +26,7 @@ from .data import (
     load_moments,
     normalize_zscore,
 )
-from .errors import _check_ints
+from .errors import _check_ints, _write_lines
 from .metrics import evaluate_model
 from .model import LinearModel
 from .moments import ClassMoments, _built, auc_moments, estimate_class_moments
@@ -339,27 +339,12 @@ def emit_report(report: ExperimentReport, path) -> None:
             ]
         )
     )
-    lines.append("")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
+    _write_lines(path, lines)
 
 
 def emit_trace(trace: OptimizationTrace, path) -> None:
-    """Write one optimizer trace as CSV, one row per accepted iteration."""
-    lines = [TRACE_HEADER]
-    for record in trace.records:
-        lines.append(
-            ",".join(
-                [
-                    str(record.iteration),
-                    repr(record.value),
-                    repr(record.grad_norm),
-                    repr(record.step),
-                    str(record.backtracks),
-                    repr(record.seconds),
-                ]
-            )
-        )
-    lines.append("")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
+    """Write one optimizer trace as CSV, one row per accepted iteration.
+
+    The columns follow TraceRecord's field order, each field its repr.
+    """
+    _write_lines(path, [TRACE_HEADER, *(",".join(map(repr, record)) for record in trace.records)])

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, _read_key_values
+from .errors import ParseError, _read_key_values, _write_key_values
 
 __all__ = ["LinearModel", "save_model", "load_model"]
 
@@ -47,14 +47,7 @@ class LinearModel:
 
 def save_model(model: LinearModel, path) -> None:
     """Write a model as plain text with full round-trip precision."""
-    lines = [
-        f"d {model.dim}",
-        f"intercept {model.intercept!r}",
-        "w " + " ".join(map(repr, model.w.tolist())),
-        "",
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
+    _write_key_values(path, d=model.dim, intercept=model.intercept, w=model.w)
 
 
 def load_model(path) -> LinearModel:

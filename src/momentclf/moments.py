@@ -71,25 +71,17 @@ def _check_covariance(name: str, s: np.ndarray, d: int) -> None:
         raise InvalidModelError(f"{name} is not symmetric")
 
 
-def _check_priors(prior_pos: float, prior_neg: float) -> None:
-    if not (0.0 < prior_pos < 1.0 and 0.0 < prior_neg < 1.0):
-        raise InvalidModelError(
-            f"priors must lie strictly inside (0, 1), got {prior_pos}, {prior_neg}"
-        )
-    if abs(prior_pos + prior_neg - 1.0) > 1e-12:
-        raise InvalidModelError(
-            f"priors must sum to 1 within 1e-12, got {prior_pos + prior_neg!r}"
-        )
-
-
 def _built(cls, **fields):
     """Construct a moment container from arrays this module just computed.
 
     They are fresh float64 arrays of the right shapes that no caller holds,
     and their covariances are exactly symmetric, so the public constructor's
     symmetry check, re-symmetrization and copy could not change them.  They
-    are checked for finiteness and frozen in place instead.  Callers check
-    the priors.  The exact symmetry comes from how the covariances are
+    are checked for finiteness and frozen in place instead.  Priors are
+    not checked: estimate_class_moments and gen_gaussian derive them from
+    inputs already checked (class counts of at least 2, a GaussianSpec's
+    prior_pos in (0, 1)), so they lie in (0, 1) and sum to 1 within
+    rounding.  The exact symmetry comes from how the covariances are
     built: numpy computes a product X' @ X of one buffer with a symmetric
     rank-k update (BLAS syrk), which fills both triangles from the same
     values, and sums and scalings of such matrices stay symmetric.
@@ -139,7 +131,14 @@ class ClassMoments:
         _check_covariance("sigma_neg", sigma_neg, d)
         prior_pos = float(self.prior_pos)
         prior_neg = float(self.prior_neg)
-        _check_priors(prior_pos, prior_neg)
+        if not (0.0 < prior_pos < 1.0 and 0.0 < prior_neg < 1.0):
+            raise InvalidModelError(
+                f"priors must lie strictly inside (0, 1), got {prior_pos}, {prior_neg}"
+            )
+        if abs(prior_pos + prior_neg - 1.0) > 1e-12:
+            raise InvalidModelError(
+                f"priors must sum to 1 within 1e-12, got {prior_pos + prior_neg!r}"
+            )
         object.__setattr__(self, "mu_pos", _readonly(mu_pos))
         object.__setattr__(self, "mu_neg", _readonly(mu_neg))
         object.__setattr__(self, "sigma_pos", _symmetrized(sigma_pos))
@@ -192,7 +191,6 @@ def estimate_class_moments(dataset: Dataset) -> ClassMoments:
         out[f"mu_{tag}"] = mu
         out[f"sigma_{tag}"] = sigma
         out[f"prior_{tag}"] = index.shape[0] / X.shape[0]
-    _check_priors(out["prior_pos"], out["prior_neg"])
     return _built(ClassMoments, n_samples=X.shape[0], **out)
 
 

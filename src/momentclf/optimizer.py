@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import _check_ints, _check_reals
+from .errors import _check_ints, _check_min, _check_reals
 from .model import LinearModel
 from .moments import ClassMoments, _mean_difference
 from .objectives import Objective, _scalar
@@ -67,7 +67,8 @@ class LineSearchConfig:
 
 
 class TraceRecord(NamedTuple):
-    """State after one accepted step, a tuple in field order.
+    """State after one accepted step, a tuple in field order, the order of
+    emit_trace's columns.
 
     iteration is 1-based; value and grad_norm describe the new iterate;
     step is the accepted alpha; backtracks counts, cumulatively, the trial
@@ -296,10 +297,8 @@ def init_w0_error(moments: ClassMoments) -> np.ndarray:
 
 def init_random(d: int, seed: int) -> np.ndarray:
     """Seeded unit-norm standard normal direction in R^d."""
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed!r}")
+    _check_min("d", d, 1)
+    _check_min("seed", seed, 0)
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(d)
     norm = float(np.linalg.norm(w))

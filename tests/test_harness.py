@@ -1,5 +1,6 @@
 """Tests for the cross-validation experiment runner and CSV emitters."""
 
+import argparse
 import dataclasses
 import math
 
@@ -30,13 +31,16 @@ from momentclf import (
     load_moments,
     logistic_objective,
     normalize_zscore,
+    parse_libsvm,
     run_experiment,
     save_libsvm,
     save_moments,
     std_normal_cdf,
 )
+from momentclf.cli import _cmd_train
 from momentclf.harness import METHODS, REPORT_HEADER, TRACE_HEADER, _zscored, fit, load_source
 from momentclf.objectives import ObjectiveEval
+from momentclf.optimizer import OptimizationTrace, TraceRecord
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +147,24 @@ class TestConfigValidation:
     def test_int_types_are_checked_before_minimums(self):
         with pytest.raises(TypeError, match="^seed must be an int, got None$"):
             ExperimentConfig(method="lda", data="some/file.libsvm", folds=1, seed=None)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: _cmd_train(argparse.Namespace(seed=-1)), "seed must be >= 0, got -1"),
+        (lambda: init_random(0, 3), "d must be >= 1, got 0"),
+        (lambda: init_random(3, -1), "seed must be >= 0, got -1"),
+        (lambda: parse_libsvm("+1 1:0.5\n-1 1:1.5\n", dim=0), "dim must be >= 1, got 0"),
+        (lambda: kfold_split(10, 1, seed=0), "k must be >= 2, got 1"),
+    ], ids=["train.seed", "init_random.d", "init_random.seed", "parse_libsvm.dim",
+            "kfold_split.k"])
+    def test_bare_argument_one_below_its_minimum(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert type(info.value) is ValueError and str(info.value) == message
+
+    def test_bare_arguments_take_numpy_integers(self):
+        assert init_random(np.int64(3), np.int64(0)).shape == (3,)
+        assert len(kfold_split(10, np.int64(2), seed=0)) == 2
+        assert parse_libsvm("+1 1:0.5\n-1 1:1.5\n", dim=np.int64(2)).dim == 2
 
     @pytest.mark.parametrize("field, value", [
         ("folds", "3"), ("folds", 3.0), ("repeats", True), ("seed", None),
@@ -607,6 +629,48 @@ class TestEmitTrace:
         trace = self._fifty_iteration_trace()
         with pytest.raises(OSError):
             emit_trace(trace, tmp_path / "no_dir" / "trace.csv")
+
+
+class TestWrittenBytes:
+    """The exact bytes of a hand-built report and trace: floats as their repr,
+    ints as written, a failed run's reason on one line without commas."""
+
+    def test_report_bytes(self, tmp_path):
+        report = ExperimentReport(
+            config=ExperimentConfig(method="lda", data="some/file.libsvm"),
+            runs=[
+                RunResult(0, 0, 0, accuracy=0.75, auc=0.5, train_seconds=5e-324),
+                RunResult(1, 1, 0, accuracy=0.25, auc=-0.0, train_seconds=0.125),
+                RunResult(2, 0, 1, reason="LinAlgError: bad, worse\nand more"),
+            ],
+        )
+        path = tmp_path / "report.csv"
+        emit_report(report, path)
+        assert path.read_bytes() == (
+            b"method,moment_source,run,fold,repeat,accuracy,auc,train_seconds,reason\n"
+            b"lda,empirical,0,0,0,0.75,0.5,5e-324,\n"
+            b"lda,empirical,1,1,0,0.25,-0.0,0.125,\n"
+            b"lda,empirical,2,0,1,,,,LinAlgError: bad; worse and more\n"
+            b"lda,empirical,0.5,0.3535533905932738,0.25,0.3535533905932738,0.0625\n"
+        )
+
+    def test_trace_bytes(self, tmp_path):
+        # by keyword, so a reorder of TraceRecord's fields, which sets the
+        # columns, shows; an int alpha0 such as LineSearchConfig(alpha0=1)
+        # is the step of the first rung
+        trace = OptimizationTrace(initial_value=2.0, initial_grad_norm=3.0, records=[
+            TraceRecord(iteration=1, value=0.5, grad_norm=5e-324, step=1, backtracks=0,
+                        seconds=0.25),
+            TraceRecord(iteration=2, value=-0.0, grad_norm=0.1, step=0.5, backtracks=3,
+                        seconds=1.5e-05),
+        ])
+        path = tmp_path / "trace.csv"
+        emit_trace(trace, path)
+        assert path.read_bytes() == (
+            b"iter,objective,grad_norm,step,backtracks,seconds\n"
+            b"1,0.5,5e-324,1,0,0.25\n"
+            b"2,-0.0,0.1,0.5,3,1.5e-05\n"
+        )
 
 
 class TestZscoredMoments:
