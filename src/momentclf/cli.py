@@ -148,6 +148,15 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+def _input_files(config: ExperimentConfig):
+    """The (flag, path) pairs of the files a config reads: data when it is a
+    path, and moments unless it is None or the generator."""
+    if isinstance(config.data, str):
+        yield "--data", config.data
+    if config.moments not in (None, "generator"):
+        yield "--moments", config.moments
+
+
 def _run_and_report(jobs, inputs=()) -> int:
     """Run (label, ExperimentConfig, report path) jobs, each to its report.
 
@@ -155,9 +164,7 @@ def _run_and_report(jobs, inputs=()) -> int:
     every job's input files and the other reports.  A job with no completed
     run fails the command at the end.
     """
-    inputs = list(inputs)
-    inputs += [("--data", c.data) for _, c, _ in jobs if isinstance(c.data, str)]
-    inputs += [("--moments", c.moments) for _, c, _ in jobs if c.moments != "generator"]
+    inputs = [*inputs, *(pair for _, config, _ in jobs for pair in _input_files(config))]
     _check_outputs([(label, path) for label, _, path in jobs], inputs)
     empty = []
     for _, config, path in jobs:
@@ -169,9 +176,10 @@ def _run_and_report(jobs, inputs=()) -> int:
             print(head + f"no run completed (0/{len(report.runs)} runs)")
             empty.append(str(path))
             continue
-        print(head + f"accuracy {report.mean_accuracy:.6f} +- {report.std_accuracy:.6f}, "
-              f"auc {report.mean_auc:.6f} +- {report.std_auc:.6f}, train "
-              f"{report.mean_seconds:.4f}s over {report.completed_runs}/{len(report.runs)} runs")
+        summary = report.summary()
+        print(head + f"accuracy {summary.mean_accuracy:.6f} +- {summary.std_accuracy:.6f}, "
+              f"auc {summary.mean_auc:.6f} +- {summary.std_auc:.6f}, train "
+              f"{summary.mean_seconds:.4f}s over {report.completed_runs}/{len(report.runs)} runs")
     if empty:
         raise ValueError(f"no run completed for {', '.join(empty)}")
     return 0
@@ -204,10 +212,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             if "optimizer" in fields:
                 fields["optimizer"] = LineSearchConfig(**fields["optimizer"])
             config = ExperimentConfig(**fields)
-            for key in ("data", "moments"):
-                path = getattr(config, key)
-                if isinstance(path, str) and path != "generator" and not Path(path).is_file():
-                    raise ValueError(f"no {key} file {path}")
+            for flag, path in _input_files(config):
+                if not Path(path).is_file():
+                    raise ValueError(f"no {flag[2:]} file {path}")
             jobs.append((f"config {name}", config, out_dir / f"{name}.csv"))
         except (TypeError, ValueError) as exc:  # unknown or missing key, bad value or file
             raise ValueError(f"config {name}: {exc}") from None

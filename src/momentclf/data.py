@@ -543,4 +543,4 @@ def load_moments(path) -> ClassMoments:
             sigma_neg=vec("sigma_neg").reshape(d, d),
         )
 
-    return ClassMoments(**_read_key_values(path, "moments", "key values", parse))
+    return ClassMoments(**_read_key_values(path, "moments", parse))

@@ -78,7 +78,7 @@ def _check_reals(obj, *names: str) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def _read_key_values(path, kind: str, expected: str, parse):
+def _read_key_values(path, kind: str, parse):
     """Read the `key values` lines of a model or moments file; return parse(fields).
 
     A line without values, a key repeated, and a KeyError or ValueError from
@@ -92,7 +92,7 @@ def _read_key_values(path, kind: str, expected: str, parse):
                 continue
             key, _, rest = line.partition(" ")
             if not rest:
-                raise ParseError(f"line {lineno}: expected {expected!r}, got {line!r}")
+                raise ParseError(f"line {lineno}: expected 'key values', got {line!r}")
             if key in fields:
                 raise ParseError(f"line {lineno}: key {key!r} repeated")
             fields[key] = rest

@@ -10,8 +10,8 @@ columns excepted).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass, field, fields
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -104,7 +104,8 @@ class RunResult:
     """Metrics and optimizer trace of one (repeat, fold) run.
 
     A failed run carries the reason instead.  trace is None for
-    closed-form lda and for failed runs.
+    closed-form lda and for failed runs.  The fields before trace, in
+    order, are the report row's columns after method and moment source.
     """
 
     run: int
@@ -113,61 +114,49 @@ class RunResult:
     accuracy: float | None = None
     auc: float | None = None
     train_seconds: float | None = None
-    trace: OptimizationTrace | None = None
     reason: str = ""
+    trace: OptimizationTrace | None = None
 
     @property
     def failed(self) -> bool:
         return bool(self.reason)
 
 
+class ReportSummary(NamedTuple):
+    """Aggregates of a report's completed runs, in the summary row's order."""
+
+    mean_accuracy: float
+    std_accuracy: float
+    mean_auc: float
+    std_auc: float
+    mean_seconds: float
+
+
 @dataclass
 class ExperimentReport:
-    """All runs of one config plus aggregate statistics.
-
-    Aggregates are over completed runs only; std uses the (runs - 1)
-    denominator.
-    """
+    """All runs of one config; summary() aggregates them."""
 
     config: ExperimentConfig
     runs: list[RunResult] = field(default_factory=list)
-
-    def _completed(self, attr: str) -> np.ndarray:
-        return np.array(
-            [getattr(r, attr) for r in self.runs if not r.failed], dtype=float
-        )
 
     @property
     def completed_runs(self) -> int:
         return sum(1 for r in self.runs if not r.failed)
 
-    def _mean(self, attr: str) -> float:
-        vals = self._completed(attr)
-        return float(vals.mean()) if vals.size else float("nan")
+    def summary(self) -> ReportSummary:
+        """Means over the completed runs, nan without one, and stds with the
+        (runs - 1) denominator, nan below two."""
+        done = [r for r in self.runs if not r.failed]
+        nan = float("nan")
 
-    def _std(self, attr: str) -> float:
-        vals = self._completed(attr)
-        return float(vals.std(ddof=1)) if vals.size >= 2 else float("nan")
+        def stats(name: str) -> tuple[float, float]:
+            values = np.array([getattr(r, name) for r in done], dtype=float)
+            return (float(values.mean()) if done else nan,
+                    float(values.std(ddof=1)) if len(done) >= 2 else nan)
 
-    @property
-    def mean_accuracy(self) -> float:
-        return self._mean("accuracy")
-
-    @property
-    def std_accuracy(self) -> float:
-        return self._std("accuracy")
-
-    @property
-    def mean_auc(self) -> float:
-        return self._mean("auc")
-
-    @property
-    def std_auc(self) -> float:
-        return self._std("auc")
-
-    @property
-    def mean_seconds(self) -> float:
-        return self._mean("train_seconds")
+        (mean_acc, std_acc), (mean_auc, std_auc), (mean_seconds, _) = map(
+            stats, ("accuracy", "auc", "train_seconds"))
+        return ReportSummary(mean_acc, std_acc, mean_auc, std_auc, mean_seconds)
 
 
 def _check_source(method: str, data: DataSource, moments: str | None) -> None:
@@ -288,58 +277,40 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 train_seconds = time.perf_counter() - started
                 scored = evaluate_model(model, test)
                 result = RunResult(run_no, fold, repeat, scored.accuracy, scored.auc,
-                                   train_seconds, trace)
+                                   train_seconds, trace=trace)
             except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
                 result = RunResult(run_no, fold, repeat, reason=f"{type(exc).__name__}: {exc}")
             report.runs.append(result)
     return report
 
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else repr(float(value))
+def _cell(value) -> str:
+    """One report field: None empty, a str on one line without commas, an
+    int as written, a float as its repr."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value.replace("\n", " ").replace(",", ";")
+    if isinstance(value, int):
+        return str(value)
+    return repr(float(value))
 
 
 def emit_report(report: ExperimentReport, path) -> None:
-    """Write per-run rows plus one summary row as CSV.
+    """Write one row per run plus one summary row as CSV.
 
-    Row columns follow REPORT_HEADER; floats carry full round-trip
-    precision.  The final line is the aggregate
-    method,moment_source,mean_accuracy,std_accuracy,mean_auc,std_auc,mean_seconds.
-    Failed runs have empty metric fields and the reason in the last column.
+    A run row is method and moment source, then RunResult's fields in
+    declaration order without trace; REPORT_HEADER names them.  The last
+    row is method and moment source, then ReportSummary's fields:
+    mean_accuracy, std_accuracy, mean_auc, std_auc, mean_seconds.  Floats
+    carry full round-trip precision; a failed run has empty metric fields
+    and its reason, on one line with commas as semicolons, last.
     """
-    lines = [REPORT_HEADER]
-    cfg = report.config
-    for run in report.runs:
-        reason = run.reason.replace("\n", " ").replace(",", ";")
-        lines.append(
-            ",".join(
-                [
-                    cfg.method,
-                    cfg.moment_source,
-                    str(run.run),
-                    str(run.fold),
-                    str(run.repeat),
-                    _fmt(run.accuracy),
-                    _fmt(run.auc),
-                    _fmt(run.train_seconds),
-                    reason,
-                ]
-            )
-        )
-    lines.append(
-        ",".join(
-            [
-                cfg.method,
-                cfg.moment_source,
-                _fmt(report.mean_accuracy),
-                _fmt(report.std_accuracy),
-                _fmt(report.mean_auc),
-                _fmt(report.std_auc),
-                _fmt(report.mean_seconds),
-            ]
-        )
-    )
-    _write_lines(path, lines)
+    head = [report.config.method, report.config.moment_source]
+    names = [f.name for f in fields(RunResult) if f.name != "trace"]
+    rows = [head + [getattr(run, name) for name in names] for run in report.runs]
+    rows.append(head + list(report.summary()))
+    _write_lines(path, [REPORT_HEADER, *(",".join(map(_cell, row)) for row in rows)])
 
 
 def emit_trace(trace: OptimizationTrace, path) -> None:

@@ -57,7 +57,7 @@ def load_model(path) -> LinearModel:
         return (int(fields["d"]), float(fields["intercept"]),
                 np.array([float(tok) for tok in fields["w"].split()], dtype=float))
 
-    d, intercept, w = _read_key_values(path, "model", "key value", parse)
+    d, intercept, w = _read_key_values(path, "model", parse)
     if w.shape[0] != d:
         raise ParseError(f"model file declares d={d} but has {w.shape[0]} weights")
     return LinearModel(w=w, intercept=intercept)

@@ -287,6 +287,14 @@ class TestTrain:
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not model_out.exists()
 
+    def test_lda_trace_out_writes_no_trace(self, generated, tmp_path, capsys):
+        trace_out = tmp_path / "t.csv"
+        rc = main(["train", "--method", "lda", "--data", str(generated),
+                   "--model-out", str(tmp_path / "m.model"), "--trace-out", str(trace_out)])
+        assert rc == 0
+        assert capsys.readouterr().err == "lda is closed form; no trace to write\n"
+        assert not trace_out.exists()
+
     def test_missing_data_file_fails_cleanly(self, tmp_path, capsys):
         rc = main(["train", "--method", "lda", "--data", str(tmp_path / "absent.libsvm"),
                    "--model-out", str(tmp_path / "m.model")])
@@ -627,14 +635,16 @@ class TestBench:
 
     # a missing input used to surface only when its entry ran, after the
     # entries before it had written their reports
-    @pytest.mark.parametrize("key", ["data", "moments"])
+    # a data path named like the moments sentinel is a path like any other
+    @pytest.mark.parametrize("key, path", [("data", "typo.data"), ("moments", "typo.moments"),
+                                           ("data", "generator")])
     def test_missing_input_is_refused_before_any_entry_runs(self, generated, tmp_path, capsys,
-                                                            monkeypatch, key):
+                                                            monkeypatch, key, path):
         monkeypatch.chdir(tmp_path)
         ok = {"name": "a", "method": "lda", "data": str(generated), "folds": 2, "repeats": 1}
-        typo = {**ok, "name": "b", key: f"typo.{key}"}
+        typo = {**ok, "name": "b", key: path}
         err = self._refused(tmp_path, capsys, [ok, typo], ".", "b:")
-        assert err == f"error: config b: no {key} file typo.{key}\n"
+        assert err == f"error: config b: no {key} file {path}\n"
 
     def test_report_may_not_overwrite_a_sidecar(self, generated, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -568,6 +568,21 @@ class TestNormalize:
         out = apply_zscore(test, stats)
         assert out.features[0, 0] == 3.0
 
+    def test_apply_rejects_stats_of_another_dimension(self):
+        train = Dataset(features=np.array([[0.0, 1.0], [2.0, 3.0]]), labels=np.array([1, -1]))
+        test = Dataset(features=np.array([[4.0]]), labels=np.array([1]))
+        _, stats = normalize_zscore(train)
+        with pytest.raises(ValueError, match=r"^stats are for d=2, dataset has d=1$"):
+            apply_zscore(test, stats)
+
+    def test_overflowing_std_rejected(self):
+        # finite features whose std overflows; without the check the
+        # column would silently come out as zeros
+        ds = Dataset(features=np.array([[1e308], [-1e308], [1e308]]), labels=np.array([1, -1, 1]))
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="^normalization stats contain non-finite entries$"):
+            normalize_zscore(ds)
+
 
 class TestGaussianSpec:
     def test_rejects_undersized_class(self):
@@ -579,9 +594,15 @@ class TestGaussianSpec:
             with pytest.raises(ValueError, match="outlier_pct"):
                 GaussianSpec(d=2, n=10, prior_pos=0.5, outlier_pct=pct)
 
-    def test_rejects_nonpositive_scales(self):
-        with pytest.raises(ValueError):
-            GaussianSpec(d=2, n=10, prior_pos=0.5, mean_scale=0.0)
+    @pytest.mark.parametrize("field, value, message", [
+        ("mean_scale", 0.0, "mean_scale must be positive, got 0.0"),
+        ("cov_scale", 0.0, "cov_scale must be positive, got 0.0"),
+        ("prior_pos", 1.0, r"prior_pos must lie in \(0, 1\), got 1.0"),
+    ], ids=["mean_scale", "cov_scale", "prior_pos"])
+    def test_rejects_out_of_range_values(self, field, value, message):
+        fields = {"d": 2, "n": 10, "prior_pos": 0.5, field: value}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GaussianSpec(**fields)
 
 
 class TestGenGaussian:
@@ -816,6 +837,24 @@ class TestMomentsSidecar:
         path.write_text("d 3\nprior_pos 0.5\n")
         with pytest.raises(ParseError):
             load_moments(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("d 2\nintercept 0.0\nw 1.0 2.0 3.0\n", "model file declares d=2 but has 3 weights"),
+        ("d 2\nintercept 0.0\nw\n", "line 3: expected 'key values', got 'w'"),
+        ("d 2\nintercept 0.0\nw nan 1.0\n", "w contains non-finite entries"),
+        ("d 2\nintercept inf\nw 1.0 2.0\n", "intercept must be finite, got inf"),
+    ], ids=["weight-count", "no-values", "nan-weight", "inf-intercept"])
+    def test_malformed_model_rejected(self, tmp_path, text, message):
+        path = tmp_path / "bad.model"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load_model(path)
+
+    def test_model_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "spaced.model"
+        path.write_text("d 2\n\nintercept 0.5\n\nw 1.0 -2.0\n", encoding="utf-8")
+        model = load_model(path)
+        assert model.intercept == 0.5 and model.w.tolist() == [1.0, -2.0]
 
     @pytest.mark.parametrize("save, load, key", [
         (lambda path: save_model(LinearModel(w=np.array([1.0, -2.0])), path), load_model, "w"),

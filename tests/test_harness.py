@@ -38,7 +38,8 @@ from momentclf import (
     std_normal_cdf,
 )
 from momentclf.cli import _cmd_train
-from momentclf.harness import METHODS, REPORT_HEADER, TRACE_HEADER, _zscored, fit, load_source
+from momentclf.harness import (METHODS, REPORT_HEADER, TRACE_HEADER, ReportSummary, _zscored, fit,
+                               load_source)
 from momentclf.objectives import ObjectiveEval
 from momentclf.optimizer import OptimizationTrace, TraceRecord
 
@@ -176,6 +177,10 @@ class TestConfigValidation:
         with pytest.raises(TypeError, match=f"^{field} must be"):
             ExperimentConfig(method="lda", data="some/file.libsvm", **{field: value})
 
+    def test_data_must_be_a_spec_or_a_path(self):
+        with pytest.raises(ValueError, match="^data must be a GaussianSpec or a file path string$"):
+            ExperimentConfig(method="lda", data=3)
+
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10**400])
     @pytest.mark.parametrize("build, field", [
         (lambda v: GaussianSpec(d=2, n=40, prior_pos=v), "prior_pos"),
@@ -208,7 +213,7 @@ class TestRunExperiment:
         report = run_experiment(ExperimentConfig(method="lda", data=str(data_path), seed=5))
         assert len(report.runs) == 20  # folds=5 x repeats=4
         bayes = std_normal_cdf(1.0)
-        assert abs(report.mean_accuracy - bayes) <= 0.02
+        assert abs(report.summary().mean_accuracy - bayes) <= 0.02
 
     def test_exact_error_direct_at_least_matches_lda(self, bayes_files):
         data_path, sidecar = bayes_files
@@ -221,7 +226,7 @@ class TestRunExperiment:
                 seed=5,
             )
         )
-        assert err.mean_accuracy >= lda.mean_accuracy
+        assert err.summary().mean_accuracy >= lda.summary().mean_accuracy
 
     def test_exact_source_on_a_file_is_normalized(self, raw_files):
         data_path, sidecar = raw_files
@@ -237,7 +242,7 @@ class TestRunExperiment:
             model, _ = fit("error-direct", raw_data.subset(train_idx), truth, LineSearchConfig(),
                            seed=0)
             raw_accuracy.append(evaluate_model(model, raw_data.subset(test_idx)).accuracy)
-        assert report.mean_accuracy >= 0.98 > float(np.mean(raw_accuracy))
+        assert report.summary().mean_accuracy >= 0.98 > float(np.mean(raw_accuracy))
         # the features and the sidecar are z-scored with the same statistics
         dataset, exact = load_source("error-direct", str(data_path), str(sidecar), normalize=True)
         zscored, stats = normalize_zscore(raw_data)
@@ -251,7 +256,7 @@ class TestRunExperiment:
         report = run_experiment(ExperimentConfig(
             method="error-direct", data=str(data_path), moments=str(sidecar), folds=2,
             repeats=1, seed=5, per_fold_norm=True))
-        assert report.mean_accuracy >= 0.98
+        assert report.summary().mean_accuracy >= 0.98
 
     def test_failed_exact_fit_fails_every_fold(self, bayes_files, tmp_path):
         data_path, _ = bayes_files
@@ -324,7 +329,7 @@ class TestRunExperiment:
         assert all(r.accuracy is None for r in failed)
         # aggregates come from completed runs only
         manual = sum(r.accuracy for r in completed) / len(completed)
-        assert abs(report.mean_accuracy - manual) <= 1e-15
+        assert abs(report.summary().mean_accuracy - manual) <= 1e-15
 
     def test_deterministic_given_seed(self):
         spec = GaussianSpec(d=3, n=120, prior_pos=0.5, seed=10)
@@ -486,6 +491,12 @@ class TestMomentSpellings:
 
 
 class TestEmitReport:
+    def test_header_is_the_run_record(self):
+        # a run row is method and moment source, then RunResult's fields
+        # in order without trace, so a reorder of the record shows here
+        names = [f.name for f in dataclasses.fields(RunResult) if f.name != "trace"]
+        assert REPORT_HEADER.split(",") == ["method", "moment_source", *names]
+
     def test_header_and_row_arithmetic(self, tmp_path):
         spec = GaussianSpec(d=2, n=80, prior_pos=0.5, seed=14)
         report = run_experiment(
@@ -518,7 +529,7 @@ class TestEmitReport:
         std = math.sqrt(sum((a - mean) ** 2 for a in accs) / (len(accs) - 1))
         assert abs(float(summary[3]) - std) <= 1e-12
         assert abs(float(summary[4]) - sum(aucs) / len(aucs)) <= 1e-12
-        assert abs(float(summary[2]) - report.mean_accuracy) <= 1e-15
+        assert abs(float(summary[2]) - report.summary().mean_accuracy) <= 1e-15
 
     def test_failed_rows_have_empty_metrics_and_reason(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -653,6 +664,11 @@ class TestWrittenBytes:
             b"lda,empirical,2,0,1,,,,LinAlgError: bad; worse and more\n"
             b"lda,empirical,0.5,0.3535533905932738,0.25,0.3535533905932738,0.0625\n"
         )
+
+    def test_summary_fields_are_the_summary_row(self):
+        # the summary row is method and moment source, then these in order
+        assert ReportSummary._fields == (
+            "mean_accuracy", "std_accuracy", "mean_auc", "std_auc", "mean_seconds")
 
     def test_trace_bytes(self, tmp_path):
         # by keyword, so a reorder of TraceRecord's fields, which sets the
