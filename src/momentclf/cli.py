@@ -141,10 +141,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.normalize:
         dataset, _ = normalize_zscore(dataset)
     result = evaluate_model(model, dataset, ties=args.ties)
-    print(f"accuracy {result.accuracy!r}")
-    print(f"auc {result.auc!r}")
-    print(f"n_pos {result.n_pos}")
-    print(f"n_neg {result.n_neg}")
+    for f in dataclasses.fields(result):
+        print(f.name, repr(getattr(result, f.name)))
     return 0
 
 
@@ -246,15 +244,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--moments-out", default=None, help="sidecar path (default: OUT.moments)")
     p_gen.set_defaults(func=_cmd_gen)
 
-    p_train = sub.add_parser("train", help="fit one model on one LIBSVM file")
-    p_train.add_argument("--method", choices=METHODS, required=True)
-    p_train.add_argument("--data", required=True, help="LIBSVM path")
-    p_train.add_argument("--moments", default=None, help="exact-moments sidecar; selects exact moments")
+    # the flags train and cv share: which method fits which data, and how
+    fitting = argparse.ArgumentParser(add_help=False)
+    fitting.add_argument("--method", choices=METHODS, required=True)
+    fitting.add_argument("--data", required=True, help="LIBSVM path")
+    fitting.add_argument("--moments", default=ExperimentConfig.moments,
+                         help="exact-moments sidecar; selects exact moments")
+    _add_optimizer_flags(fitting)
+
+    p_train = sub.add_parser("train", parents=[fitting], help="fit one model on one LIBSVM file")
     p_train.add_argument("--normalize", action="store_true", help="z-score the data first")
     p_train.add_argument("--seed", type=int, default=0, help="random-start seed")
     p_train.add_argument("--model-out", required=True)
     p_train.add_argument("--trace-out", default=None)
-    _add_optimizer_flags(p_train)
     p_train.set_defaults(func=_cmd_train)
 
     p_eval = sub.add_parser("eval", help="score a saved model on a LIBSVM file")
@@ -266,11 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--ties", choices=("strict", "midrank"), default="strict")
     p_eval.set_defaults(func=_cmd_eval)
 
-    p_cv = sub.add_parser("cv", help="repeated k-fold benchmark of one method")
-    p_cv.add_argument("--method", choices=METHODS, required=True)
-    p_cv.add_argument("--data", required=True, help="LIBSVM path")
-    p_cv.add_argument("--moments", default=ExperimentConfig.moments,
-                      help="exact-moments sidecar; selects exact moments")
+    p_cv = sub.add_parser("cv", parents=[fitting], help="repeated k-fold benchmark of one method")
     p_cv.add_argument("--folds", type=int, default=ExperimentConfig.folds)
     p_cv.add_argument("--repeats", type=int, default=ExperimentConfig.repeats)
     p_cv.add_argument("--seed", type=int, default=ExperimentConfig.seed)
@@ -278,7 +276,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="learn the z-score on each training fold (default: z-score the "
                            "file once before CV)")
     p_cv.add_argument("--report-out", required=True)
-    _add_optimizer_flags(p_cv)
     p_cv.set_defaults(func=_cmd_cv)
 
     p_bench = sub.add_parser("bench", help="run a JSON list of cv configs")

@@ -32,7 +32,6 @@ from .moments import ClassMoments, _built
 
 __all__ = [
     "Dataset",
-    "NormalizationStats",
     "GaussianSpec",
     "parse_libsvm",
     "format_libsvm",
@@ -144,24 +143,11 @@ class Dataset:
 
 @dataclass(frozen=True)
 class NormalizationStats:
-    """Per-column centering and scaling learned by normalize_zscore."""
+    """Per-column centering and scaling learned by normalize_zscore, its
+    only builder: finite, read-only vectors of length d, scale positive."""
 
     mean: np.ndarray
     scale: np.ndarray
-
-    def __post_init__(self):
-        mean = np.array(self.mean, dtype=float)
-        scale = np.array(self.scale, dtype=float)
-        if mean.ndim != 1 or mean.shape != scale.shape:
-            raise ValueError("mean and scale must be 1-d with equal length")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(scale))):
-            raise ValueError("normalization stats contain non-finite entries")
-        if np.any(scale <= 0.0):
-            raise ValueError("scale entries must be positive")
-        mean.setflags(write=False)
-        scale.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "scale", scale)
 
 
 @dataclass(frozen=True)
@@ -322,22 +308,18 @@ def load_libsvm(path, dim: int | None = None) -> Dataset:
     The twin PATH.npz, which save_libsvm writes, is used only when it is an
     npz archive that loads without pickles, its digest equals the SHA-256
     of the file's bytes, and its arrays pass the Dataset constructor with
-    both classes present.  Otherwise the text is parsed, with parse_libsvm's
-    results and errors; dim is parse_libsvm's.  A twin narrower than dim
-    is padded with zero columns, as the parse would be, and one wider is
-    not used, so the parse names the line above dim.  The text is
-    authoritative: a stale, damaged or missing twin only costs the parse.
-    Loading never writes a file.
+    both classes present, and its width is dim when dim is given.  Otherwise
+    the text is parsed, with parse_libsvm's results and errors; dim is
+    parse_libsvm's, so the parse pads a narrower file with zero columns and
+    names the line above dim in a wider one.  The text is authoritative: a
+    stale, damaged or missing twin only costs the parse.  Loading never
+    writes a file.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     dataset = _read_twin(_twin_path(path), raw)
-    if dataset is None or (dim is not None and dataset.dim > dim):
+    if dataset is None or (dim is not None and dataset.dim != dim):
         return parse_libsvm(raw, dim)
-    if dim is not None and dataset.dim < dim:
-        features = np.zeros((dataset.n, dim))
-        features[:, : dataset.dim] = dataset.features
-        dataset = Dataset._built(features, dataset.labels, finite=True)
     return dataset
 
 
@@ -397,6 +379,12 @@ def normalize_zscore(dataset: Dataset) -> tuple[Dataset, NormalizationStats]:
     mean = X.mean(axis=0)
     std = X.std(axis=0)
     scale = np.where(std < _STD_EPS, 1.0, std)
+    # finite features can still overflow the sums, and an infinite std
+    # would silently zero its column
+    if not (np.isfinite(mean).all() and np.isfinite(scale).all()):
+        raise ValueError("normalization stats contain non-finite entries")
+    mean.setflags(write=False)
+    scale.setflags(write=False)
     stats = NormalizationStats(mean=mean, scale=scale)
     return apply_zscore(dataset, stats), stats
 

@@ -48,7 +48,6 @@ METHODS = ("error-direct", "auc-direct", "logistic", "hinge", "lda")
 # Methods that see the data only through class moments; only they can use exact ones.
 MOMENT_METHODS = ("error-direct", "auc-direct", "lda")
 
-REPORT_HEADER = "method,moment_source,run,fold,repeat,accuracy,auc,train_seconds,reason"
 TRACE_HEADER = "iter,objective,grad_norm,step,backtracks,seconds"
 
 DataSource = Union[GaussianSpec, str]
@@ -120,6 +119,10 @@ class RunResult:
     @property
     def failed(self) -> bool:
         return bool(self.reason)
+
+
+_REPORT_FIELDS = tuple(f.name for f in fields(RunResult) if f.name != "trace")
+REPORT_HEADER = ",".join(("method", "moment_source", *_REPORT_FIELDS))
 
 
 class ReportSummary(NamedTuple):
@@ -307,8 +310,7 @@ def emit_report(report: ExperimentReport, path) -> None:
     and its reason, on one line with commas as semicolons, last.
     """
     head = [report.config.method, report.config.moment_source]
-    names = [f.name for f in fields(RunResult) if f.name != "trace"]
-    rows = [head + [getattr(run, name) for name in names] for run in report.runs]
+    rows = [head + [getattr(run, name) for name in _REPORT_FIELDS] for run in report.runs]
     rows.append(head + list(report.summary()))
     _write_lines(path, [REPORT_HEADER, *(",".join(map(_cell, row)) for row in rows)])
 

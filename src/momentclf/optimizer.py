@@ -186,9 +186,8 @@ def gd_backtracking(
     accepted step whose value is not below the incumbent's and whose
     gradient is above the tolerance ("no-decrease", which returns that
     step), or an exhausted line search ("line-search-failure", which returns
-    the incumbent iterate rather than raising).  If the objective itself
-    raises mid-run, the exception propagates with the partial trace
-    attached as a `partial_trace` attribute.
+    the incumbent iterate rather than raising).  An exception the objective
+    raises mid-run propagates unchanged.
     """
     w = np.array(w0, dtype=float)
     if w.ndim != 1 or w.shape[0] < 1:
@@ -233,41 +232,36 @@ def gd_backtracking(
         slope = decrease_slope - float(grad.dot(passed[k][1].gradient))
         return margin + (alphas[k - 1] - alphas[k]) * slope > 2.0 * slack
 
-    try:
-        while True:
-            if grad_norm <= threshold:
-                trace.reason = REASON_GRADIENT
-                break
-            if len(records) >= max_iters:
-                trace.reason = REASON_MAX_ITERS
-                break
-            f_current = value
-            decrease_slope = c * grad_norm * grad_norm
-            slack = _ROUNDING * abs(f_current)
-            passed.clear()
-            rung = _first_passing_rung(margin_at, rung if current.convex else 0,
-                                       max_backtracks, slack, rules_out_next)
-            if rung is None:
-                trace.reason = REASON_LINE_SEARCH
-                break
-            w, current = passed[rung]
-            value = float(current.value)
-            grad = np.asarray(current.gradient, dtype=float)
-            grad_norm = math.sqrt(float(grad.dot(grad)))
-            iteration = len(records) + 1
-            # every evaluation so far is the start, an accepted step or a backtrack
-            records.append(TraceRecord(iteration, value, grad_norm, alphas[rung],
-                                       evaluations - 1 - iteration, clock() - start))
-            if value >= f_current and grad_norm > threshold:
-                # the step passed Armijo only because F - c*alpha*||g||^2
-                # rounds to F; a step onto a converged point stops on the gradient
-                trace.reason = REASON_NO_DECREASE
-                break
-    except Exception as exc:
-        exc.partial_trace = trace
-        raise
-    finally:
-        trace.evaluations = evaluations
+    while True:
+        if grad_norm <= threshold:
+            trace.reason = REASON_GRADIENT
+            break
+        if len(records) >= max_iters:
+            trace.reason = REASON_MAX_ITERS
+            break
+        f_current = value
+        decrease_slope = c * grad_norm * grad_norm
+        slack = _ROUNDING * abs(f_current)
+        passed.clear()
+        rung = _first_passing_rung(margin_at, rung if current.convex else 0,
+                                   max_backtracks, slack, rules_out_next)
+        if rung is None:
+            trace.reason = REASON_LINE_SEARCH
+            break
+        w, current = passed[rung]
+        value = float(current.value)
+        grad = np.asarray(current.gradient, dtype=float)
+        grad_norm = math.sqrt(float(grad.dot(grad)))
+        iteration = len(records) + 1
+        # every evaluation so far is the start, an accepted step or a backtrack
+        records.append(TraceRecord(iteration, value, grad_norm, alphas[rung],
+                                   evaluations - 1 - iteration, clock() - start))
+        if value >= f_current and grad_norm > threshold:
+            # the step passed Armijo only because F - c*alpha*||g||^2
+            # rounds to F; a step onto a converged point stops on the gradient
+            trace.reason = REASON_NO_DECREASE
+            break
+    trace.evaluations = evaluations
     return LinearModel(w=w, intercept=0.0), trace
 
 
