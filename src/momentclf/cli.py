@@ -30,6 +30,7 @@ from .data import (
 from .errors import _check_min
 from .harness import (
     METHODS,
+    MOMENT_METHODS,
     ExperimentConfig,
     emit_report,
     emit_trace,
@@ -127,6 +128,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if trace is not None:
         print(f"stopped after {trace.iterations} iterations ({trace.reason}), "
               f"objective {trace.final_value!r}, {trace.evaluations} evaluations")
+        # a class of n_c samples gives a covariance estimate of rank n_c - 1 at most
+        n_c = min(dataset.n_pos, dataset.n_neg)
+        if args.method in MOMENT_METHODS and exact is None and n_c - 1 < dataset.dim:
+            print(f"note: a class of {n_c} samples at d={dataset.dim} gives a singular "
+                  f"covariance estimate; the result depends on --max-iters")
         if args.trace_out:
             emit_trace(trace, args.trace_out)
             print(f"wrote trace to {args.trace_out}")

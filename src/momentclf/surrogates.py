@@ -25,31 +25,42 @@ _SOLVE_BLOCK = 32
 _ZERO, _ONE, _MINUS_ONE = _scalar(0.0), _scalar(1.0), _scalar(-1.0)
 
 
-def _stable_sigmoid(t: np.ndarray) -> np.ndarray:
-    """1/(1+exp(-t)) elementwise, written over t, which it returns.
+def _sigmoid_from_exp(e: np.ndarray, nonneg: np.ndarray) -> np.ndarray:
+    """1/(1+exp(-t)) elementwise from e = exp(-|t|) and nonneg = t >= 0,
+    written over e, which it returns.
 
-    Without overflow in either tail: with e = exp(-|t|), that is 1/(1+e)
-    where t >= 0 and e/(1+e) elsewhere.  -|t| is copysign(t, -1), and e
-    is built in t's own storage.
+    Without overflow in either tail: that is 1/(1+e) where t >= 0 and
+    e/(1+e) elsewhere.
     """
-    nonneg = t >= _ZERO
-    e = np.copysign(t, _MINUS_ONE, out=t)
-    np.exp(e, out=e)
     denom = e + _ONE
     np.putmask(e, nonneg, _ONE)
     e /= denom
     return e
 
 
+def _stable_sigmoid(t: np.ndarray) -> np.ndarray:
+    """1/(1+exp(-t)) elementwise, written over t, which it returns.
+
+    -|t| is copysign(t, -1), and e = exp(-|t|) is built in t's own
+    storage.  logistic_objective builds e and the mask itself, since its
+    value needs them too, and shares only _sigmoid_from_exp.
+    """
+    nonneg = t >= _ZERO
+    e = np.copysign(t, _MINUS_ONE, out=t)
+    np.exp(e, out=e)
+    return _sigmoid_from_exp(e, nonneg)
+
+
 def logistic_objective(dataset, lam: float) -> Objective:
     """Mean logistic loss of scores w'x plus lam * ||w||^2, with gradient.
 
-    The per-sample term log(1 + exp(-y_i w'x_i)) is computed as
-    logaddexp(0, -y_i w'x_i), which is exact in both tails instead of
-    overflowing for strongly misclassified samples.  The gradient (a
-    sigmoid per sample and X'c) is built on first read, in the margins'
-    own storage.  With lam >= 0 the criterion is convex, and each
-    evaluation says so.
+    With margins t_i = -y_i w'x_i and e_i = exp(-|t_i|), the per-sample
+    term log(1 + exp(t_i)) is max(t_i, 0) + log1p(e_i), which neither
+    overflows for strongly misclassified samples nor loses the small terms
+    of well-classified ones; it lies within a few ulp of logaddexp(0, t_i).
+    The one exp pass also serves the gradient (a sigmoid per sample and
+    X'c), which is built on first read, in e's own storage.  With lam >= 0
+    the criterion is convex, and each evaluation says so.
     """
     lam = float(lam)
     if lam < 0.0 or not math.isfinite(lam):
@@ -65,13 +76,20 @@ def logistic_objective(dataset, lam: float) -> Objective:
         # ndarray.dot makes the same BLAS calls as @, without the ufunc dispatch
         t = X.dot(w)
         t *= neg_y
+        nonneg = t >= _ZERO
+        # -|t| is copysign(t, -1); e is kept for the gradient, so the terms
+        # take one fresh array, and max(t, 0) is written over t
+        e = np.copysign(t, _MINUS_ONE)
+        np.exp(e, out=e)
+        terms = np.log1p(e)
+        terms += np.maximum(t, _ZERO, out=t)
         # the sum and division ndarray.mean performs, without its wrapper
-        value = float(np.add.reduce(np.logaddexp(_ZERO, t))) / n + lam * float(w.dot(w))
+        value = float(np.add.reduce(terms)) / n + lam * float(w.dot(w))
         # taken now, so a caller that later writes to w cannot move the gradient
         ridge = two_lam * w
 
         def gradient() -> np.ndarray:
-            coef = _stable_sigmoid(t)
+            coef = _sigmoid_from_exp(e, nonneg)
             coef *= neg_y
             coef /= n_float
             grad = XT.dot(coef)
@@ -213,16 +231,18 @@ def lda_fit(moments: ClassMoments) -> LinearModel:
     pooled += moments.prior_neg * moments.sigma_neg
     d = moments.dim
     factor = None
+    # pooled is exactly symmetric, so its transpose is the same matrix in
+    # Fortran order, which LAPACK's input copy reads with unit stride
     if moments.n_samples is None or moments.n_samples - 2 >= d:
         try:
-            factor = np.linalg.cholesky(pooled)
+            factor = np.linalg.cholesky(pooled.T)
         except np.linalg.LinAlgError:
             pass
     if factor is None:
         jitter = 1e-8 * float(np.trace(pooled)) / d
         pooled.flat[:: d + 1] += jitter
         try:
-            factor = np.linalg.cholesky(pooled)
+            factor = np.linalg.cholesky(pooled.T)
         except np.linalg.LinAlgError:
             raise SingularModelError(
                 "pooled covariance is singular even after diagonal jitter"

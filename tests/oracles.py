@@ -21,7 +21,10 @@ package's ParseError, so its messages can be compared too.  So do the
 writers, the stable sigmoid and the logistic value as first written, one
 wrapper call per value or array operation, against which the package's
 leaner forms are held byte for byte, as are its logistic and hinge
-evaluations, value and gradient, against theirs as first written.
+evaluations, value and gradient, against theirs as first written.  The
+logistic value through logaddexp(0, t), a second route to the same terms,
+bounds the package's value to a few ulp, and fits on an objective built
+from it must take the package's steps.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import math
 
 import numpy as np
 
-from momentclf import Dataset, ParseError
+from momentclf import Dataset, ObjectiveEval, ParseError
 from momentclf.surrogates import _cholesky_solve
 
 # 64-point Gauss-Legendre rule; composite over unit-length panels this is
@@ -324,28 +327,55 @@ def two_division_sigmoid(t: np.ndarray) -> np.ndarray:
 
 def mean_logistic_value(w: np.ndarray, features: np.ndarray, labels: np.ndarray,
                         lam: float) -> float:
-    """Regularized logistic value as first written, through ndarray.mean."""
+    """Regularized logistic value as first written, through ndarray.mean.
+
+    Each term log(1 + exp(t)) is max(t, 0) + log1p(exp(-|t|)).
+    """
     neg_y = -labels.astype(float)
     t = neg_y * (features @ w)
-    return float(np.logaddexp(0.0, t).mean() + lam * (w @ w))
+    terms = np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+    return float(terms.mean() + lam * (w @ w))
 
 
 def logistic_as_first_written(w: np.ndarray, features: np.ndarray, labels: np.ndarray,
                               lam: float):
     """Regularized logistic value and gradient as first written.
 
-    A fresh array per operation, the @ operator, and the sigmoid through
-    np.where; returns (value, gradient).
+    A fresh array per operation, the @ operator, each value term as
+    max(t, 0) + log1p(exp(-|t|)), and the sigmoid through np.where;
+    returns (value, gradient).
     """
     w = np.asarray(w, dtype=float)
     neg_y = -labels.astype(float)
     n = features.shape[0]
     t = neg_y * (features @ w)
-    value = float(np.add.reduce(np.logaddexp(0.0, t)) / n + lam * (w @ w))
-    ridge = 2.0 * lam * w
     e = np.exp(-np.abs(t))
+    value = float(np.add.reduce(np.maximum(t, 0.0) + np.log1p(e)) / n + lam * (w @ w))
+    ridge = 2.0 * lam * w
     coef = np.where(t >= 0, 1.0, e) / (1.0 + e) * neg_y / n
     return value, features.T @ coef + ridge
+
+
+def logaddexp_logistic_value(w: np.ndarray, features: np.ndarray, labels: np.ndarray,
+                             lam: float) -> float:
+    """Regularized logistic value with each term as logaddexp(0, t), which
+    rounds its own exp and log1p."""
+    neg_y = -labels.astype(float)
+    t = neg_y * (features @ w)
+    return float(np.add.reduce(np.logaddexp(0.0, t)) / features.shape[0] + lam * (w @ w))
+
+
+def logaddexp_logistic_objective(dataset, lam: float):
+    """The logistic objective with its value from logaddexp_logistic_value
+    and its gradient, eager, from logistic_as_first_written; convex."""
+    features, labels = dataset.features, dataset.labels
+
+    def evaluate(w):
+        value = logaddexp_logistic_value(w, features, labels, lam)
+        _, gradient = logistic_as_first_written(w, features, labels, lam)
+        return ObjectiveEval(value, gradient, True)
+
+    return evaluate
 
 
 def hinge_as_first_written(w: np.ndarray, features: np.ndarray, labels: np.ndarray):

@@ -50,6 +50,19 @@ def raw_units(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def scarce_and_toy(tmp_path_factory):
+    """Files with fewer samples per class than features (d=60, n=40) and
+    far more (d=10, n=400), with their sidecars."""
+    tmp = tmp_path_factory.mktemp("cli_scarce")
+    paths = {"scarce": tmp / "scarce.libsvm", "toy": tmp / "toy.libsvm"}
+    for name, d, n, seed in (("scarce", 60, 40, 8), ("toy", 10, 400, 3)):
+        rc = main(["gen", "--d", str(d), "--n", str(n), "--prior-pos", "0.5", "--seed", str(seed),
+                   "--out", str(paths[name])])
+        assert rc == 0
+    return paths
+
+
 def _snapshot(root):
     """Every file's bytes under root, and every directory as None, by relative path."""
     return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
@@ -203,6 +216,39 @@ class TestTrain:
         column = TRACE_HEADER.split(",").index("backtracks")
         last = trace_out.read_text().splitlines()[-1].split(",")
         assert int(tokens[-2]) == 1 + 30 + int(last[column])
+
+    @pytest.mark.parametrize("method", ["error-direct", "auc-direct"])
+    def test_scarce_estimated_moments_add_a_note(self, scarce_and_toy, tmp_path, capsys, method):
+        # d=60 and 20 samples per class: each covariance estimate has rank 19 at most
+        rc = main(["train", "--method", method, "--data", str(scarce_and_toy["scarce"]),
+                   "--model-out", str(tmp_path / "m.model")])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        stop = [i for i, line in enumerate(lines) if line.startswith("stopped after")]
+        assert len(stop) == 1
+        assert re.fullmatch(r"stopped after \d+ iterations \([a-z-]+\), objective \S+, "
+                            r"\d+ evaluations", lines[stop[0]])
+        assert lines[stop[0] + 1] == ("note: a class of 20 samples at d=60 gives a singular "
+                                      "covariance estimate; the result depends on --max-iters")
+        assert [line for line in lines if line.startswith("note:")] == [lines[stop[0] + 1]]
+
+    @pytest.mark.parametrize("data,method,sidecar", [
+        ("toy", "error-direct", False),
+        ("toy", "auc-direct", False),
+        ("scarce", "error-direct", True),
+        ("scarce", "logistic", False),
+        ("scarce", "hinge", False),
+        ("scarce", "lda", False),
+    ])
+    def test_no_note_without_a_singular_estimate(self, scarce_and_toy, tmp_path, capsys, data,
+                                                 method, sidecar):
+        # d=10 with 200 samples per class, exact moments, or no estimated moments
+        path = str(scarce_and_toy[data])
+        argv = ["train", "--method", method, "--data", path,
+                "--model-out", str(tmp_path / "m.model")]
+        rc = main(argv + (["--moments", path + ".moments"] if sidecar else []))
+        assert rc == 0
+        assert "note:" not in capsys.readouterr().out
 
     def test_exact_source_with_sidecar(self, generated, tmp_path):
         rc = main(["train", "--method", "error-direct", "--data", str(generated),

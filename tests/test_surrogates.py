@@ -9,13 +9,20 @@ from momentclf import (
     ClassMoments,
     Dataset,
     DegenerateModelError,
+    GaussianSpec,
     InsufficientDataError,
     ObjectiveEval,
     SingularModelError,
     error_objective,
+    gd_backtracking,
+    gen_gaussian,
     hinge_objective,
+    init_random,
+    inject_outliers,
+    kfold_split,
     lda_fit,
     logistic_objective,
+    normalize_zscore,
 )
 from momentclf import surrogates
 
@@ -254,6 +261,21 @@ class TestEvaluationsAsFirstWritten:
                 assert np.float64(ev.value).tobytes() == np.float64(value).tobytes(), kind
                 assert ev.gradient.tobytes() == gradient.tobytes(), kind
 
+    def test_logistic_value_within_4_ulp_of_logaddexp(self):
+        # each term is max(t, 0) + log1p(exp(-|t|)), where logaddexp(0, t)
+        # rounds its own exp and log1p; all terms are positive, so the sum
+        # keeps their few ulp of difference
+        for kind, w, X_pos, X_neg in self._cases():
+            ds = _dataset(X_pos, X_neg)
+            t = -ds.labels * (ds.features @ w)
+            terms = np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+            ref_terms = np.logaddexp(0.0, t)
+            assert np.all(np.abs(terms - ref_terms) <= 4 * np.spacing(ref_terms)), kind
+            for lam in (0.0, 1.0 / ds.n):
+                value = logistic_objective(ds, lam)(w).value
+                ref = oracles.logaddexp_logistic_value(w, ds.features, ds.labels, lam)
+                assert abs(value - ref) <= 4 * np.spacing(ref), (kind, lam, value, ref)
+
     def test_hinge(self):
         for kind, w, X_pos, X_neg in self._cases():
             ds = _dataset(X_pos, X_neg)
@@ -261,6 +283,42 @@ class TestEvaluationsAsFirstWritten:
             value, gradient = oracles.hinge_as_first_written(w, ds.features, ds.labels)
             assert np.float64(ev.value).tobytes() == np.float64(value).tobytes(), kind
             assert ev.gradient.tobytes() == gradient.tobytes(), kind
+
+
+class TestLogisticFitsAsWithLogaddexp:
+    """gd_backtracking on the logistic objective takes the steps it takes
+    on one whose value comes from logaddexp(0, t): the two values differ
+    by a few ulp and the gradients not at all, and no line-search decision
+    or stop turns on that difference."""
+
+    @staticmethod
+    def _assert_same_fit(train, w0):
+        lam = 1.0 / train.n
+        model, trace = gd_backtracking(logistic_objective(train, lam), w0)
+        ref_model, ref_trace = gd_backtracking(oracles.logaddexp_logistic_objective(train, lam), w0)
+        assert model.w.tobytes() == ref_model.w.tobytes()
+        assert (trace.iterations, trace.reason, trace.evaluations) == (
+            ref_trace.iterations, ref_trace.reason, ref_trace.evaluations)
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_zscored_five_fold_cv(self, seed):
+        # the benchmark's cli-pipeline cv and train: generated with 5% flipped
+        # labels, z-scored once, five folds with the harness's per-run random
+        # starts, then the whole file from the train seed
+        spec = GaussianSpec(d=50, n=1000, prior_pos=0.5, outlier_pct=5.0, seed=3, mean_scale=0.3)
+        dataset, _ = normalize_zscore(gen_gaussian(spec)[0])
+        for run, (train_idx, _) in enumerate(kfold_split(dataset.n, 5, seed=seed)):
+            self._assert_same_fit(dataset.subset(train_idx),
+                                  init_random(dataset.dim, seed + 7919 * (run + 1)))
+        self._assert_same_fit(dataset, init_random(dataset.dim, seed))
+
+    def test_criterion_05_splits(self):
+        spec = GaussianSpec(d=50, n=5000, prior_pos=0.5, outlier_pct=0.0, seed=2, mean_scale=0.55)
+        dataset, _ = gen_gaussian(spec)
+        for s in range(20):
+            train_idx, _ = kfold_split(dataset.n, 2, seed=s)[0]
+            train = inject_outliers(dataset.subset(train_idx), 10.0, seed=50_000 + s)
+            self._assert_same_fit(train, init_random(train.dim, seed=1_000 + s))
 
 
 def test_baseline_evaluations_say_they_are_convex():
