@@ -22,15 +22,10 @@ if TYPE_CHECKING:
     from .data import Dataset
 
 __all__ = [
-    "SIGMA_EPS",
     "ClassMoments",
     "estimate_class_moments",
     "auc_moments",
 ]
-
-# Floor on a projected standard deviation before the ratio mu_w/sigma_w
-# is considered undefined.
-SIGMA_EPS = 1e-12
 
 _SYM_RTOL = 1e-10
 

@@ -1,16 +1,15 @@
 """Closed-form training objectives: expected error and expected ranking loss.
 
-Both objectives see the data only through Gaussian moment models, so one
-evaluation costs O(d^2) regardless of how many samples produced the
-moments.  An evaluation computes the value and makes one matrix-vector
-product Sw per Gaussian (two for the error objective, one for the ranking
-objective); the gradient, a few d-vector operations on that product, is
-built in the same call.  Each objective's factory binds its moment model,
-which was checked when it was built, and returns the one function that
-evaluates it; that function checks only w.  Both objectives are
-0-homogeneous in w: scaling w leaves the value unchanged and the gradient
-is always orthogonal to w.  The standard normal CDF, the one
-transcendental function both need, is defined here too.
+Both are sums of Gaussian-CDF terms, phi(w'mu / sqrt(w'Sw)) or its upper
+tail per Gaussian N(mu, S): one per class, weighted by its prior, for the
+expected error, and one for the pair-difference Gaussian (the binormal
+AUC) for the ranking loss.  Each factory binds its terms once, and the
+function it returns checks only w.  One evaluation costs O(d^2) however
+many samples produced the moments: one product Sw per Gaussian, and a few
+d-vector operations on it for the gradient, built in the same call.  Both
+objectives are 0-homogeneous in w: scaling w leaves the value unchanged
+and the gradient is always orthogonal to w.  The standard normal CDF and
+SIGMA_EPS, the floor on a projected standard deviation, live here too.
 """
 
 from __future__ import annotations
@@ -21,15 +20,20 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateProjectionError
-from .moments import SIGMA_EPS, AucMoments, ClassMoments
+from .moments import AucMoments, ClassMoments
 
 __all__ = [
+    "SIGMA_EPS",
     "ObjectiveEval",
     "Objective",
     "error_objective",
     "auc_objective",
     "std_normal_cdf",
 ]
+
+# Floor on a projected standard deviation before the ratio mu_w/sigma_w
+# is considered undefined.
+SIGMA_EPS = 1e-12
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _INV_SQRT_2 = 1.0 / math.sqrt(2.0)
@@ -111,51 +115,63 @@ def _scalar(value) -> np.ndarray:
     return out
 
 
-def _projector(mu: np.ndarray, sigma: np.ndarray):
-    """Bind one Gaussian's moments; returns project(w) -> (ratio, sd, Sw).
+def _gaussian_cdf_sum(terms, d: int) -> Objective:
+    """Bind Gaussian terms (mu, sigma, weight, upper); returns their sum's evaluator.
 
-    mu and sigma come from a moment container, which has checked them;
-    project takes a w that _checked has passed.  It makes the one pass
-    over sigma for Sw, and sd = sqrt(w'Sw) with the quadratic form clamped
-    at zero, where rounding can push it for PSD sigma.  An sd below
-    SIGMA_EPS raises DegenerateProjectionError, because the ratio w'mu / sd
-    would be meaningless.  The ratio is not clamped: beyond |ratio| ~ 38.5
-    erfc already returns an exact CDF of 0 or 1 and the density underflows
-    to 0, so the value and gradient are already exact there.
+    A term adds weight * phi(r), or weight * (1 - phi(r)) if upper, where
+    r = w'mu / sd and sd = sqrt(w'Sw), the quadratic form clamped at zero
+    against rounding.  Every term is projected before any value is taken;
+    an sd below SIGMA_EPS raises DegenerateProjectionError.  r is not
+    clamped: beyond |r| ~ 38.5 erfc gives an exact 0 or 1 and the density
+    underflows to 0, so value and gradient are exact there.  A term's
+    gradient dens * (sd * mu - r * Sw) / sd^2 is built in place over Sw,
+    the evaluation's own product, scaled by the signed weight (not at all
+    for a unit lower-tail weight) and added; adding (-p) * g is
+    subtracting p * g, bit for bit.
     """
+    bound = []
+    for mu, sigma, weight, upper in terms:
+        scale = -weight if upper else weight
+        bound.append((mu, sigma, weight, upper, None if scale == 1.0 else _scalar(scale)))
 
     # ndarray.dot makes the same BLAS calls as @, without the ufunc dispatch
-    def project(w: np.ndarray) -> tuple[float, float, np.ndarray]:
-        mu_w = float(w.dot(mu))
-        sigma_times_w = sigma.dot(w)
-        q = float(w.dot(sigma_times_w))
-        sigma_w = math.sqrt(q) if q > 0.0 else 0.0
-        if sigma_w < SIGMA_EPS:
-            raise DegenerateProjectionError(
-                f"projected standard deviation {sigma_w:.3e} is below {SIGMA_EPS:.0e}"
-            )
-        return mu_w / sigma_w, sigma_w, sigma_times_w
+    def evaluate(w: np.ndarray) -> ObjectiveEval:
+        w = _checked(w, d)
+        projected = []
+        for mu, sigma, weight, upper, scale in bound:
+            mu_w = float(w.dot(mu))
+            sigma_times_w = sigma.dot(w)
+            q = float(w.dot(sigma_times_w))
+            sigma_w = math.sqrt(q) if q > 0.0 else 0.0
+            if sigma_w < SIGMA_EPS:
+                raise DegenerateProjectionError(
+                    f"projected standard deviation {sigma_w:.3e} is below {SIGMA_EPS:.0e}"
+                )
+            projected.append((mu_w / sigma_w, sigma_w, sigma_times_w, mu, weight, upper, scale))
+        value = 0.0
+        gradient = None
+        for ratio, sigma_w, sigma_times_w, mu, weight, upper, scale in projected:
+            cdf = std_normal_cdf(ratio)
+            value += weight * (1.0 - cdf if upper else cdf)
+            # ratio is finite here, as std_normal_cdf has accepted it
+            dens = _INV_SQRT_2PI * math.exp(-0.5 * ratio * ratio)
+            if dens == 0.0:
+                term = np.zeros_like(sigma_times_w)
+            else:
+                term = sigma_w * mu
+                sigma_times_w *= ratio
+                term -= sigma_times_w
+                term *= dens
+                term /= sigma_w * sigma_w
+            if scale is not None:
+                term *= scale
+            if gradient is None:
+                gradient = term
+            else:
+                gradient += term
+        return ObjectiveEval(value, gradient)
 
-    return project
-
-
-def _cdf_chain_gradient(mu, ratio, sigma_w, sigma_times_w):
-    """Gradient of phi(w'mu / sqrt(w'Sw)) with respect to w, given Sw.
-
-    dens is the standard normal density at ratio; ratio is finite here,
-    as std_normal_cdf has already been given it.
-    """
-    dens = _INV_SQRT_2PI * math.exp(-0.5 * ratio * ratio)
-    if dens == 0.0:
-        return np.zeros_like(sigma_times_w)
-    # dens * (sigma_w * mu - ratio * Sw) / (sigma_w * sigma_w), in place;
-    # Sw is the evaluation's own product, so it may be overwritten
-    grad = sigma_w * mu
-    sigma_times_w *= ratio
-    grad -= sigma_times_w
-    grad *= dens
-    grad /= sigma_w * sigma_w
-    return grad
+    return evaluate
 
 
 def error_objective(moments: ClassMoments) -> Objective:
@@ -165,43 +181,20 @@ def error_objective(moments: ClassMoments) -> Objective:
     where r_c is the projected mean-to-sd ratio of class c, and always lies
     in [0, 1].  Its analytic gradient is orthogonal to w by 0-homogeneity.
     """
-    mu_pos, mu_neg = moments.mu_pos, moments.mu_neg
-    prior_pos, prior_neg = moments.prior_pos, moments.prior_neg
-    project_pos = _projector(mu_pos, moments.sigma_pos)
-    project_neg = _projector(mu_neg, moments.sigma_neg)
-    d = moments.dim
-    weight_pos, weight_neg = _scalar(prior_pos), _scalar(prior_neg)
-
-    def evaluate(w: np.ndarray) -> ObjectiveEval:
-        w = _checked(w, d)
-        r_pos, s_pos, sw_pos = project_pos(w)
-        r_neg, s_neg, sw_neg = project_neg(w)
-        value = prior_pos * (1.0 - std_normal_cdf(r_pos)) + prior_neg * std_normal_cdf(r_neg)
-        g_pos = _cdf_chain_gradient(mu_pos, r_pos, s_pos, sw_pos)
-        g_neg = _cdf_chain_gradient(mu_neg, r_neg, s_neg, sw_neg)
-        # prior_neg * g_neg - prior_pos * g_pos, in place
-        g_neg *= weight_neg
-        g_pos *= weight_pos
-        g_neg -= g_pos
-        return ObjectiveEval(value, g_neg)
-
-    return evaluate
+    return _gaussian_cdf_sum(
+        ((moments.mu_pos, moments.sigma_pos, moments.prior_pos, True),
+         (moments.mu_neg, moments.sigma_neg, moments.prior_neg, False)),
+        moments.dim,
+    )
 
 
 def auc_objective(pair_moments: AucMoments) -> Objective:
     """Expected ranking loss (one minus AUC) under the pair-difference model.
 
     With Z = w'(X- - X+) Gaussian, the probability that a negative outscores
-    a positive is phi(mu_Z / sigma_Z).  Its analytic gradient is orthogonal
-    to w by 0-homogeneity.
+    a positive is phi(mu_Z / sigma_Z), the binormal AUC's complement.  Its
+    analytic gradient is orthogonal to w by 0-homogeneity.
     """
-    mu_hat = pair_moments.mu_hat
-    project = _projector(mu_hat, pair_moments.sigma_hat)
-    d = pair_moments.dim
-
-    def evaluate(w: np.ndarray) -> ObjectiveEval:
-        ratio, sigma_w, sigma_times_w = project(_checked(w, d))
-        value = std_normal_cdf(ratio)
-        return ObjectiveEval(value, _cdf_chain_gradient(mu_hat, ratio, sigma_w, sigma_times_w))
-
-    return evaluate
+    return _gaussian_cdf_sum(
+        ((pair_moments.mu_hat, pair_moments.sigma_hat, 1.0, False),), pair_moments.dim
+    )

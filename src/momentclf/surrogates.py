@@ -38,19 +38,6 @@ def _sigmoid_from_exp(e: np.ndarray, nonneg: np.ndarray) -> np.ndarray:
     return e
 
 
-def _stable_sigmoid(t: np.ndarray) -> np.ndarray:
-    """1/(1+exp(-t)) elementwise, written over t, which it returns.
-
-    -|t| is copysign(t, -1), and e = exp(-|t|) is built in t's own
-    storage.  logistic_objective builds e and the mask itself, since its
-    value needs them too, and shares only _sigmoid_from_exp.
-    """
-    nonneg = t >= _ZERO
-    e = np.copysign(t, _MINUS_ONE, out=t)
-    np.exp(e, out=e)
-    return _sigmoid_from_exp(e, nonneg)
-
-
 def logistic_objective(dataset, lam: float) -> Objective:
     """Mean logistic loss of scores w'x plus lam * ||w||^2, with gradient.
 

@@ -8,16 +8,17 @@ oracle integrates the density with Gauss-Legendre panels instead of using
 the error function, gradients come from central differences, pair losses
 from O(n^2) enumeration, covariances from explicit two-pass loops, and
 expectations from Monte-Carlo sampling.  The exceptions are the eager
-surrogate gradients, the direct objectives' gradients with a fresh array
-per operation, the generator, moment estimator and discriminant
+surrogate gradients, the direct objectives' values and gradients with a
+fresh array per operation, the generator, moment estimator and discriminant
 as first written, with an identity matrix, an explicit symmetrization and
 a fresh array per step, the line search as first written, from alpha0
 down on every iteration, and the LIBSVM parser as first written, with a
 tuple per entry: they repeat the package's formulas operation for
-operation, so that its lazily built and in-place gradients, its in-place
-moment path, its warm-started line search and its array-backed parser can
-be compared bit for bit.  The parser builds the Dataset container and raises the
-package's ParseError, so its messages can be compared too.  So do the
+operation, so that its summed Gaussian-CDF terms, its lazily built and
+in-place gradients, its in-place moment path, its warm-started line search
+and its array-backed parser can be compared bit for bit.  The parser
+builds the Dataset container and raises the package's ParseError, so its
+messages can be compared too.  So do the
 writers, the stable sigmoid and the logistic value as first written, one
 wrapper call per value or array operation, against which the package's
 leaner forms are held byte for byte, as are its logistic and hinge
@@ -40,6 +41,7 @@ from momentclf.surrogates import _cholesky_solve
 # far below 1e-15 for the Gaussian density.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_INV_SQRT_2 = 1.0 / math.sqrt(2.0)
 
 
 def quad_phi(x: float) -> float:
@@ -133,17 +135,35 @@ def eager_logistic_gradient(w: np.ndarray, features: np.ndarray, labels: np.ndar
     return features.T @ coef + 2.0 * lam * w
 
 
-def _cdf_chain_gradient_as_first_written(mu, sigma, w):
-    # the projection and chain rule of the direct objectives, one fresh
-    # array per operation
+def _projection_as_first_written(mu, sigma, w):
+    # (ratio, sd, Sw) of the direct objectives, one fresh array per operation
     sigma_times_w = sigma @ w
     q = float(w @ sigma_times_w)
     sigma_w = math.sqrt(q) if q > 0.0 else 0.0
-    ratio = float(w @ mu) / sigma_w
+    return float(w @ mu) / sigma_w, sigma_w, sigma_times_w
+
+
+def _cdf_as_first_written(mu, sigma, w) -> float:
+    # the package's normal CDF through erfc, at the projected ratio
+    ratio, _, _ = _projection_as_first_written(mu, sigma, w)
+    return 0.5 * math.erfc(-ratio * _INV_SQRT_2)
+
+
+def _cdf_chain_gradient_as_first_written(mu, sigma, w):
+    # the chain rule of the direct objectives, one fresh array per operation
+    ratio, sigma_w, sigma_times_w = _projection_as_first_written(mu, sigma, w)
     dens = _INV_SQRT_2PI * math.exp(-0.5 * ratio * ratio)
     if dens == 0.0:
         return np.zeros_like(sigma_times_w)
     return dens * (sigma_w * mu - ratio * sigma_times_w) / (sigma_w * sigma_w)
+
+
+def error_value_as_first_written(moments, w: np.ndarray) -> float:
+    """Value of the expected-error objective as first written."""
+    w = np.asarray(w, dtype=float)
+    cdf_pos = _cdf_as_first_written(moments.mu_pos, moments.sigma_pos, w)
+    cdf_neg = _cdf_as_first_written(moments.mu_neg, moments.sigma_neg, w)
+    return moments.prior_pos * (1.0 - cdf_pos) + moments.prior_neg * cdf_neg
 
 
 def error_gradient_as_first_written(moments, w: np.ndarray) -> np.ndarray:
@@ -152,6 +172,12 @@ def error_gradient_as_first_written(moments, w: np.ndarray) -> np.ndarray:
     g_pos = _cdf_chain_gradient_as_first_written(moments.mu_pos, moments.sigma_pos, w)
     g_neg = _cdf_chain_gradient_as_first_written(moments.mu_neg, moments.sigma_neg, w)
     return moments.prior_neg * g_neg - moments.prior_pos * g_pos
+
+
+def auc_value_as_first_written(pair_moments, w: np.ndarray) -> float:
+    """Value of the expected ranking loss as first written."""
+    w = np.asarray(w, dtype=float)
+    return _cdf_as_first_written(pair_moments.mu_hat, pair_moments.sigma_hat, w)
 
 
 def auc_gradient_as_first_written(pair_moments, w: np.ndarray) -> np.ndarray:

@@ -1,9 +1,12 @@
 """Tests for moment containers and estimators."""
 
+import math
+
 import numpy as np
 import pytest
 
 from momentclf import (
+    SIGMA_EPS,
     ClassMoments,
     Dataset,
     DegenerateProjectionError,
@@ -20,10 +23,10 @@ from momentclf import (
     logistic_objective,
     normalize_zscore,
     save_moments,
+    std_normal_cdf,
 )
 from momentclf.harness import _zscored
-from momentclf.moments import SIGMA_EPS
-from momentclf.objectives import ObjectiveEval, _checked, _projector
+from momentclf.objectives import ObjectiveEval, _checked
 
 import oracles
 
@@ -265,26 +268,41 @@ class TestBuiltMoments:
 
 
 class TestProjectedStats:
-    """The projection the direct objectives bind: (w'mu / sd, sd, Sw)."""
+    """The projection the direct objectives make, (w'mu / sd, sd, Sw) per
+    Gaussian, seen through their public factories."""
 
     def test_coordinate_projection(self):
+        # w = e1 reads each mean's first coordinate: ratios 3 and -3, sd 1, Sw = e1
         w = np.array([1.0, 0.0])
-        ratio, sigma_w, sigma_times_w = _projector(np.array([3.0, 0.0]), np.eye(2))(w)
-        assert ratio == 3.0
-        assert sigma_w == 1.0
-        assert np.array_equal(sigma_times_w, w)
+        dens = math.exp(-4.5) / math.sqrt(2.0 * math.pi)
+        pair = auc_moments(ClassMoments(np.zeros(2), np.array([3.0, 2.0]), 0.5 * np.eye(2),
+                                        0.5 * np.eye(2), 0.5, 0.5))
+        auc = auc_objective(pair)(w)
+        assert auc.value == std_normal_cdf(3.0)
+        # dens * (sd * mu - ratio * Sw) / sd^2 = dens * ([3, 2] - 3 e1)
+        assert auc.gradient[0] == 0.0
+        assert auc.gradient[1] == pytest.approx(2.0 * dens, rel=1e-15)
+        m = ClassMoments(np.array([3.0, 2.0]), np.array([-3.0, 2.0]), np.eye(2), np.eye(2),
+                         0.25, 0.75)
+        error = error_objective(m)(w)
+        assert error.value == 0.25 * (1.0 - std_normal_cdf(3.0)) + 0.75 * std_normal_cdf(-3.0)
+        # both classes' chain gradients are dens * [0, 2]; 0.75 of one less 0.25 of the other
+        assert error.gradient[0] == 0.0
+        assert error.gradient[1] == pytest.approx(dens, rel=1e-15)
 
     def test_zero_vector_is_degenerate(self):
-        with pytest.raises(DegenerateProjectionError):
-            _projector(np.ones(2), np.eye(2))(np.zeros(2))
-        with pytest.raises(DegenerateProjectionError):
-            auc_objective(auc_moments(_simple_moments()))(np.zeros(2))
+        m = _simple_moments()
+        for objective in (error_objective(m), auc_objective(auc_moments(m))):
+            with pytest.raises(DegenerateProjectionError):
+                objective(np.zeros(2))
 
     def test_threshold_uses_sigma_eps(self):
-        project = _projector(np.ones(1), np.eye(1))
-        with pytest.raises(DegenerateProjectionError):
-            project(np.array([SIGMA_EPS / 10.0]))
-        assert project(np.array([SIGMA_EPS * 10.0]))[1] >= SIGMA_EPS
+        # unit class variances: sd is |w| per class and sqrt(2) |w| for the pair
+        m = _simple_moments(1)
+        for objective in (error_objective(m), auc_objective(auc_moments(m))):
+            with pytest.raises(DegenerateProjectionError, match=r"e-13 is below 1e-12$"):
+                objective(np.array([SIGMA_EPS / 10.0]))
+            assert 0.0 <= objective(np.array([SIGMA_EPS * 10.0])).value <= 1.0
 
     def test_factories_check_w_on_every_call(self):
         data = Dataset(np.array([[1.0, 0.5], [-1.0, 0.0], [0.5, -1.0]]), np.array([1, -1, -1]))
@@ -336,27 +354,42 @@ class TestProjectedStats:
         rng = np.random.default_rng(23)
         for _ in range(20):
             d = 4
+            m = ClassMoments(**oracles.random_class_moments(rng, d=d))
+            pair = auc_moments(m)
             w = rng.normal(size=d)
-            mu = rng.normal(size=d)
-            A = rng.normal(size=(d, d))
-            sigma = A @ A.T / d + np.eye(d)
-            ratio, sigma_w, _ = _projector(mu, sigma)(w)
-            mu_ref = sum(w[i] * mu[i] for i in range(d))
-            q_ref = sum(w[i] * sigma[i, j] * w[j] for i in range(d) for j in range(d))
-            assert abs(sigma_w - np.sqrt(q_ref)) <= 1e-12 * abs(np.sqrt(q_ref))
-            assert abs(ratio * sigma_w - mu_ref) <= 1e-12 * abs(mu_ref)
+            terms = []
+            for mu, sigma in ((m.mu_pos, m.sigma_pos), (m.mu_neg, m.sigma_neg),
+                              (pair.mu_hat, pair.sigma_hat)):
+                mu_ref = sum(w[i] * mu[i] for i in range(d))
+                sw_ref = np.array([sum(sigma[i, j] * w[j] for j in range(d)) for i in range(d)])
+                sd_ref = math.sqrt(sum(w[i] * sw_ref[i] for i in range(d)))
+                ratio = mu_ref / sd_ref
+                dens = math.exp(-0.5 * ratio * ratio) / math.sqrt(2.0 * math.pi)
+                terms.append((std_normal_cdf(ratio),
+                              dens * (sd_ref * mu - ratio * sw_ref) / (sd_ref * sd_ref)))
+            (cdf_pos, g_pos), (cdf_neg, g_neg), (cdf_pair, g_pair) = terms
+            for ev, value, gradient in (
+                    (error_objective(m)(w), m.prior_pos * (1.0 - cdf_pos) + m.prior_neg * cdf_neg,
+                     m.prior_neg * g_neg - m.prior_pos * g_pos),
+                    (auc_objective(pair)(w), cdf_pair, g_pair)):
+                assert abs(ev.value - value) <= 1e-12
+                scale = float(np.linalg.norm(gradient))
+                assert np.max(np.abs(ev.gradient - gradient)) <= 1e-12 * scale
 
     def test_homogeneity_in_w(self):
+        # scaling w by c > 0 keeps the value and divides the gradient by c;
+        # negating w flips every term's tail, phi(-r) = 1 - phi(r), so the
+        # value becomes one minus itself and the gradient is unchanged
         rng = np.random.default_rng(29)
         for _ in range(25):
-            d = 4
-            w = rng.normal(size=d)
-            mu = rng.normal(size=d)
-            A = rng.normal(size=(d, d))
-            sigma = A @ A.T / d + np.eye(d)
-            project = _projector(mu, sigma)
-            ratio, sigma_w, _ = project(w)
-            for c in (-3.0, 0.5, 2.0):
-                ratio_c, sigma_c, _ = project(c * w)
-                assert abs(ratio_c - np.sign(c) * ratio) <= 1e-12 * abs(ratio)
-                assert abs(sigma_c - abs(c) * sigma_w) <= 1e-12 * abs(c) * sigma_w
+            m = ClassMoments(**oracles.random_class_moments(rng, d=4))
+            w = rng.normal(size=4)
+            for objective in (error_objective(m), auc_objective(auc_moments(m))):
+                base = objective(w)
+                scale = float(np.linalg.norm(base.gradient))
+                for c in (-3.0, 0.5, 2.0):
+                    scaled = objective(c * w)
+                    expect = base.value if c > 0 else 1.0 - base.value
+                    assert abs(scaled.value - expect) <= 1e-12
+                    assert (np.max(np.abs(abs(c) * scaled.gradient - base.gradient))
+                            <= 1e-12 * scale)

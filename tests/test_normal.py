@@ -99,6 +99,14 @@ def test_retired_names_stay_gone():
     for name in ("AucMoments", "std_normal_pdf"):
         assert name not in momentclf.__all__ and not hasattr(momentclf, name), name
     assert importlib.util.find_spec("momentclf.normal") is None
+    # both direct objectives evaluate through one Gaussian-CDF evaluator
+    for module, name in ((momentclf.objectives, "_projector"),
+                         (momentclf.objectives, "_cdf_chain_gradient"),
+                         (momentclf.surrogates, "_stable_sigmoid")):
+        assert not hasattr(module, name), name
+    assert "SIGMA_EPS" in momentclf.objectives.__all__
+    assert "SIGMA_EPS" not in momentclf.moments.__all__
+    assert momentclf.SIGMA_EPS == 1e-12
 
 
 def test_package_exports_each_module_list_once():

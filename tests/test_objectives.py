@@ -238,9 +238,42 @@ class TestObjectiveFactories:
                 obj(np.zeros(3))
 
 
+class TestDegenerateSingleTerm:
+    """One Gaussian term whose covariance maps w to zero refuses the
+    evaluation, whatever the other term would give."""
+
+    # w = e2 lies in the null space of diag(1, 0)
+    W = np.array([0.0, 1.0])
+    SINGULAR = np.diag([1.0, 0.0])
+    MESSAGE = r"^projected standard deviation 0\.000e\+00 is below 1e-12$"
+
+    @pytest.mark.parametrize("singular", ["sigma_neg", "sigma_pos"])
+    def test_error_objective_refuses_one_singular_class(self, singular):
+        covariances = {"sigma_pos": np.eye(2), "sigma_neg": np.eye(2), singular: self.SINGULAR}
+        m = ClassMoments(mu_pos=np.array([1.0, 1.0]), mu_neg=np.array([-1.0, -1.0]),
+                         prior_pos=0.4, prior_neg=0.6, **covariances)
+        other = "sigma_pos" if singular == "sigma_neg" else "sigma_neg"
+        assert float(self.W @ getattr(m, other) @ self.W) == 1.0
+        with pytest.raises(DegenerateProjectionError, match=self.MESSAGE):
+            error_objective(m)(self.W)
+
+    def test_auc_objective_refuses_a_singular_pair_covariance(self):
+        m = ClassMoments(np.array([1.0, 1.0]), np.array([-1.0, -1.0]), self.SINGULAR,
+                         self.SINGULAR, 0.5, 0.5)
+        pair = auc_moments(m)
+        assert not (pair.sigma_hat @ self.W).any()
+        with pytest.raises(DegenerateProjectionError, match=self.MESSAGE):
+            auc_objective(pair)(self.W)
+        # off the null space both objectives evaluate
+        w = np.array([1.0, 1.0])
+        assert 0.0 <= auc_objective(pair)(w).value <= 1.0
+        assert 0.0 <= error_objective(m)(w).value <= 1.0
+
+
 class TestInPlaceGradients:
-    """The direct gradients are built in place, in the operation order of
-    the formulas as first written, so they match those bytes exactly."""
+    """The direct objectives sum their Gaussian-CDF terms, and build the
+    gradients in place, in the operation order of the formulas as first
+    written, so values and gradients match those bytes exactly."""
 
     @staticmethod
     def _case(d):
@@ -249,23 +282,28 @@ class TestInPlaceGradients:
         points = [rng.normal(size=d) for _ in range(3)] + [m.mu_pos.copy(), m.mu_neg.copy()]
         return m, auc_moments(m), points
 
+    @staticmethod
+    def _assert_matches(ev, value, gradient):
+        assert np.float64(ev.value).tobytes() == np.float64(value).tobytes()
+        assert ev.gradient.tobytes() == gradient.tobytes()
+
     @pytest.mark.parametrize("d", [5, 50, 800])
     def test_gradients_match_the_formulas_as_first_written(self, d):
         m, pair, points = self._case(d)
         error, auc = error_objective(m), auc_objective(pair)
         for w in points:
-            assert error(w).gradient.tobytes() == (
-                oracles.error_gradient_as_first_written(m, w).tobytes())
-            assert auc(w).gradient.tobytes() == (
-                oracles.auc_gradient_as_first_written(pair, w).tobytes())
+            self._assert_matches(error(w), oracles.error_value_as_first_written(m, w),
+                                 oracles.error_gradient_as_first_written(m, w))
+            self._assert_matches(auc(w), oracles.auc_value_as_first_written(pair, w),
+                                 oracles.auc_gradient_as_first_written(pair, w))
 
     def test_saturated_class_matches_the_formulas_as_first_written(self):
         # one class's density underflows to 0, the other's does not
         m = ClassMoments(np.array([1e6, 0.0]), np.array([0.5, 0.25]), np.eye(2), np.eye(2),
                          0.3, 0.7)
         w = np.array([1.0, 0.5])
-        assert error_objective(m)(w).gradient.tobytes() == (
-            oracles.error_gradient_as_first_written(m, w).tobytes())
+        self._assert_matches(error_objective(m)(w), oracles.error_value_as_first_written(m, w),
+                             oracles.error_gradient_as_first_written(m, w))
 
     def test_earlier_gradients_and_the_callers_w_are_not_written(self):
         m, pair, points = self._case(50)

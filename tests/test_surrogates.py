@@ -216,8 +216,9 @@ class TestFirstWrittenForms:
                    -1e16, 745.0, -745.0, 745.2, -745.2, 746.0, -746.0, 800.0, -800.0, 1e308,
                    -1e308, math.inf, -math.inf]
         t = np.concatenate([special, rng.normal(size=500) * 10.0 ** rng.integers(-8, 4, size=500)])
-        # the sigmoid is written over its argument, so it gets a copy
-        assert (surrogates._stable_sigmoid(t.copy()).tobytes()
+        # e = exp(-|t|) and the sign mask, as logistic_objective builds them
+        e = np.exp(np.copysign(t, -1.0))
+        assert (surrogates._sigmoid_from_exp(e, t >= 0).tobytes()
                 == oracles.two_division_sigmoid(t).tobytes())
 
     def test_logistic_value(self):
