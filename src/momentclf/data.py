@@ -3,6 +3,10 @@ for dense and sparse text) with a binary twin that spares the parse,
 z-score normalization, a two-Gaussian generator with exact moments,
 label-flip contamination, and seeded k-fold splitting.
 
+LIBSVM entries are written with 17 significant digits, which round-trip
+every double; files written with the shortest repr by earlier versions
+still load to the same bytes.
+
 Every random operation takes an explicit integer seed and draws from
 numpy's default bit generator, so identical inputs reproduce identical
 bytes.
@@ -284,12 +288,15 @@ def parse_libsvm(text: str | bytes, dim: int | None = None) -> Dataset:
 def format_libsvm(dataset: Dataset) -> str:
     """Serialize to LIBSVM text, one line per sample.
 
-    All entries are written, including zeros, with shortest round-trip
-    decimal representation, so parse_libsvm(format_libsvm(ds)) reproduces
-    the dataset bit for bit.
+    All entries are written, including zeros, with 17 significant digits
+    ('%.17g'), which round-trip every double, so
+    parse_libsvm(format_libsvm(ds)) reproduces the dataset bit for bit.
+    The fixed digit count skips repr's search for the shortest digits;
+    text written with the shortest repr, as earlier versions wrote it,
+    parses to the same bytes.
     """
-    # one %-template per file; %r of a float is its repr
-    row_format = "".join(f" {j}:%r" for j in range(1, dataset.dim + 1))
+    # one %-template per file
+    row_format = "".join(f" {j}:%.17g" for j in range(1, dataset.dim + 1))
     lines = [
         ("+1" if label == 1 else "-1") + row_format % tuple(row)
         for row, label in zip(dataset.features.tolist(), dataset.labels.tolist())
@@ -345,25 +352,32 @@ def save_libsvm(dataset: Dataset, path) -> str:
 
     The twin, PATH.npz (np.savez, uncompressed), holds the features, the
     labels and the SHA-256 of the text's bytes, so load_libsvm reads it
-    instead of parsing the text for as long as the text is unchanged.  It
-    is written under a temporary name and moved into place, so a reader
-    never sees half of one.  Returns the twin's path.
+    instead of parsing the text for as long as the text is unchanged.  The
+    text and then the twin are each written under a temporary name and
+    moved into place, so a reader never sees half of either, and a failed
+    write leaves the previous file as it was.  Returns the twin's path.
     """
     raw = format_libsvm(dataset).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(raw)
+    _write_replacing(os.fspath(path), lambda fh: fh.write(raw))
     twin = _twin_path(path)
-    tmp = f"{twin}.{os.getpid()}.tmp"
+    _write_replacing(twin, lambda fh: np.savez(
+        fh, features=np.ascontiguousarray(dataset.features), labels=dataset.labels,
+        sha256=np.array(hashlib.sha256(raw).hexdigest())))
+    return twin
+
+
+def _write_replacing(path: str, write) -> None:
+    """Call write on a binary file under a temporary name, then move it onto
+    path; on any failure the temporary file is removed and path kept."""
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            np.savez(fh, features=np.ascontiguousarray(dataset.features),
-                     labels=dataset.labels, sha256=np.array(hashlib.sha256(raw).hexdigest()))
-        os.replace(tmp, twin)
+            write(fh)
+        os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
-    return twin
 
 
 def normalize_zscore(dataset: Dataset) -> tuple[Dataset, NormalizationStats]:

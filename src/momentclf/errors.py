@@ -2,7 +2,9 @@
 is an int, a real field is finite), the one minimum rule for integers
 (`{name} must be >= {m}, got {value!r}`), and its text-file reader and
 writers: every model, sidecar, report and trace file is UTF-8 lines, each
-ended by a newline, with floats written as their repr and arrays row-major.
+ended by a newline.  Key-value files (models and sidecars) and CSV files
+(reports and traces) write floats as their repr and arrays row-major;
+LIBSVM data files are data.format_libsvm's, with 17 significant digits.
 
 Everything derives from ValueError so callers that only care about
 "bad input vs. bug" can catch one class, while tests and the harness

@@ -320,16 +320,17 @@ def mc_ranking_loss(w: np.ndarray, moments, n_per_class: int, rng: np.random.Gen
 
 
 def libsvm_text(features: np.ndarray, labels: np.ndarray) -> str:
-    """Dense LIBSVM text written entry by entry, each value as its shortest repr."""
+    """Dense LIBSVM text written entry by entry, each value with 17 significant digits."""
     lines = []
     for row, label in zip(features, labels):
-        entries = " ".join(f"{j + 1}:{float(v)!r}" for j, v in enumerate(row))
+        entries = " ".join(f"{j + 1}:{'%.17g' % float(v)}" for j, v in enumerate(row))
         lines.append(f"{'+1' if label == 1 else '-1'} {entries}\n")
     return "".join(lines)
 
 
 def prefix_format_libsvm(dataset) -> str:
-    """format_libsvm as first written: a prefix list joined to each entry's repr."""
+    """format_libsvm as first written: a prefix list joined to each entry's repr,
+    its shortest round-trip spelling, which later versions replaced by 17 digits."""
     prefixes = [f" {j}:" for j in range(1, dataset.dim + 1)]
     lines = [
         ("+1" if label == 1 else "-1") + "".join(map(str.__add__, prefixes, map(repr, row)))

@@ -1,6 +1,8 @@
 """Tests for dataset handling: parsing, normalization, generation, splits."""
 
+import errno
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -186,9 +188,11 @@ class TestRoundTrip:
     def test_writer_matches_entry_by_entry_reference(self):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(20, 50)) * 10.0 ** rng.integers(-300, 300, size=(20, 50))
-        X[0, :3] = [0.0, -0.0, 5e-324]
+        X[0, :len(_SPECIAL_FLOATS)] = _SPECIAL_FLOATS
         ds = Dataset(features=X, labels=np.array([1, -1] * 10))
-        assert format_libsvm(ds) == oracles.libsvm_text(ds.features, ds.labels)
+        text = format_libsvm(ds)
+        assert text == oracles.libsvm_text(ds.features, ds.labels)
+        _assert_tokens_round_trip(text, ds)
 
     def test_trailing_zero_column_survives(self):
         ds = Dataset(
@@ -211,11 +215,29 @@ class TestRoundTrip:
         assert np.array_equal(back.labels, ds.labels)
 
 
-# values whose shortest repr takes each of its forms: signed zero,
-# subnormals, exponent notation from 1e16 up and below 1e-4
+# values whose shortest repr or 17-digit spelling takes each of its forms:
+# signed zero, subnormals, integers, exponent notation below 1e-4 and from
+# 1e16 (repr) or 1e17 (17 digits) up
 _SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
                    1e16, -1e16, 9999999999999998.0, 1e-5, -1e-5, 0.0001, 1.7976931348623157e308,
-                   0.1, 1.0 / 3.0, 123456789.0, 1e22, -2.5]
+                   0.1, 1.0 / 3.0, 123456789.0, 1e22, -2.5, 1e17, 99999999999999984.0]
+
+
+def _significant_digits(token: str) -> int:
+    """Digits of a decimal number's mantissa from its first non-zero digit on."""
+    mantissa = token.lower().partition("e")[0].lstrip("+-").replace(".", "")
+    return len(mantissa.lstrip("0"))
+
+
+def _assert_tokens_round_trip(text: str, ds: Dataset) -> None:
+    """Every entry of dense text parses back to the dataset's bytes, in at most 17 digits."""
+    lines = text.splitlines()
+    assert len(lines) == ds.n
+    for line, row in zip(lines, ds.features):
+        tokens = [t.partition(":")[2] for t in line.split()[1:]]
+        assert len(tokens) == ds.dim
+        assert np.array([float(t) for t in tokens]).tobytes() == row.tobytes(), line
+        assert max(map(_significant_digits, tokens)) <= 17, line
 
 
 def _with_specials(rng, shape):
@@ -226,16 +248,27 @@ def _with_specials(rng, shape):
     return values
 
 
-class TestWritersMatchFirstWritten:
-    """The writers against their first-written forms in oracles, byte for byte."""
+def _special_dataset(seed, shape):
+    rng = np.random.default_rng(seed)
+    labels = np.where(rng.random(shape[0]) < 0.5, 1, -1)
+    labels[:2] = [1, -1]
+    return Dataset(features=_with_specials(rng, shape), labels=labels)
 
-    @pytest.mark.parametrize("seed, shape", [(0, (40, 7)), (1, (3, 60)), (2, (25, 1))])
+
+_SPECIAL_SHAPES = [(0, (40, 7)), (1, (3, 60)), (2, (25, 1))]
+
+
+class TestWritersMatchFirstWritten:
+    """The writers against their oracles, byte for byte: format_libsvm against
+    an entry-by-entry 17-digit spelling, the key-value writers against their
+    first-written forms."""
+
+    @pytest.mark.parametrize("seed, shape", _SPECIAL_SHAPES)
     def test_format_libsvm(self, seed, shape):
-        rng = np.random.default_rng(seed)
-        labels = np.where(rng.random(shape[0]) < 0.5, 1, -1)
-        labels[:2] = [1, -1]
-        ds = Dataset(features=_with_specials(rng, shape), labels=labels)
-        assert format_libsvm(ds) == oracles.prefix_format_libsvm(ds)
+        ds = _special_dataset(seed, shape)
+        text = format_libsvm(ds)
+        assert text == oracles.libsvm_text(ds.features, ds.labels)
+        _assert_tokens_round_trip(text, ds)
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_save_moments(self, tmp_path, seed):
@@ -263,6 +296,34 @@ class TestWritersMatchFirstWritten:
         save_model(model, path)
         expected = f"d 30\nintercept -0.0\nw {oracles.scalar_repr_fmt(model.w)}\n"
         assert path.read_text(encoding="utf-8") == expected
+
+
+class TestShortestReprText:
+    """Text the previous writer spelled with each entry's shortest repr still
+    loads to the bytes of the current writer's text."""
+
+    @pytest.mark.parametrize("seed, shape", _SPECIAL_SHAPES)
+    def test_parses_to_the_bytes_of_the_new_text(self, seed, shape):
+        ds = _special_dataset(seed, shape)
+        old, new = oracles.prefix_format_libsvm(ds), format_libsvm(ds)
+        assert old != new
+        expected = _outcome(lambda _: ds, None)
+        assert _outcome(parse_libsvm, old) == _outcome(parse_libsvm, new) == expected
+
+    def test_twin_of_an_old_text_is_read(self, tmp_path, monkeypatch):
+        ds = _twin_cases()["-0.0 and subnormals"]
+        path = tmp_path / "data.libsvm"
+        # save_libsvm as it was: the same twin, over the shortest-repr text
+        monkeypatch.setattr(data_module, "format_libsvm", oracles.prefix_format_libsvm)
+        save_libsvm(ds, path)
+        monkeypatch.undo()
+        raw = path.read_bytes()
+        assert raw == oracles.prefix_format_libsvm(ds).encode("utf-8")
+        calls = TestBinaryTwin._parses(monkeypatch)
+        loaded = load_libsvm(path)
+        assert calls == []
+        assert _outcome(lambda _: loaded, None) == _outcome(parse_libsvm, raw)
+        assert _outcome(lambda _: loaded, None) == _outcome(parse_libsvm, format_libsvm(ds))
 
 
 def _twin_cases():
@@ -429,6 +490,52 @@ class TestBinaryTwin:
         # the text-mode read, with its newline translation, of earlier loads
         assert _outcome(load_libsvm, path) == _outcome(parse_libsvm, path.read_text(encoding="utf-8"))
         assert sorted(tmp_path.iterdir()) == [path]
+
+    class _CutFile:
+        """A binary file whose first write stores the first half of its
+        bytes, then fails as a full disk would."""
+
+        def __init__(self, path, mode):
+            self._fh = open(path, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._fh.close()
+
+        def write(self, data):
+            self._fh.write(data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    @pytest.mark.parametrize("fail", ["text write", "text replace", "twin replace"])
+    def test_failed_save_leaves_whole_files(self, tmp_path, monkeypatch, fail):
+        path, twin = self._saved(tmp_path)
+        before = {p: p.read_bytes() for p in (path, twin)}
+        ds = _twin_cases()["prior 0.3"]
+        if fail == "text write":
+            monkeypatch.setattr(data_module, "open", self._CutFile, raising=False)
+        else:
+            replaced = []
+
+            def replace(src, dst):
+                if len(replaced) == ("text replace", "twin replace").index(fail):
+                    raise OSError(errno.EIO, os.strerror(errno.EIO))
+                replaced.append(dst)
+                os.rename(src, dst)
+
+            monkeypatch.setattr(data_module.os, "replace", replace)
+        with pytest.raises(OSError):
+            save_libsvm(ds, path)
+        monkeypatch.undo()
+        assert sorted(tmp_path.iterdir()) == [path, twin]
+        if fail == "twin replace":
+            # the new text with the old twin: the digest sends the load to the text
+            assert path.read_bytes() == format_libsvm(ds).encode("utf-8")
+            assert twin.read_bytes() == before[twin]
+            assert _outcome(load_libsvm, path) == _outcome(lambda _: ds, None)
+        else:
+            assert {p: p.read_bytes() for p in (path, twin)} == before
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
