@@ -5,7 +5,9 @@ label-flip contamination, and seeded k-fold splitting.
 
 LIBSVM entries are written with 17 significant digits, which round-trip
 every double; files written with the shortest repr by earlier versions
-still load to the same bytes.
+still load to the same bytes.  LIBSVM text is written, hashed and parsed
+in blocks of about 128 KiB (_BLOCK_BYTES), so no step holds a whole-file
+copy of the text beside the arrays it builds.
 
 Every random operation takes an explicit integer seed and draws from
 numpy's default bit generator, so identical inputs reproduce identical
@@ -15,12 +17,14 @@ bytes.
 from __future__ import annotations
 
 import hashlib
+import io
 import math
 import os
 import zipfile
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from typing import BinaryIO
 
 import numpy as np
 
@@ -54,12 +58,30 @@ __all__ = [
 # scaled (scale pinned to 1) during z-score normalization.
 _STD_EPS = 1e-12
 
+# LIBSVM text is written, hashed and parsed in blocks of about this many
+# bytes (characters, for a str), each cut after a line break.
+_BLOCK_BYTES = 1 << 17
+
 
 def _check_features(X: np.ndarray, finite: bool = False) -> None:
     if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
         raise ValueError(f"features must be a non-empty 2-d matrix, got shape {X.shape}")
     if not finite and not np.all(np.isfinite(X)):
         raise ValueError("features contain non-finite entries")
+
+
+def _check_arrays(X: np.ndarray, y: np.ndarray) -> None:
+    """The checks of the Dataset constructor on features X and labels y."""
+    _check_features(X)
+    if y.shape != (X.shape[0],):
+        raise ValueError(
+            f"labels must have shape ({X.shape[0]},), got {y.shape}"
+        )
+    # checked before the cast, which would truncate 1.5 to 1 and parse '1'
+    if y.dtype.kind not in "iuf":
+        raise ValueError(f"labels must be numbers, got dtype {y.dtype}")
+    if not np.all((y == 1) | (y == -1)):
+        raise ValueError("labels must be -1 or +1")
 
 
 @dataclass(frozen=True)
@@ -72,16 +94,7 @@ class Dataset:
     def __post_init__(self):
         X = np.array(self.features, dtype=float)
         y = np.array(self.labels)
-        _check_features(X)
-        if y.shape != (X.shape[0],):
-            raise ValueError(
-                f"labels must have shape ({X.shape[0]},), got {y.shape}"
-            )
-        # checked before the cast, which would truncate 1.5 to 1 and parse '1'
-        if y.dtype.kind not in "iuf":
-            raise ValueError(f"labels must be numbers, got dtype {y.dtype}")
-        if not np.all((y == 1) | (y == -1)):
-            raise ValueError("labels must be -1 or +1")
+        _check_arrays(X, y)
         y = y.astype(np.int64)
         X.setflags(write=False)
         y.setflags(write=False)
@@ -192,36 +205,80 @@ def _strip_comment(line: str) -> str:
     return line if cut < 0 else line[:cut]
 
 
-def parse_libsvm(text: str | bytes, dim: int | None = None) -> Dataset:
+def _cut(text: str):
+    """text in blocks of about _BLOCK_BYTES characters, each cut after its
+    last "\\n"; a line longer than a block makes a longer block."""
+    start, size = 0, len(text)
+    while start < size:
+        end = text.rfind("\n", start, start + _BLOCK_BYTES) + 1
+        if not end:
+            end = text.find("\n", start + _BLOCK_BYTES) + 1 or size
+        yield text[start:end]
+        start = end
+
+
+def _lines(text: str | bytes | BinaryIO):
+    """The lines str.splitlines() gives of the whole text, one block at a time.
+
+    A block ends after a "\\n", which ends a line wherever it stands, so
+    splitting each block gives the whole text's lines.  Bytes are read in
+    blocks of whole lines of about _BLOCK_BYTES and decoded one block at a
+    time; bytes that are not UTF-8 raise ParseError naming their line,
+    after the lines before it are given.
+    """
+    if isinstance(text, str):
+        for block in _cut(text):
+            yield from block.splitlines()
+        return
+    fh = io.BytesIO(text) if isinstance(text, bytes) else text  # shares the bytes
+    count = 0
+    for block in iter(partial(fh.readlines, _BLOCK_BYTES), []):
+        block = b"".join(block)
+        try:
+            lines = block.decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            # one character after the valid prefix makes the bad line its last
+            lines = (block[: exc.start].decode("utf-8") + "x").splitlines()
+            yield from lines[:-1]
+            raise ParseError(
+                f"line {count + len(lines)}: text is not UTF-8 ({exc.reason})"
+            ) from None
+        count += len(lines)
+        yield from lines
+
+
+def parse_libsvm(text: str | bytes | BinaryIO, dim: int | None = None) -> Dataset:
     """Parse LIBSVM-format text into a dense dataset.
 
-    Each non-empty line is `<label> <index>:<value> ...` with 1-based,
+    text is a str, UTF-8 bytes, or a binary file open for reading, which
+    is read from its current position to its end.  Each non-empty line is
+    `<label> <index>:<value> ...` with 1-based,
     strictly increasing indices; `#` starts a comment.  Unlisted entries
     are zero, so the text alone cannot show trailing zero features: the
     width is dim when it is given (a model's or moment sidecar's
     dimension), and otherwise the largest index seen anywhere.  Exactly
     two distinct raw label values must occur, and the numerically larger
     one maps to +1.  Malformed input raises ParseError naming the line,
-    and so does an index above dim, or too large to store or to allocate
-    the matrix for.
+    and so does text that is not UTF-8, an index above dim, or one too
+    large to store or to allocate the matrix for.
 
-    Entries are collected into flat typed arrays, 16 bytes each, and
-    scattered into one zeroed matrix at the end, so a dense file's parse
-    holds its split lines, the entries and then the matrix, not a Python
-    object per entry.
+    The lines are split, and bytes read and decoded, one block of about
+    128 KiB at a time, so beyond the text it is given the parse holds one
+    block of text.  Entries are collected into flat typed arrays, 16 bytes
+    each, and scattered into one zeroed matrix at the end, so a dense
+    file's parse peaks at about four feature matrices (the entries, the
+    matrix and each entry's row), not a Python object per entry.
     """
     if dim is not None:
         _check_min("dim", dim, 1)
     # the first line above dim is the first to raise the largest index past it
     limit = math.inf if dim is None else dim
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    raw_labels: list[float] = []
+    raw_labels = array("d")
     counts = array("q")  # entries per row
     columns = array("q")  # 0-based
     values = array("d")
     max_index = 0
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+    for lineno, raw_line in enumerate(_lines(text), start=1):
         line = _strip_comment(raw_line).strip()
         if not line:
             continue
@@ -281,7 +338,7 @@ def parse_libsvm(text: str | bytes, dim: int | None = None) -> Dataset:
                          "allocated") from None
     rows = np.repeat(np.arange(n), np.frombuffer(counts, dtype=np.int64))
     features[rows, np.frombuffer(columns, dtype=np.int64)] = np.frombuffer(values)
-    labels = np.where(np.array(raw_labels) == distinct[1], 1, -1).astype(np.int64, copy=False)
+    labels = np.where(np.frombuffer(raw_labels) == distinct[1], 1, -1).astype(np.int64, copy=False)
     return Dataset._built(features, labels, finite=True)
 
 
@@ -293,16 +350,24 @@ def format_libsvm(dataset: Dataset) -> str:
     parse_libsvm(format_libsvm(ds)) reproduces the dataset bit for bit.
     The fixed digit count skips repr's search for the shortest digits;
     text written with the shortest repr, as earlier versions wrote it,
-    parses to the same bytes.
+    parses to the same bytes.  Rows are converted to Python floats one at
+    a time, so beside the text it returns it holds one row.
     """
     # one %-template per file
     row_format = "".join(f" {j}:%.17g" for j in range(1, dataset.dim + 1))
     lines = [
-        ("+1" if label == 1 else "-1") + row_format % tuple(row)
-        for row, label in zip(dataset.features.tolist(), dataset.labels.tolist())
+        ("+1" if label == 1 else "-1") + row_format % tuple(row.tolist())
+        for row, label in zip(dataset.features, dataset.labels.tolist())
     ]
     lines.append("")
     return "\n".join(lines)
+
+
+def _block_rows(dim: int) -> int:
+    """Rows save_libsvm formats at once: as many as fit in _BLOCK_BYTES at
+    the longest a row can be, its label, its line break and for each entry
+    ' j:' and a '%.17g' value of at most 24 characters."""
+    return max(1, _BLOCK_BYTES // (3 + dim * (len(str(dim)) + 26)))
 
 
 def _twin_path(path) -> str:
@@ -314,36 +379,52 @@ def load_libsvm(path, dim: int | None = None) -> Dataset:
 
     The twin PATH.npz, which save_libsvm writes, is used only when it is an
     npz archive that loads without pickles, its digest equals the SHA-256
-    of the file's bytes, and its arrays pass the Dataset constructor with
-    both classes present, and its width is dim when dim is given.  Otherwise
+    of the file's bytes, its arrays are what save_libsvm writes (C-ordered
+    float64 features and int64 labels) and pass the Dataset constructor's
+    checks with both classes present, and its width is dim when dim is
+    given; the dataset then holds the twin's arrays themselves.  Otherwise
     the text is parsed, with parse_libsvm's results and errors; dim is
     parse_libsvm's, so the parse pads a narrower file with zero columns and
     names the line above dim in a wider one.  The text is authoritative: a
     stale, damaged or missing twin only costs the parse.  Loading never
     writes a file.
+
+    The file is hashed, and then parsed if it must be, in reads of about
+    128 KiB, so at most one block of its text is held at once.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    dataset = _read_twin(_twin_path(path), raw)
-    if dataset is None or (dim is not None and dataset.dim != dim):
-        return parse_libsvm(raw, dim)
-    return dataset
+        digest = hashlib.sha256()
+        for block in iter(partial(fh.read, _BLOCK_BYTES), b""):
+            digest.update(block)
+        dataset = _read_twin(_twin_path(path), digest.hexdigest())
+        if dataset is not None and (dim is None or dataset.dim == dim):
+            return dataset
+        fh.seek(0)
+        return parse_libsvm(fh, dim)
 
 
-def _read_twin(path: str, raw: bytes) -> Dataset | None:
-    """The dataset a twin at path holds for the text raw, or None."""
+def _read_twin(path: str, sha256: str) -> Dataset | None:
+    """The dataset a twin at path holds for text of the given digest, or None."""
     try:
         twin = np.load(path, allow_pickle=False)
         if not isinstance(twin, np.lib.npyio.NpzFile):
             return None
         with twin:
-            if str(twin["sha256"]) != hashlib.sha256(raw).hexdigest():
+            if str(twin["sha256"]) != sha256:
                 return None
-            dataset = Dataset(features=twin["features"], labels=twin["labels"])
+            features, labels = twin["features"], twin["labels"]
+        # any other arrays the constructor would cast, and so hold other
+        # values than the text's parse
+        if not (features.dtype == np.float64 and features.flags.c_contiguous
+                and labels.dtype == np.int64):
+            return None
+        _check_arrays(features, labels)
     # what np.load and the archive's members raise for a file that is
-    # missing, not an archive, truncated or corrupted, or short of a key
+    # missing, not an archive, truncated or corrupted, or short of a key,
+    # and what the constructor's checks raise
     except (OSError, EOFError, KeyError, ValueError, NotImplementedError, zipfile.BadZipFile):
         return None
+    dataset = Dataset._built(features, labels, finite=True)
     return dataset if dataset.n_pos and dataset.n_neg else None
 
 
@@ -356,13 +437,27 @@ def save_libsvm(dataset: Dataset, path) -> str:
     text and then the twin are each written under a temporary name and
     moved into place, so a reader never sees half of either, and a failed
     write leaves the previous file as it was.  Returns the twin's path.
+
+    The text is formatted by format_libsvm, encoded, hashed and written
+    one block of rows at a time, at most 128 KiB of text each unless one
+    row is longer, so the writer never holds the whole text.
     """
-    raw = format_libsvm(dataset).encode("utf-8")
-    _write_replacing(os.fspath(path), lambda fh: fh.write(raw))
+    digest = hashlib.sha256()
+    step = _block_rows(dataset.dim)
+
+    def write_text(fh):
+        for start in range(0, dataset.n, step):
+            rows = Dataset._built(dataset.features[start:start + step],
+                                  dataset.labels[start:start + step], finite=True)
+            block = format_libsvm(rows).encode("utf-8")
+            digest.update(block)
+            fh.write(block)
+
+    _write_replacing(os.fspath(path), write_text)
     twin = _twin_path(path)
     _write_replacing(twin, lambda fh: np.savez(
         fh, features=np.ascontiguousarray(dataset.features), labels=dataset.labels,
-        sha256=np.array(hashlib.sha256(raw).hexdigest())))
+        sha256=np.array(digest.hexdigest())))
     return twin
 
 

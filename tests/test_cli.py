@@ -284,6 +284,16 @@ class TestTrain:
         assert "error: line 1: index 10 is above the dimension 4" in capsys.readouterr().err
         assert not model_out.exists()
 
+    def test_text_not_utf8_names_its_line(self, tmp_path, capsys):
+        data = tmp_path / "latin1.libsvm"
+        data.write_bytes(b"+1 1:0.5\n-1 1:\xff\n")
+        model_out = tmp_path / "m.model"
+        rc = main(["train", "--method", "lda", "--data", str(data),
+                   "--model-out", str(model_out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: line 2: text is not UTF-8 (invalid start byte)\n"
+        assert not model_out.exists()
+
     @pytest.mark.parametrize("method", ["error-direct", "auc-direct", "lda"])
     def test_exact_source_normalizes_like_empirical(self, raw_units, tmp_path, capsys, method):
         # the sidecar is mapped through the file's z-score, so train --normalize

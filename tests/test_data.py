@@ -167,6 +167,22 @@ class TestParseLibsvm:
             parse_libsvm(text, dim=dim)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("raw, message", [
+        (b"+1 1:0.5\n-1 1:\xff\n", "line 2: text is not UTF-8 (invalid start byte)"),
+        (b"+1 1:0.5\r\n\r\n-1 1:0.25 # caf\xc3\n", "line 3: text is not UTF-8 (invalid "
+         "continuation byte)"),
+        (b"+1 1:0.5\n-1 1:\xc3", "line 2: text is not UTF-8 (unexpected end of data)"),
+        # a malformed line before the bytes is named first
+        (b"+1 3:1 2:5\n-1 1:\xff\n", "line 1: index 2 does not increase (previous 3)"),
+    ])
+    def test_text_not_utf8_names_its_line(self, tmp_path, raw, message):
+        path = tmp_path / "data.libsvm"
+        path.write_bytes(raw)
+        for parse in (parse_libsvm, lambda raw: load_libsvm(path)):
+            with pytest.raises(ParseError) as info:
+                parse(raw)
+            assert str(info.value) == message
+
     @pytest.mark.parametrize("dim", [0, -3])
     def test_dim_below_one_rejected(self, dim):
         with pytest.raises(ValueError, match="dim must be >= 1"):
@@ -446,6 +462,33 @@ class TestBinaryTwin:
         assert _outcome(load_libsvm, path) == _outcome(parse_libsvm, raw)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("arrays", [
+        "float32 features", "float labels", "transposed features", "big-endian features",
+    ])
+    def test_twin_of_other_arrays_gives_way_to_the_parse(self, tmp_path, monkeypatch, arrays):
+        # the digest matches, but the constructor would cast these arrays,
+        # and float32 loses the subnormals the text holds
+        ds = _twin_cases()["-0.0 and subnormals"]
+        path, twin = self._saved(tmp_path, ds)
+        raw = path.read_bytes()
+        features, labels = ds.features, ds.labels
+        if arrays == "float32 features":
+            features = features.astype(np.float32)
+        elif arrays == "float labels":
+            labels = labels.astype(float)
+        elif arrays == "transposed features":
+            features = np.asfortranarray(features)
+        else:
+            features = features.astype(">f8")
+        with open(twin, "wb") as fh:
+            np.savez(fh, features=features, labels=labels,
+                     sha256=np.array(hashlib.sha256(raw).hexdigest()))
+        calls = self._parses(monkeypatch)
+        loaded = load_libsvm(path)
+        assert len(calls) == 1
+        assert _outcome(lambda _: loaded, None) == _outcome(parse_libsvm, raw)
+        assert loaded.features.flags.c_contiguous
+
     @pytest.mark.parametrize("name", sorted(_twin_cases()))
     def test_narrow_twin_gives_way_to_the_parse(self, tmp_path, monkeypatch, name):
         ds = _twin_cases()[name]
@@ -540,6 +583,95 @@ class TestBinaryTwin:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_libsvm(tmp_path / "absent.libsvm")
+
+
+# every line break str.splitlines() splits on
+_LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                "\u2028", "\u2029"]
+
+
+def _block_text(brk, line5="+1 2:4", line7="-1 1:-2e-3 2:7"):
+    # each break beside a "\n", with comments, blank lines and a two-byte
+    # character around them
+    lines = ["# caf\u00e9", "+1 1:0.5 2:-1.25", "", "-1 1:3 # \u00e9t\u00e9", line5, "  ",
+             line7, "+1 1:1e-3"]
+    return "".join(line + (brk if i % 2 else "\n") for i, line in enumerate(lines))
+
+
+class TestBlockEdges:
+    """Text walked in blocks reads as the whole text does, wherever the
+    block edges fall; blocks are shrunk to a few bytes to put them
+    everywhere in a short text."""
+
+    CASES = {
+        **{f"break {brk!r}": _block_text(brk) for brk in _LINE_BREAKS},
+        "all breaks": "".join(f"+1 1:{i} 2:0.5{brk}-1 2:{i}\n" for i, brk in enumerate(_LINE_BREAKS)),
+        "malformed": _block_text("\u2028", line7="-1 2:1 1:2"),
+        "no final break": _block_text("\r")[:-1],
+        "one long line": "+1 " + " ".join(f"{j}:{j / 7}" for j in range(1, 40)) + "\n-1 1:2",
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_str_bytes_and_file_parse_as_the_whole_text(self, tmp_path, monkeypatch, name):
+        text = self.CASES[name]
+        raw = text.encode("utf-8")
+        path = tmp_path / "data.libsvm"
+        path.write_bytes(raw)
+        expected = _outcome(oracles.tuple_parse_libsvm, text)
+        assert _outcome(parse_libsvm, text) == expected
+        for size in range(1, len(raw) + 2):
+            monkeypatch.setattr(data_module, "_BLOCK_BYTES", size)
+            assert _outcome(parse_libsvm, text) == expected, size
+            assert _outcome(parse_libsvm, raw) == expected, size
+            assert _outcome(load_libsvm, path) == expected, size
+
+    @pytest.mark.parametrize("lines, bad, message", [
+        ({"line5": "+1 2:4@"}, b"\xff", "line 5: text is not UTF-8 (invalid start byte)"),
+        ({"line7": "-1 2:@"}, b"\xe2\x80", "line 7: text is not UTF-8 (invalid continuation byte)"),
+        # a malformed line before the bytes is named first
+        ({"line5": "+1 2:1 1:4", "line7": "-1 2:@"}, b"\xff",
+         "line 5: index 1 does not increase (previous 2)"),
+    ])
+    @pytest.mark.parametrize("brk", ["\n", "\r\n", "\x85", "\u2028"])
+    def test_bytes_not_utf8_name_the_same_line(self, tmp_path, monkeypatch, lines, bad,
+                                               message, brk):
+        raw = _block_text(brk, **lines).encode("utf-8").replace(b"@", bad)
+        path = tmp_path / "data.libsvm"
+        path.write_bytes(raw)
+        expected = ("error", message)
+        assert _outcome(parse_libsvm, raw) == expected
+        for size in range(1, len(raw) + 2):
+            monkeypatch.setattr(data_module, "_BLOCK_BYTES", size)
+            assert _outcome(parse_libsvm, raw) == expected, size
+            assert _outcome(load_libsvm, path) == expected, size
+
+    @pytest.mark.parametrize("blocks", ["half", "one", "one and a row", "several"])
+    def test_writer_blocks_make_the_whole_text(self, tmp_path, monkeypatch, blocks):
+        monkeypatch.setattr(data_module, "_BLOCK_BYTES", 1000)
+        step = data_module._block_rows(3)
+        assert step > 2
+        n = {"half": step // 2, "one": step, "one and a row": step + 1,
+             "several": 3 * step + step // 2}[blocks]
+        rng = np.random.default_rng(n)
+        ds = Dataset(features=rng.normal(size=(n, 3)), labels=np.resize([1, -1], n))
+        sizes = []
+
+        def format_block(rows):
+            text = format_libsvm(rows)
+            sizes.append(len(text.encode("utf-8")))
+            return text
+
+        monkeypatch.setattr(data_module, "format_libsvm", format_block)
+        path = tmp_path / "data.libsvm"
+        save_libsvm(ds, path)
+        raw = path.read_bytes()
+        assert raw == format_libsvm(ds).encode("utf-8")
+        assert len(sizes) == -(-n // step) and max(sizes) <= 1000
+        with np.load(f"{path}.npz", allow_pickle=False) as twin:
+            assert str(twin["sha256"]) == hashlib.sha256(raw).hexdigest()
+        calls = TestBinaryTwin._parses(monkeypatch)
+        assert _outcome(load_libsvm, path) == _outcome(lambda _: ds, None)
+        assert calls == []
 
 
 def _outcome(parse, text):

@@ -5,7 +5,8 @@ same bits as the formulas they replaced (kept in oracles.py), their
 covariances must be exactly symmetric without an explicit symmetrization,
 and their transient memory, counted in d x d matrices, must stay bounded.
 The LIBSVM parser's transient memory, counted in feature matrices, is
-bounded beside them on a dense and a sparse file.
+bounded beside them on a dense and a sparse file, and so is that of
+writing a file, loading it through its binary twin and loading it without.
 """
 
 import tracemalloc
@@ -21,7 +22,9 @@ from momentclf import (
     format_libsvm,
     gen_gaussian,
     lda_fit,
+    load_libsvm,
     parse_libsvm,
+    save_libsvm,
 )
 from momentclf.surrogates import _SOLVE_BLOCK
 
@@ -203,10 +206,11 @@ def _sparse_text(ds):
 
 
 def test_dense_parse_peak_counted_in_feature_matrices():
-    # the split lines are about 3 feature matrices and the entries' value
-    # and column arrays 2 more (a tuple per entry measured 13.9); the lines
-    # are freed before the matrix is allocated, so a dense file measures
-    # 5.0 and the sparse one, with half the entries, 2.7
+    # the entries' value and column arrays are 2 feature matrices (a tuple
+    # per entry measured 13.9), and the matrix and the row of each entry
+    # 2 more, while the lines are split one block of text at a time, so a
+    # dense file measures 4.1 (5.0 when the whole text was split at once)
+    # and the sparse one, with half the entries, 2.6
     ds, _ = gen_gaussian(GaussianSpec(d=200, n=2000, prior_pos=0.5, seed=1))
     sparse = np.array(ds.features)
     sparse[:, 0::2] = 0.0
@@ -215,4 +219,25 @@ def test_dense_parse_peak_counted_in_feature_matrices():
         assert parsed.features.tobytes() == features.tobytes()
         assert parsed.labels.tobytes() == ds.labels.tobytes()
         assert parsed.features.flags.c_contiguous
-        assert peak <= 6.0 * ds.features.nbytes
+        assert peak <= 4.5 * ds.features.nbytes
+
+
+def test_libsvm_file_peaks_counted_in_feature_matrices(tmp_path):
+    # the text moves through blocks of about 128 KiB.  Writing the text and
+    # its twin measures 1.13 feature matrices, np.savez's copy of the
+    # features (7.75 when the whole text was held in three forms); a load
+    # through the twin 1.23, the arrays themselves (5.07 with the whole
+    # file read and the constructor's copy); and a load that parses the
+    # file 4.26 (11.15 with the whole file read, decoded and split)
+    ds, _ = gen_gaussian(GaussianSpec(d=20, n=20000, prior_pos=0.5, seed=1))
+    path = tmp_path / "data.libsvm"
+    _, save_peak = _peak_bytes(save_libsvm, ds, path)
+    from_twin, twin_peak = _peak_bytes(load_libsvm, path)
+    (tmp_path / "data.libsvm.npz").unlink()
+    parsed, parse_peak = _peak_bytes(load_libsvm, path)
+    for loaded in (from_twin, parsed):
+        assert loaded.features.tobytes() == ds.features.tobytes()
+        assert loaded.labels.tobytes() == ds.labels.tobytes()
+    assert save_peak <= 1.5 * ds.features.nbytes
+    assert twin_peak <= 1.5 * ds.features.nbytes
+    assert parse_peak <= 5.0 * ds.features.nbytes
