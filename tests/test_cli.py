@@ -16,11 +16,14 @@ from momentclf import (
     GaussianSpec,
     LineSearchConfig,
     empirical_accuracy,
+    format_libsvm,
     kfold_split,
     lda_fit,
     load_libsvm,
     load_model,
     load_moments,
+    parse_libsvm,
+    save_model,
     save_moments,
 )
 from momentclf import cli
@@ -90,6 +93,21 @@ class TestGen:
         moments = load_moments(str(generated) + ".moments")
         assert moments.dim == 4
         assert moments.prior_pos == 0.5
+        assert Path(str(generated) + ".npz").is_file()
+
+    def test_writers_rewrite_what_their_readers_read(self, generated, tmp_path):
+        # the text and its twin hold the same arrays, byte for byte
+        text = generated.read_text(encoding="utf-8")
+        parsed = parse_libsvm(text)
+        assert format_libsvm(parsed) == text
+        with np.load(str(generated) + ".npz", allow_pickle=False) as twin:
+            for name in ("features", "labels"):
+                ours, theirs = getattr(parsed, name), twin[name]
+                assert (ours.shape, ours.dtype) == (theirs.shape, theirs.dtype), name
+                assert ours.tobytes() == theirs.tobytes(), name
+        sidecar = Path(str(generated) + ".moments")
+        save_moments(load_moments(sidecar), tmp_path / "rewritten.moments")
+        assert (tmp_path / "rewritten.moments").read_bytes() == sidecar.read_bytes()
 
     def test_explicit_sidecar_path(self, tmp_path):
         out = tmp_path / "g.libsvm"
@@ -147,21 +165,30 @@ class TestOutputRule:
     before failing on the trace.  Now the command exits 1 before any work.
     """
 
-    @pytest.mark.parametrize("argv", [
-        ["train", "--method", "error-direct", "--data", "g.libsvm",
-         "--model-out", "m.txt", "--trace-out", "m.txt"],
-        ["cv", "--method", "lda", "--data", "g.libsvm", "--report-out", "g.libsvm"],
-        ["train", "--method", "lda", "--data", "g.libsvm", "--model-out", "g.libsvm"],
-        ["train", "--method", "error-direct", "--data", "g.libsvm",
-         "--model-out", "m.txt", "--trace-out", "nodir/t.csv"],
-        ["train", "--method", "lda", "--data", "g.libsvm", "--model-out", "./g.libsvm.npz"],
-        ["cv", "--method", "lda", "--data", "g.libsvm", "--moments", "g.libsvm.moments",
-         "--report-out", "g.libsvm.moments"],
-        ["train", "--method", "error-direct", "--data", "g.libsvm", "--model-out", "adir"],
-        ["cv", "--method", "lda", "--data", "g.libsvm", "--report-out", "adir"],
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--method", "error-direct", "--data", "g.libsvm",
+          "--model-out", "m.txt", "--trace-out", "m.txt"],
+         "--trace-out m.txt names the --model-out file"),
+        (["cv", "--method", "lda", "--data", "g.libsvm", "--report-out", "g.libsvm"],
+         "--report-out g.libsvm names the data file or its binary twin"),
+        (["train", "--method", "lda", "--data", "g.libsvm", "--model-out", "g.libsvm"],
+         "--model-out g.libsvm names the data file or its binary twin"),
+        (["train", "--method", "error-direct", "--data", "g.libsvm",
+          "--model-out", "m.txt", "--trace-out", "nodir/t.csv"],
+         "--trace-out nodir/t.csv: directory nodir does not exist"),
+        (["train", "--method", "lda", "--data", "g.libsvm", "--model-out", "./g.libsvm.npz"],
+         "--model-out ./g.libsvm.npz names the data file or its binary twin"),
+        (["cv", "--method", "lda", "--data", "g.libsvm", "--moments", "g.libsvm.moments",
+          "--report-out", "g.libsvm.moments"],
+         "--report-out g.libsvm.moments names the --moments file"),
+        (["train", "--method", "error-direct", "--data", "g.libsvm", "--model-out", "adir"],
+         "--model-out adir is a directory"),
+        (["cv", "--method", "lda", "--data", "g.libsvm", "--report-out", "adir"],
+         "--report-out adir is a directory"),
     ], ids=["model-is-trace", "report-is-data", "model-is-data", "trace-dir-missing",
             "model-is-twin", "report-is-sidecar", "model-is-directory", "report-is-directory"])
-    def test_refused_before_any_work(self, generated, tmp_path, capsys, monkeypatch, argv):
+    def test_refused_before_any_work(self, generated, tmp_path, capsys, monkeypatch, argv,
+                                     message):
         monkeypatch.chdir(tmp_path)
         for suffix in ("", ".npz", ".moments"):
             shutil.copy(str(generated) + suffix, "g.libsvm" + suffix)
@@ -172,8 +199,7 @@ class TestOutputRule:
         for name in ("load_source", "run_experiment"):
             monkeypatch.setattr(cli, name, lambda *args, name=name: started.append(name))
         assert main(argv) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert started == []
         assert _snapshot(tmp_path) == before
 
@@ -190,6 +216,13 @@ class TestTrain:
         assert model.dim == 4
         assert np.all(np.isfinite(model.w))
 
+    def test_saved_model_rewrites_to_its_own_bytes(self, generated, tmp_path):
+        model_out = tmp_path / "m.model"
+        assert main(["train", "--method", "error-direct", "--data", str(generated),
+                     "--model-out", str(model_out)]) == 0
+        save_model(load_model(model_out), tmp_path / "rewritten.model")
+        assert (tmp_path / "rewritten.model").read_bytes() == model_out.read_bytes()
+
     def test_trace_emitted_for_iterative_methods(self, generated, tmp_path):
         model_out = tmp_path / "m.model"
         trace_out = tmp_path / "m.trace.csv"
@@ -199,23 +232,6 @@ class TestTrain:
         lines = trace_out.read_text().splitlines()
         assert lines[0] == TRACE_HEADER
         assert len(lines) >= 2
-
-    def test_stop_line_counts_evaluations(self, generated, tmp_path, capsys):
-        trace_out = tmp_path / "hinge.trace.csv"
-        rc = main(["train", "--method", "hinge", "--data", str(generated), "--max-iters", "30",
-                   "--model-out", str(tmp_path / "m.model"), "--trace-out", str(trace_out)])
-        assert rc == 0
-        stop = [line for line in capsys.readouterr().out.splitlines()
-                if line.startswith("stopped after")]
-        assert len(stop) == 1
-        tokens = stop[0].split()
-        assert tokens[2] == "30"
-        assert "(max-iterations)" in stop[0]
-        assert stop[0].endswith(" evaluations")
-        # every call is the start, an accepted step or a trial not taken
-        column = TRACE_HEADER.split(",").index("backtracks")
-        last = trace_out.read_text().splitlines()[-1].split(",")
-        assert int(tokens[-2]) == 1 + 30 + int(last[column])
 
     @pytest.mark.parametrize("method", ["error-direct", "auc-direct"])
     def test_scarce_estimated_moments_add_a_note(self, scarce_and_toy, tmp_path, capsys, method):
@@ -357,6 +373,49 @@ class TestTrain:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    # hinge, hinge from a first step far above the accepted ones (its
+    # searches backtrack and climb), and logistic
+    @pytest.mark.parametrize("method, flags", [("hinge", []), ("hinge", ["--alpha0", "100000"]),
+                                               ("logistic", [])],
+                             ids=["hinge", "hinge-big-alpha0", "logistic"])
+    def test_stop_line_counts_evaluations(self, scarce_and_toy, tmp_path, capsys, method, flags):
+        trace_out = tmp_path / "t.csv"
+        rc = main(["train", "--method", method, "--data", str(scarce_and_toy["toy"]), *flags,
+                   "--model-out", str(tmp_path / "m.model"), "--trace-out", str(trace_out)])
+        assert rc == 0
+        stop = re.fullmatch(r"stopped after (\d+) iterations \(([a-z-]+)\), objective \S+, "
+                            r"(\d+) evaluations", capsys.readouterr().out.splitlines()[1])
+        iterations, reason, evaluations = int(stop[1]), stop[2], int(stop[3])
+        # one trace row per iteration, and every evaluation is the start, an
+        # accepted step or a trial not taken, counted cumulatively
+        column = TRACE_HEADER.split(",").index("backtracks")
+        counts = [int(row.split(",")[column]) for row in trace_out.read_text().splitlines()[1:]]
+        assert len(counts) == iterations
+        assert counts == sorted(counts)
+        assert evaluations == 1 + iterations + counts[-1]
+        if method == "hinge":
+            # a piecewise-linear hinge cannot meet the relative-gradient stop
+            assert reason == "max-iterations"
+        if flags:
+            assert counts[-1] > 0
+
+    def test_lda_fits_fewer_rows_than_features(self, scarce_and_toy, tmp_path, capsys):
+        # the pooled covariance is singular, so every fit takes the jitter path
+        data = str(scarce_and_toy["scarce"])
+        report = tmp_path / "cv.csv"
+        assert main(["cv", "--method", "lda", "--data", data, "--folds", "3", "--repeats", "1",
+                     "--seed", "0", "--report-out", str(report)]) == 0
+        assert capsys.readouterr().out.rstrip().endswith(" over 3/3 runs")
+        assert [row.split(",")[-1] for row in report.read_text().splitlines()[1:-1]] == [""] * 3
+        model_out = tmp_path / "m.model"
+        assert main(["train", "--method", "lda", "--data", data,
+                     "--model-out", str(model_out)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model_out), "--data", data]) == 0
+        metrics = dict(line.split() for line in capsys.readouterr().out.splitlines())
+        assert math.isfinite(float(metrics["accuracy"]))
+        assert math.isfinite(float(metrics["auc"]))
+
 
 class TestEval:
     def test_index_too_wide_names_its_line(self, generated, tmp_path, capsys):
@@ -381,11 +440,29 @@ class TestEval:
         rc = main(["eval", "--model", str(model_out), "--data", str(generated)])
         assert rc == 0
         out = capsys.readouterr().out
+        # the benchmark reads eval's lines by these keys, in this order
+        assert [line.split(" ", 1)[0] for line in out.splitlines()] == [
+            "accuracy", "auc", "n_pos", "n_neg"]
         metrics = dict(line.split(" ", 1) for line in out.strip().splitlines())
         assert 0.5 <= float(metrics["accuracy"]) <= 1.0
         assert 0.5 <= float(metrics["auc"]) <= 1.0
         assert int(metrics["n_pos"]) == 150
         assert int(metrics["n_neg"]) == 150
+
+
+    def test_sparse_file_with_comments(self, tmp_path, capsys):
+        # unlisted entries are zero, and a file gen did not write has no twin
+        data = tmp_path / "sparse.libsvm"
+        data.write_text("# sparse toy: unlisted entries are zero\n+1 1:1.5 3:0.5\n"
+                        "+1 1:2.0 2:0.25\n+1 1:1.0 2:-0.5 3:1.0\n+1 1:2.5\n-1 2:1.0 3:-0.5\n"
+                        "-1 1:-1.0 3:-1.5\n-1 1:-0.5 2:1.5\n-1 3:-2.0 # last row\n")
+        model_out = tmp_path / "m.model"
+        assert main(["train", "--method", "error-direct", "--data", str(data),
+                     "--model-out", str(model_out)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model_out), "--data", str(data)]) == 0
+        metrics = dict(line.split() for line in capsys.readouterr().out.splitlines())
+        assert (metrics["n_pos"], metrics["n_neg"]) == ("4", "4")
 
 
 class TestTrailingZeroFeatures:
@@ -445,6 +522,8 @@ class TestCv:
         lines = report_out.read_text().splitlines()
         assert lines[0] == REPORT_HEADER
         assert len(lines) == 1 + 6 + 1
+        # the shape the benchmark's report reader relies on
+        assert [len(line.split(",")) for line in lines] == [9] * 7 + [7]
         assert "lda" in capsys.readouterr().out
 
     def test_deterministic_modulo_timing(self, generated, tmp_path):
@@ -498,6 +577,25 @@ class TestCv:
         assert out.splitlines()[-1] == "lda (exact): no run completed (0/6 runs)"
         assert err == f"error: no run completed for {report_out}\n"
         assert len(report_out.read_text().splitlines()) == 1 + 6 + 1
+
+    @pytest.mark.parametrize("method", ["error-direct", "auc-direct", "logistic", "hinge", "lda"])
+    def test_each_method_completes_every_run(self, generated, tmp_path, capsys, method):
+        rc = main(["cv", "--method", method, "--data", str(generated), "--folds", "3",
+                   "--repeats", "1", "--seed", "0", "--report-out", str(tmp_path / "cv.csv")])
+        assert rc == 0
+        assert capsys.readouterr().out.rstrip().endswith(" over 3/3 runs")
+
+    def test_folds_of_one_row_complete_no_run(self, generated, tmp_path, capsys):
+        # no test fold holds both classes, so every run fails; the report is
+        # still written, then the command fails
+        report_out = tmp_path / "lone.csv"
+        rc = main(["cv", "--method", "lda", "--data", str(generated), "--folds", "300",
+                   "--repeats", "1", "--report-out", str(report_out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: no run completed for {report_out}\n"
+        rows = report_out.read_text().splitlines()[1:-1]
+        assert len(rows) == 300
+        assert all(re.fullmatch(r"lda,empirical,\d+,\d+,0,,,,.+", row) for row in rows)
 
     @pytest.mark.parametrize("method", ["logistic", "hinge"])
     def test_sample_methods_reject_sidecar(self, generated, tmp_path, capsys, method):
@@ -597,12 +695,13 @@ class TestBench:
             {"name": "typo", "method": "lda", "data": str(generated), key: value},
         ]))
         out_dir = tmp_path / "r"
+        out_dir.mkdir()
         rc = main(["bench", "--configs", str(cfg_path), "--out-dir", str(out_dir)])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: config typo: ")
         assert f"unexpected keyword argument '{key}'" in err
-        assert not out_dir.exists()
+        assert list(out_dir.iterdir()) == []
 
     @pytest.mark.parametrize("entry, message", [
         ({"name": "bad", "per_fold_norm": "false"}, "config bad: per_fold_norm must be a bool"),
@@ -656,10 +755,11 @@ class TestBench:
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps([ok, entry]))
         out_dir = tmp_path / "r"
+        out_dir.mkdir()
         rc = main(["bench", "--configs", str(cfg_path), "--out-dir", str(out_dir)])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: " + message)
-        assert not out_dir.exists()
+        assert list(out_dir.iterdir()) == []
 
     @staticmethod
     def _refused(tmp_path, capsys, entries, out_dir, label, configs="bench.json"):

@@ -96,7 +96,7 @@ def test_retired_names_stay_gone():
 
     import momentclf
 
-    for name in ("AucMoments", "std_normal_pdf"):
+    for name in ("AucMoments", "NormalizationStats", "std_normal_pdf"):
         assert name not in momentclf.__all__ and not hasattr(momentclf, name), name
     assert importlib.util.find_spec("momentclf.normal") is None
     # both direct objectives evaluate through one Gaussian-CDF evaluator
