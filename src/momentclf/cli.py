@@ -71,8 +71,9 @@ def _from_args(cls, args: argparse.Namespace, **given):
 
 def _check_outputs(outputs, inputs=()) -> None:
     """Refuse, before any work, an output that would overwrite a file the
-    command reads or writes, that is a directory, or whose directory does
-    not exist.
+    command reads or writes, that is a directory or another file that is
+    not a regular one (a FIFO, a device: moving the output into place
+    would replace it), or whose directory does not exist.
 
     Both arguments are (flag, path) pairs, where a flag may be any label
     that starts the refusal; a None path is skipped.  A
@@ -98,6 +99,8 @@ def _check_outputs(outputs, inputs=()) -> None:
             raise ValueError(f"{flag} {path}: directory {target.parent} does not exist")
         if target.is_dir():
             raise ValueError(f"{flag} {path} is a directory")
+        if target.exists() and not target.is_file():
+            raise ValueError(f"{flag} {path} is not a regular file")
         if target.resolve() in taken:
             raise ValueError(f"{flag} {path} names {taken[target.resolve()]}")
         take(flag, path)

@@ -35,6 +35,7 @@ from .errors import (
     _check_reals,
     _read_key_values,
     _write_key_values,
+    _write_replacing,
 )
 from .moments import ClassMoments, _built
 
@@ -265,9 +266,12 @@ def parse_libsvm(text: str | bytes | BinaryIO, dim: int | None = None) -> Datase
     The lines are split, and bytes read and decoded, one block of about
     128 KiB at a time, so beyond the text it is given the parse holds one
     block of text.  Entries are collected into flat typed arrays, 16 bytes
-    each, and scattered into one zeroed matrix at the end, so a dense
-    file's parse peaks at about four feature matrices (the entries, the
-    matrix and each entry's row), not a Python object per entry.
+    each, not a Python object per entry.  Sparse text's entries are
+    scattered into one zeroed matrix at the end.  In dense text, where
+    every row lists every index, the array of values is the matrix: the
+    dataset holds its buffer, which array('d') over-allocates by about
+    1/16, and the parse peaks at about two feature matrices (the values
+    and the columns).
     """
     if dim is not None:
         _check_min("dim", dim, 1)
@@ -330,14 +334,20 @@ def parse_libsvm(text: str | bytes | BinaryIO, dim: int | None = None) -> Datase
         )
     n = len(raw_labels)
     width = max_index if dim is None else dim
-    try:
-        features = np.zeros((n, width))
-    except (MemoryError, ValueError):  # ValueError: too many elements to address
-        cause = f"line {max_line}: index {max_index}" if dim is None else f"dimension {dim}"
-        raise ParseError(f"{cause} makes a matrix of {n} x {width} entries that cannot be "
-                         "allocated") from None
-    rows = np.repeat(np.arange(n), np.frombuffer(counts, dtype=np.int64))
-    features[rows, np.frombuffer(columns, dtype=np.int64)] = np.frombuffer(values)
+    if len(values) == n * width:
+        # no row lists more than width rising indices, so every row lists
+        # 1..width in order and the values already are the matrix
+        del columns
+        features = np.frombuffer(values).reshape(n, width)
+    else:
+        try:
+            features = np.zeros((n, width))
+        except (MemoryError, ValueError):  # ValueError: too many elements to address
+            cause = f"line {max_line}: index {max_index}" if dim is None else f"dimension {dim}"
+            raise ParseError(f"{cause} makes a matrix of {n} x {width} entries that cannot be "
+                             "allocated") from None
+        rows = np.repeat(np.arange(n), np.frombuffer(counts, dtype=np.int64))
+        features[rows, np.frombuffer(columns, dtype=np.int64)] = np.frombuffer(values)
     labels = np.where(np.frombuffer(raw_labels) == distinct[1], 1, -1).astype(np.int64, copy=False)
     return Dataset._built(features, labels, finite=True)
 
@@ -406,13 +416,16 @@ def load_libsvm(path, dim: int | None = None) -> Dataset:
 def _read_twin(path: str, sha256: str) -> Dataset | None:
     """The dataset a twin at path holds for text of the given digest, or None."""
     try:
-        twin = np.load(path, allow_pickle=False)
-        if not isinstance(twin, np.lib.npyio.NpzFile):
-            return None
-        with twin:
-            if str(twin["sha256"]) != sha256:
+        # np.load(path) leaves its handle to the garbage collector when a
+        # file with the zip magic is cut short; this one is closed here
+        with open(path, "rb") as fh:
+            twin = np.load(fh, allow_pickle=False)
+            if not isinstance(twin, np.lib.npyio.NpzFile):
                 return None
-            features, labels = twin["features"], twin["labels"]
+            with twin:
+                if str(twin["sha256"]) != sha256:
+                    return None
+                features, labels = twin["features"], twin["labels"]
         # any other arrays the constructor would cast, and so hold other
         # values than the text's parse
         if not (features.dtype == np.float64 and features.flags.c_contiguous
@@ -453,26 +466,12 @@ def save_libsvm(dataset: Dataset, path) -> str:
             digest.update(block)
             fh.write(block)
 
-    _write_replacing(os.fspath(path), write_text)
+    _write_replacing(path, write_text)
     twin = _twin_path(path)
     _write_replacing(twin, lambda fh: np.savez(
         fh, features=np.ascontiguousarray(dataset.features), labels=dataset.labels,
         sha256=np.array(digest.hexdigest())))
     return twin
-
-
-def _write_replacing(path: str, write) -> None:
-    """Call write on a binary file under a temporary name, then move it onto
-    path; on any failure the temporary file is removed and path kept."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            write(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
 
 
 def normalize_zscore(dataset: Dataset) -> tuple[Dataset, NormalizationStats]:
@@ -544,7 +543,9 @@ def gen_gaussian(spec: GaussianSpec) -> tuple[Dataset, ClassMoments]:
         (features[n_pos:], mu_neg, sigmas[1]),
     ):
         try:
-            chol = np.linalg.cholesky(sigma)
+            # sigma is exactly symmetric, so sigma.T is the same matrix in
+            # Fortran order, which LAPACK's input copy reads with unit stride
+            chol = np.linalg.cholesky(sigma.T)
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"generated covariance failed to factorize: {exc}") from exc
         np.matmul(rng.standard_normal((rows.shape[0], d)), chol.T, out=rows)

@@ -5,6 +5,8 @@ writers: every model, sidecar, report and trace file is UTF-8 lines, each
 ended by a newline.  Key-value files (models and sidecars) and CSV files
 (reports and traces) write floats as their repr and arrays row-major;
 LIBSVM data files are data.format_libsvm's, with 17 significant digits.
+Every file, these and LIBSVM text and its twin, is written under a
+temporary name and moved into place, so no reader sees half of one.
 
 Everything derives from ValueError so callers that only care about
 "bad input vs. bug" can catch one class, while tests and the harness
@@ -13,6 +15,7 @@ can still tell the failure modes apart.
 
 import math
 import numbers
+import os
 
 __all__ = [
     "DegenerateProjectionError",
@@ -104,10 +107,24 @@ def _read_key_values(path, kind: str, parse):
         raise ParseError(f"{kind} file {path!s} is malformed: {exc}") from exc
 
 
+def _write_replacing(path, write) -> None:
+    """Call write on a binary file under a temporary name, then move it onto
+    path, replacing what path names (a symbolic link, not its target); on
+    any failure the temporary file is removed and path kept."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def _write_lines(path, lines) -> None:
     """Write lines as UTF-8 text, each ended by a newline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join([*lines, ""]))
+    _write_replacing(path, lambda fh: fh.write("\n".join([*lines, ""]).encode("utf-8")))
 
 
 def _write_key_values(path, **fields) -> None:

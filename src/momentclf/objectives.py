@@ -120,7 +120,7 @@ def _gaussian_cdf_sum(terms, d: int) -> Objective:
 
     A term adds weight * phi(r), or weight * (1 - phi(r)) if upper, where
     r = w'mu / sd and sd = sqrt(w'Sw), the quadratic form clamped at zero
-    against rounding.  Every term is projected before any value is taken;
+    against rounding.  Each term is projected and evaluated in one pass;
     an sd below SIGMA_EPS raises DegenerateProjectionError.  r is not
     clamped: beyond |r| ~ 38.5 erfc gives an exact 0 or 1 and the density
     underflows to 0, so value and gradient are exact there.  A term's
@@ -137,9 +137,9 @@ def _gaussian_cdf_sum(terms, d: int) -> Objective:
     # ndarray.dot makes the same BLAS calls as @, without the ufunc dispatch
     def evaluate(w: np.ndarray) -> ObjectiveEval:
         w = _checked(w, d)
-        projected = []
+        value = 0.0
+        gradient = None
         for mu, sigma, weight, upper, scale in bound:
-            mu_w = float(w.dot(mu))
             sigma_times_w = sigma.dot(w)
             q = float(w.dot(sigma_times_w))
             sigma_w = math.sqrt(q) if q > 0.0 else 0.0
@@ -147,10 +147,7 @@ def _gaussian_cdf_sum(terms, d: int) -> Objective:
                 raise DegenerateProjectionError(
                     f"projected standard deviation {sigma_w:.3e} is below {SIGMA_EPS:.0e}"
                 )
-            projected.append((mu_w / sigma_w, sigma_w, sigma_times_w, mu, weight, upper, scale))
-        value = 0.0
-        gradient = None
-        for ratio, sigma_w, sigma_times_w, mu, weight, upper, scale in projected:
+            ratio = float(w.dot(mu)) / sigma_w
             cdf = std_normal_cdf(ratio)
             value += weight * (1.0 - cdf if upper else cdf)
             # ratio is finite here, as std_normal_cdf has accepted it

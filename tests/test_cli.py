@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 import re
 import shutil
 from pathlib import Path
@@ -185,14 +186,24 @@ class TestOutputRule:
          "--model-out adir is a directory"),
         (["cv", "--method", "lda", "--data", "g.libsvm", "--report-out", "adir"],
          "--report-out adir is a directory"),
+        # an output is moved into place, which would replace the FIFO or device
+        (["train", "--method", "lda", "--data", "g.libsvm", "--model-out", "afifo"],
+         "--model-out afifo is not a regular file"),
+        (["cv", "--method", "lda", "--data", "g.libsvm", "--report-out", "afifo"],
+         "--report-out afifo is not a regular file"),
+        (["train", "--method", "error-direct", "--data", "g.libsvm", "--model-out", "m.txt",
+          "--trace-out", "/dev/null"],
+         "--trace-out /dev/null is not a regular file"),
     ], ids=["model-is-trace", "report-is-data", "model-is-data", "trace-dir-missing",
-            "model-is-twin", "report-is-sidecar", "model-is-directory", "report-is-directory"])
+            "model-is-twin", "report-is-sidecar", "model-is-directory", "report-is-directory",
+            "model-is-fifo", "report-is-fifo", "trace-is-device"])
     def test_refused_before_any_work(self, generated, tmp_path, capsys, monkeypatch, argv,
                                      message):
         monkeypatch.chdir(tmp_path)
         for suffix in ("", ".npz", ".moments"):
             shutil.copy(str(generated) + suffix, "g.libsvm" + suffix)
         (tmp_path / "adir").mkdir()
+        os.mkfifo(tmp_path / "afifo")
         before = _snapshot(tmp_path)
         # train's work starts with load_source, cv's with run_experiment
         started = []
@@ -202,6 +213,26 @@ class TestOutputRule:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert started == []
         assert _snapshot(tmp_path) == before
+
+    def test_symlinked_outputs_are_replaced_not_written_through(self, generated, tmp_path,
+                                                                 monkeypatch):
+        # --model-out and --moments-out were written through the link, while
+        # gen --out replaced it
+        monkeypatch.chdir(tmp_path)
+        for suffix in ("", ".npz"):
+            shutil.copy(str(generated) + suffix, "g.libsvm" + suffix)
+        links = ("m.txt", "out.libsvm", "out.moments")
+        for name in links:
+            Path(f"target-{name}").write_bytes(b"kept\n")
+            os.symlink(f"target-{name}", name)
+        assert main(["train", "--method", "lda", "--data", "g.libsvm", "--model-out",
+                     "m.txt"]) == 0
+        assert main(["gen", "--d", "2", "--n", "40", "--prior-pos", "0.5", "--out",
+                     "out.libsvm", "--moments-out", "out.moments"]) == 0
+        for name in links:
+            assert Path(name).is_file() and not Path(name).is_symlink()
+            assert Path(f"target-{name}").read_bytes() == b"kept\n"
+        assert load_model("m.txt").dim == 4 and load_moments("out.moments").dim == 2
 
 
 class TestTrain:

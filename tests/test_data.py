@@ -10,10 +10,14 @@ import pytest
 from momentclf import (
     ClassMoments,
     Dataset,
+    ExperimentConfig,
+    ExperimentReport,
     GaussianSpec,
     LinearModel,
     ParseError,
+    RunResult,
     apply_zscore,
+    emit_report,
     estimate_class_moments,
     format_libsvm,
     gen_gaussian,
@@ -29,6 +33,7 @@ from momentclf import (
     save_moments,
 )
 from momentclf import data as data_module
+from momentclf import errors as errors_module
 
 import oracles
 
@@ -557,7 +562,7 @@ class TestBinaryTwin:
         before = {p: p.read_bytes() for p in (path, twin)}
         ds = _twin_cases()["prior 0.3"]
         if fail == "text write":
-            monkeypatch.setattr(data_module, "open", self._CutFile, raising=False)
+            monkeypatch.setattr(errors_module, "open", self._CutFile, raising=False)
         else:
             replaced = []
 
@@ -567,7 +572,7 @@ class TestBinaryTwin:
                 replaced.append(dst)
                 os.rename(src, dst)
 
-            monkeypatch.setattr(data_module.os, "replace", replace)
+            monkeypatch.setattr(errors_module.os, "replace", replace)
         with pytest.raises(OSError):
             save_libsvm(ds, path)
         monkeypatch.undo()
@@ -579,6 +584,34 @@ class TestBinaryTwin:
             assert _outcome(load_libsvm, path) == _outcome(lambda _: ds, None)
         else:
             assert {p: p.read_bytes() for p in (path, twin)} == before
+
+    @staticmethod
+    def _report(accuracy):
+        config = ExperimentConfig(method="lda", data=GaussianSpec(d=2, n=40, prior_pos=0.5))
+        return ExperimentReport(config, [RunResult(0, 0, 0, accuracy, 0.5, 0.25)])
+
+    @pytest.mark.parametrize("kind", ["report", "model", "moments"])
+    def test_failed_write_of_a_text_file_leaves_the_previous_one(self, tmp_path, monkeypatch,
+                                                                 kind):
+        # these files were written in place, and a failed write left half of one
+        save, old, new = {
+            "report": (emit_report, self._report(0.25), self._report(0.75)),
+            "model": (save_model, LinearModel(w=np.array([1.0, -2.0]), intercept=0.5),
+                      LinearModel(w=np.array([3.0, 4.0]))),
+            "moments": (save_moments, gen_gaussian(GaussianSpec(d=2, n=40, prior_pos=0.5))[1],
+                        gen_gaussian(GaussianSpec(d=2, n=40, prior_pos=0.5, seed=1))[1]),
+        }[kind]
+        path = tmp_path / f"out.{kind}"
+        save(old, path)
+        before = path.read_bytes()
+        monkeypatch.setattr(errors_module, "open", self._CutFile, raising=False)
+        with pytest.raises(OSError):
+            save(new, path)
+        monkeypatch.undo()
+        assert sorted(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == before
+        save(new, path)
+        assert path.read_bytes() != before
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):

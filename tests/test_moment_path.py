@@ -105,6 +105,26 @@ class TestSameBitsAsAllocatingFormulas:
             assert np.array_equal(sigma, sigma.T)
 
 
+@pytest.mark.parametrize("spec", [SPECS[3], GaussianSpec(d=200, n=400, prior_pos=0.5, seed=11)],
+                         ids=repr)
+def test_generator_gives_the_bits_of_the_c_ordered_factor(spec, monkeypatch):
+    # the generator factors each covariance through its transpose, the same
+    # matrix in Fortran order
+    ds, exact = gen_gaussian(spec)
+    cholesky, fortran = np.linalg.cholesky, []
+
+    def c_ordered(a):
+        fortran.append(a.flags.f_contiguous and not a.flags.c_contiguous)
+        return cholesky(np.ascontiguousarray(a))
+
+    monkeypatch.setattr(np.linalg, "cholesky", c_ordered)
+    ds_c, exact_c = gen_gaussian(spec)
+    assert fortran == [True, True]
+    for a, b in ((ds.features, ds_c.features), (ds.labels, ds_c.labels),
+                 (exact.sigma_pos, exact_c.sigma_pos), (exact.sigma_neg, exact_c.sigma_neg)):
+        assert _same_bits(a, b)
+
+
 def test_scarce_spec_takes_the_jitter_path():
     ds, _ = gen_gaussian(SCARCE)
     m = estimate_class_moments(ds)
@@ -207,19 +227,21 @@ def _sparse_text(ds):
 
 def test_dense_parse_peak_counted_in_feature_matrices():
     # the entries' value and column arrays are 2 feature matrices (a tuple
-    # per entry measured 13.9), and the matrix and the row of each entry
-    # 2 more, while the lines are split one block of text at a time, so a
-    # dense file measures 4.1 (5.0 when the whole text was split at once)
-    # and the sparse one, with half the entries, 2.6
+    # per entry measured 13.9), while the lines are split one block of text
+    # at a time.  A dense file's values are its matrix, so it measures 2.16
+    # (4.1 when they were scattered into a zeroed matrix, and 5.0 when the
+    # whole text was split at once); the sparse one, with half the entries
+    # scattered into the matrix and the row of each entry beside them, 2.6
     ds, _ = gen_gaussian(GaussianSpec(d=200, n=2000, prior_pos=0.5, seed=1))
     sparse = np.array(ds.features)
     sparse[:, 0::2] = 0.0
-    for text, features in ((format_libsvm(ds), ds.features), (_sparse_text(ds), sparse)):
+    for text, features, bound in ((format_libsvm(ds), ds.features, 2.5),
+                                  (_sparse_text(ds), sparse, 4.5)):
         parsed, peak = _peak_bytes(parse_libsvm, text)
         assert parsed.features.tobytes() == features.tobytes()
         assert parsed.labels.tobytes() == ds.labels.tobytes()
         assert parsed.features.flags.c_contiguous
-        assert peak <= 4.5 * ds.features.nbytes
+        assert peak <= bound * ds.features.nbytes
 
 
 def test_libsvm_file_peaks_counted_in_feature_matrices(tmp_path):
@@ -228,7 +250,9 @@ def test_libsvm_file_peaks_counted_in_feature_matrices(tmp_path):
     # features (7.75 when the whole text was held in three forms); a load
     # through the twin 1.23, the arrays themselves (5.07 with the whole
     # file read and the constructor's copy); and a load that parses the
-    # file 4.26 (11.15 with the whole file read, decoded and split)
+    # file 2.38, the parsed values and columns (4.26 with the values
+    # scattered into a zeroed matrix, 11.15 with the whole file read,
+    # decoded and split)
     ds, _ = gen_gaussian(GaussianSpec(d=20, n=20000, prior_pos=0.5, seed=1))
     path = tmp_path / "data.libsvm"
     _, save_peak = _peak_bytes(save_libsvm, ds, path)
@@ -240,4 +264,4 @@ def test_libsvm_file_peaks_counted_in_feature_matrices(tmp_path):
         assert loaded.labels.tobytes() == ds.labels.tobytes()
     assert save_peak <= 1.5 * ds.features.nbytes
     assert twin_peak <= 1.5 * ds.features.nbytes
-    assert parse_peak <= 5.0 * ds.features.nbytes
+    assert parse_peak <= 2.75 * ds.features.nbytes
