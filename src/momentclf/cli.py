@@ -70,40 +70,38 @@ def _from_args(cls, args: argparse.Namespace, **given):
 
 
 def _check_outputs(outputs, inputs=()) -> None:
-    """Refuse, before any work, an output that would overwrite a file the
-    command reads or writes, that is a directory or another file that is
-    not a regular one (a FIFO, a device: moving the output into place
-    would replace it), or whose directory does not exist.
+    """Refuse, before any work, a file the command writes that would
+    overwrite a file it reads or writes, that is a directory or another
+    file that is not a regular one (a FIFO, a device: moving the output
+    into place would replace it), or whose directory does not exist or is
+    not a directory.
 
     Both arguments are (flag, path) pairs, where a flag may be any label
-    that starts the refusal; a None path is skipped.  A
-    LIBSVM file (--data or --out) also stands for its binary twin.
+    that starts the refusal; a None path is skipped.  A LIBSVM file
+    (--data or --out) stands for its text and its binary twin, and a
+    refusal names the one it is about.
     """
     taken = {}
-
-    def take(flag, path):
-        if flag in ("--data", "--out"):
-            for p in (path, _twin_path(path)):
-                taken[Path(p).resolve()] = "the data file or its binary twin"
-        else:
-            taken[Path(path).resolve()] = f"the {flag} file"
-
-    for flag, path in inputs:
-        if path is not None:
-            take(flag, path)
-    for flag, path in outputs:
+    pairs = [(*pair, False) for pair in inputs] + [(*pair, True) for pair in outputs]
+    for flag, path, written in pairs:
         if path is None:
             continue
-        target = Path(path)
-        if not target.parent.is_dir():
-            raise ValueError(f"{flag} {path}: directory {target.parent} does not exist")
-        if target.is_dir():
-            raise ValueError(f"{flag} {path} is a directory")
-        if target.exists() and not target.is_file():
-            raise ValueError(f"{flag} {path} is not a regular file")
-        if target.resolve() in taken:
-            raise ValueError(f"{flag} {path} names {taken[target.resolve()]}")
-        take(flag, path)
+        data = flag in ("--data", "--out")
+        owner = "the data file or its binary twin" if data else f"the {flag} file"
+        for file in (path, _twin_path(path)) if data else (path,):
+            target = Path(file)
+            if written:
+                if target.parent.exists() and not target.parent.is_dir():
+                    raise ValueError(f"{flag} {file}: {target.parent} is not a directory")
+                if not target.parent.is_dir():
+                    raise ValueError(f"{flag} {file}: directory {target.parent} does not exist")
+                if target.is_dir():
+                    raise ValueError(f"{flag} {file} is a directory")
+                if target.exists() and not target.is_file():
+                    raise ValueError(f"{flag} {file} is not a regular file")
+                if target.resolve() in taken:
+                    raise ValueError(f"{flag} {file} names {taken[target.resolve()]}")
+            taken[target.resolve()] = owner
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:

@@ -194,25 +194,69 @@ class TestOutputRule:
         (["train", "--method", "error-direct", "--data", "g.libsvm", "--model-out", "m.txt",
           "--trace-out", "/dev/null"],
          "--trace-out /dev/null is not a regular file"),
+        (["gen", "--d", "2", "--n", "40", "--prior-pos", "0.5", "--out", "o.libsvm"],
+         "--out o.libsvm.npz is a directory"),
+        (["gen", "--d", "2", "--n", "40", "--prior-pos", "0.5", "--out", "f.libsvm"],
+         "--out f.libsvm.npz is not a regular file"),
+        (["train", "--method", "lda", "--data", "g.libsvm", "--model-out", "afile/m.txt"],
+         "--model-out afile/m.txt: afile is not a directory"),
     ], ids=["model-is-trace", "report-is-data", "model-is-data", "trace-dir-missing",
             "model-is-twin", "report-is-sidecar", "model-is-directory", "report-is-directory",
-            "model-is-fifo", "report-is-fifo", "trace-is-device"])
+            "model-is-fifo", "report-is-fifo", "trace-is-device", "twin-is-directory",
+            "twin-is-fifo", "model-dir-is-file"])
     def test_refused_before_any_work(self, generated, tmp_path, capsys, monkeypatch, argv,
                                      message):
         monkeypatch.chdir(tmp_path)
         for suffix in ("", ".npz", ".moments"):
             shutil.copy(str(generated) + suffix, "g.libsvm" + suffix)
         (tmp_path / "adir").mkdir()
+        (tmp_path / "o.libsvm.npz").mkdir()
         os.mkfifo(tmp_path / "afifo")
+        os.mkfifo(tmp_path / "f.libsvm.npz")
+        (tmp_path / "afile").touch()
         before = _snapshot(tmp_path)
-        # train's work starts with load_source, cv's with run_experiment
+        # gen's work starts with gen_gaussian, train's with load_source, cv's with
+        # run_experiment
         started = []
-        for name in ("load_source", "run_experiment"):
+        for name in ("gen_gaussian", "load_source", "run_experiment"):
             monkeypatch.setattr(cli, name, lambda *args, name=name: started.append(name))
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert started == []
         assert _snapshot(tmp_path) == before
+
+    # a writer that the check does not know about shows up here as a second
+    # error line or a file left behind
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--d", "2", "--n", "40", "--prior-pos", "0.5", "--out", "o.libsvm"],
+        ["train", "--method", "error-direct", "--data", "{data}", "--model-out", "m.txt",
+         "--trace-out", "t.csv"],
+        ["cv", "--method", "lda", "--data", "{data}", "--folds", "2", "--repeats", "1",
+         "--report-out", "r.csv"],
+        ["bench", "--configs", "{configs}", "--out-dir", "."],
+    ], ids=["gen", "train", "cv", "bench"])
+    def test_every_written_file_is_checked_before_any_work(self, generated, tmp_path, capsys,
+                                                           monkeypatch, argv):
+        configs = tmp_path / "configs.json"
+        configs.write_text(json.dumps([{"name": "b", "method": "lda", "data": str(generated),
+                                        "folds": 2, "repeats": 1}]))
+        argv = [arg.format(data=generated, configs=configs) for arg in argv]
+        first = tmp_path / "first"
+        first.mkdir()
+        monkeypatch.chdir(first)
+        assert main(argv) == 0
+        capsys.readouterr()
+        written = sorted(_snapshot(first))
+        assert written
+        for i, name in enumerate(written):
+            run = tmp_path / f"run{i}"
+            (run / name).mkdir(parents=True)
+            monkeypatch.chdir(run)
+            before = _snapshot(run)
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and err.startswith("error: "), (name, err)
+            assert _snapshot(run) == before, name
 
     def test_symlinked_outputs_are_replaced_not_written_through(self, generated, tmp_path,
                                                                  monkeypatch):
@@ -855,6 +899,13 @@ class TestBench:
         monkeypatch.chdir(tmp_path)
         entry = {"name": "ok", "method": "lda", "data": str(generated), "folds": 2, "repeats": 1}
         self._refused(tmp_path, capsys, [entry], "nodir", "ok")
+
+    def test_out_dir_that_is_a_file_is_refused(self, generated, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("afile").touch()
+        entry = {"name": "ok", "method": "lda", "data": str(generated), "folds": 2, "repeats": 1}
+        err = self._refused(tmp_path, capsys, [entry], "afile", "ok")
+        assert err == "error: config ok afile/ok.csv: afile is not a directory\n"
 
     def test_entry_with_no_completed_run_fails_the_sweep(self, generated, tmp_path, capsys):
         # coinciding class means give lda no direction, so every fold of "bad" fails
