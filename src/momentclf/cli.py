@@ -45,7 +45,12 @@ from .optimizer import LineSearchConfig
 __all__ = ["main"]
 
 
-OPTIMIZER_HELP = {
+# the help of each flag built from a config field; a field left out has none
+FIELD_HELP = {
+    "d": "feature dimension",
+    "n": "total sample count",
+    "prior_pos": "positive-class probability",
+    "outlier_pct": "percent of each class to label-flip",
     "c": "Armijo sufficient-decrease constant",
     "beta": "backtracking shrink factor",
     "alpha0": "initial step size",
@@ -55,12 +60,14 @@ OPTIMIZER_HELP = {
 }
 
 
-def _add_optimizer_flags(parser: argparse.ArgumentParser) -> None:
-    # one flag per LineSearchConfig field, named and defaulted by the field
-    group = parser.add_argument_group("optimizer")
-    for f in dataclasses.fields(LineSearchConfig):
-        group.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
-                           default=f.default, help=OPTIMIZER_HELP[f.name])
+def _add_field_flags(parser, cls) -> None:
+    # one flag per field of a config dataclass, named, typed ("int" or "float")
+    # and defaulted by the field; a field without a default gives a required flag
+    for f in dataclasses.fields(cls):
+        required = f.default is dataclasses.MISSING
+        parser.add_argument("--" + f.name.replace("_", "-"), required=required,
+                            type={"int": int, "float": float}[f.type],
+                            default=None if required else f.default, help=FIELD_HELP.get(f.name))
 
 
 def _from_args(cls, args: argparse.Namespace, **given):
@@ -237,14 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="sample a two-Gaussian dataset plus its binary twin "
                                        "and exact-moments sidecar")
-    p_gen.add_argument("--d", type=int, required=True, help="feature dimension")
-    p_gen.add_argument("--n", type=int, required=True, help="total sample count")
-    p_gen.add_argument("--prior-pos", type=float, required=True, help="positive-class probability")
-    p_gen.add_argument("--outlier-pct", type=float, default=GaussianSpec.outlier_pct,
-                       help="percent of each class to label-flip")
-    p_gen.add_argument("--seed", type=int, default=GaussianSpec.seed)
-    p_gen.add_argument("--mean-scale", type=float, default=GaussianSpec.mean_scale)
-    p_gen.add_argument("--cov-scale", type=float, default=GaussianSpec.cov_scale)
+    _add_field_flags(p_gen, GaussianSpec)
     p_gen.add_argument("--out", required=True, help="output LIBSVM path; its binary twin OUT.npz, "
                        "which later loads read instead of parsing the unchanged text, "
                        "is written next to it")
@@ -257,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fitting.add_argument("--data", required=True, help="LIBSVM path")
     fitting.add_argument("--moments", default=ExperimentConfig.moments,
                          help="exact-moments sidecar; selects exact moments")
-    _add_optimizer_flags(fitting)
+    _add_field_flags(fitting.add_argument_group("optimizer"), LineSearchConfig)
 
     p_train = sub.add_parser("train", parents=[fitting], help="fit one model on one LIBSVM file")
     p_train.add_argument("--normalize", action="store_true", help="z-score the data first")

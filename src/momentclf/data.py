@@ -188,17 +188,10 @@ class GaussianSpec:
 
     def __post_init__(self):
         _check_ints(self, d=1, n=1, seed=0)
-        _check_reals(self, "prior_pos", "outlier_pct", "mean_scale", "cov_scale")
-        if not 0.0 < self.prior_pos < 1.0:
-            raise ValueError(f"prior_pos must lie in (0, 1), got {self.prior_pos!r}")
+        _check_reals(self, prior_pos="(0, 1)", outlier_pct="[0, 50)", mean_scale="positive",
+                     cov_scale="positive")
         if self.n * self.prior_pos < 2 or self.n * (1.0 - self.prior_pos) < 2:
             raise ValueError("each class needs an expected count of at least 2")
-        if not 0.0 <= self.outlier_pct < 50.0:
-            raise ValueError(f"outlier_pct must lie in [0, 50), got {self.outlier_pct!r}")
-        if not self.mean_scale > 0.0:
-            raise ValueError(f"mean_scale must be positive, got {self.mean_scale!r}")
-        if not self.cov_scale > 0.0:
-            raise ValueError(f"cov_scale must be positive, got {self.cov_scale!r}")
 
 
 def _strip_comment(line: str) -> str:
@@ -556,15 +549,14 @@ def gen_gaussian(spec: GaussianSpec) -> tuple[Dataset, ClassMoments]:
     dataset = Dataset._built(features, labels)
     if spec.outlier_pct > 0.0:
         dataset = inject_outliers(dataset, spec.outlier_pct, spec.seed)
-    prior_pos = float(spec.prior_pos)
     moments = _built(
         ClassMoments,
         mu_pos=mu_pos,
         mu_neg=mu_neg,
         sigma_pos=sigmas[0],
         sigma_neg=sigmas[1],
-        prior_pos=prior_pos,
-        prior_neg=1.0 - prior_pos,
+        prior_pos=spec.prior_pos,
+        prior_neg=1.0 - spec.prior_pos,
     )
     return dataset, moments
 

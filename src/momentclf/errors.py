@@ -1,11 +1,11 @@
 """Exception types shared across the package, its field checks (an int field
-is an int, a real field is finite), the one minimum rule for integers
-(`{name} must be >= {m}, got {value!r}`), and its text-file reader and
-writers: every model, sidecar, report and trace file is UTF-8 lines, each
-ended by a newline.  Key-value files (models and sidecars) and CSV files
-(reports and traces) write floats as their repr and arrays row-major;
-LIBSVM data files are data.format_libsvm's, with 17 significant digits.
-Every file, these and LIBSVM text and its twin, is written under a
+is an int, a real field a finite float in its range), the one minimum rule
+for integers (`{name} must be >= {m}, got {value!r}`), and its text-file
+reader and writers: every model, sidecar, report and trace file is UTF-8
+lines, each ended by a newline.  Key-value files (models and sidecars) and
+CSV files (reports and traces) write floats as their repr and arrays
+row-major; LIBSVM data files are data.format_libsvm's, with 17 significant
+digits.  Every file, these and LIBSVM text and its twin, is written under a
 temporary name and moved into place, so no reader sees half of one.
 
 Everything derives from ValueError so callers that only care about
@@ -68,10 +68,19 @@ def _check_min(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
 
 
-def _check_reals(obj, *names: str) -> None:
+# each range a real field may take, as its error message writes it
+_RANGES = {
+    "positive": lambda x: x > 0.0,
+    "(0, 1)": lambda x: 0.0 < x < 1.0,
+    "[0, 50)": lambda x: 0.0 <= x < 50.0,
+}
+
+
+def _check_reals(obj, **ranges: str) -> None:
     """Raise TypeError unless each named field of obj is a real number (a bool
-    is not one), and ValueError unless it is finite."""
-    for name in names:
+    is not one), ValueError unless it is finite and in its range (a key of
+    _RANGES), and store it as a float."""
+    for name, rule in ranges.items():
         value = getattr(obj, name)
         if not isinstance(value, numbers.Real) or isinstance(value, bool):
             raise TypeError(f"{name} must be a real number, got {value!r}")
@@ -81,6 +90,10 @@ def _check_reals(obj, *names: str) -> None:
             finite = False
         if not finite:
             raise ValueError(f"{name} must be finite, got {value!r}")
+        if not _RANGES[rule](value):
+            verb = "be" if rule == "positive" else "lie in"
+            raise ValueError(f"{name} must {verb} {rule}, got {value!r}")
+        object.__setattr__(obj, name, float(value))  # past a frozen dataclass's guard
 
 
 def _read_key_values(path, kind: str, parse):

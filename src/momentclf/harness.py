@@ -288,8 +288,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 
 def _cell(value) -> str:
-    """One report field: None empty, a str on one line without commas, an
-    int as written, a float as its repr."""
+    """One report or trace field: None empty, a str on one line without
+    commas, an int as written, any other number as the repr of its float."""
     if value is None:
         return ""
     if isinstance(value, str):
@@ -318,6 +318,7 @@ def emit_report(report: ExperimentReport, path) -> None:
 def emit_trace(trace: OptimizationTrace, path) -> None:
     """Write one optimizer trace as CSV, one row per accepted iteration.
 
-    The columns follow TraceRecord's field order, each field its repr.
+    The columns follow TraceRecord's field order, each field written as a
+    report field is.
     """
-    _write_lines(path, [TRACE_HEADER, *(",".join(map(repr, record)) for record in trace.records)])
+    _write_lines(path, [TRACE_HEADER, *(",".join(map(_cell, record)) for record in trace.records)])

@@ -43,7 +43,9 @@ class LineSearchConfig:
     Defaults: sufficient-decrease constant c=1e-4, shrink factor beta=0.5,
     unit initial step, 250 iterations, stopping when the gradient norm
     falls below 1e-7 times its starting value, and at most 60 shrinks per
-    line search (0.5^60 ~ 1e-18, below any useful step).
+    line search (0.5^60 ~ 1e-18, below any useful step).  c and beta lie
+    in (0, 1), alpha0 and grad_tol_rel are positive, and all four are
+    stored as floats; max_iters and max_backtracks are ints >= 1.
     """
 
     c: float = 1e-4
@@ -55,15 +57,7 @@ class LineSearchConfig:
 
     def __post_init__(self):
         _check_ints(self, max_iters=1, max_backtracks=1)
-        _check_reals(self, "c", "beta", "alpha0", "grad_tol_rel")
-        if not 0.0 < self.c < 1.0:
-            raise ValueError(f"c must lie in (0, 1), got {self.c!r}")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta!r}")
-        if not self.alpha0 > 0.0:
-            raise ValueError(f"alpha0 must be positive, got {self.alpha0!r}")
-        if not self.grad_tol_rel > 0.0:
-            raise ValueError(f"grad_tol_rel must be positive, got {self.grad_tol_rel!r}")
+        _check_reals(self, c="(0, 1)", beta="(0, 1)", alpha0="positive", grad_tol_rel="positive")
 
 
 class TraceRecord(NamedTuple):
@@ -193,11 +187,7 @@ def gd_backtracking(
     if w.ndim != 1 or w.shape[0] < 1:
         raise ValueError(f"w0 must be a 1-d vector, got shape {w.shape}")
     c, max_iters, max_backtracks = config.c, config.max_iters, config.max_backtracks
-    # the rungs by repeated multiplication, as a shrinking alpha visits them
-    alphas = [config.alpha0]
-    for _ in range(max_backtracks):
-        alphas.append(alphas[-1] * config.beta)
-    steps = [_scalar(alpha) for alpha in alphas]
+    alphas, steps = [config.alpha0], [_scalar(config.alpha0)]
     clock = time.perf_counter
     start = clock()
     current = objective(w)
@@ -217,6 +207,10 @@ def gd_backtracking(
         # that passes keeps its trial point and evaluation
         nonlocal evaluations
         evaluations += 1
+        # the rungs by repeated multiplication, built as a search first reaches them
+        while len(alphas) <= k:
+            alphas.append(alphas[-1] * config.beta)
+            steps.append(_scalar(alphas[-1]))
         trial_w = steps[k] * grad
         np.subtract(w, trial_w, trial_w)
         trial = objective(trial_w)

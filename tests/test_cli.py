@@ -992,3 +992,82 @@ class TestConfigDefaults:
         self._assert_dataclass_defaults(LineSearchConfig, args, set())
         config = _from_args(ExperimentConfig, args, optimizer=_from_args(LineSearchConfig, args))
         assert config == ExperimentConfig(method="lda", data="unused.libsvm")
+
+
+_HELP = ("-h", "--help"), "help", None, "==SUPPRESS==", False, "show this help message and exit"
+_FITTING = [
+    (("--method",), "method", None, None, True, None),
+    (("--data",), "data", None, None, True, "LIBSVM path"),
+    (("--moments",), "moments", None, None, False, "exact-moments sidecar; selects exact moments"),
+    (("--c",), "c", float, 0.0001, False, "Armijo sufficient-decrease constant"),
+    (("--beta",), "beta", float, 0.5, False, "backtracking shrink factor"),
+    (("--alpha0",), "alpha0", float, 1.0, False, "initial step size"),
+    (("--max-iters",), "max_iters", int, 250, False, "maximum accepted steps"),
+    (("--grad-tol-rel",), "grad_tol_rel", float, 1e-07, False,
+     "stop when the gradient norm falls below this times its start value"),
+    (("--max-backtracks",), "max_backtracks", int, 60, False,
+     "maximum step shrinks per line search"),
+]
+# every option of every subcommand: option strings, dest, type, default,
+# required and help, in the order the parser holds them
+FLAG_TABLE = {
+    "gen": [
+        _HELP,
+        (("--d",), "d", int, None, True, "feature dimension"),
+        (("--n",), "n", int, None, True, "total sample count"),
+        (("--prior-pos",), "prior_pos", float, None, True, "positive-class probability"),
+        (("--outlier-pct",), "outlier_pct", float, 0.0, False,
+         "percent of each class to label-flip"),
+        (("--seed",), "seed", int, 0, False, None),
+        (("--mean-scale",), "mean_scale", float, 1.0, False, None),
+        (("--cov-scale",), "cov_scale", float, 1.0, False, None),
+        (("--out",), "out", None, None, True,
+         "output LIBSVM path; its binary twin OUT.npz, which later loads read instead of "
+         "parsing the unchanged text, is written next to it"),
+        (("--moments-out",), "moments_out", None, None, False,
+         "sidecar path (default: OUT.moments)"),
+    ],
+    "train": [
+        _HELP,
+        *_FITTING,
+        (("--normalize",), "normalize", None, False, False, "z-score the data first"),
+        (("--seed",), "seed", int, 0, False, "random-start seed"),
+        (("--model-out",), "model_out", None, None, True, None),
+        (("--trace-out",), "trace_out", None, None, False, None),
+    ],
+    "eval": [
+        _HELP,
+        (("--model",), "model", None, None, True, None),
+        (("--data",), "data", None, None, True, None),
+        (("--normalize",), "normalize", None, False, False,
+         "z-score the file with its own statistics; this reproduces train --normalize only "
+         "on the training file"),
+        (("--ties",), "ties", None, "strict", False, None),
+    ],
+    "cv": [
+        _HELP,
+        *_FITTING,
+        (("--folds",), "folds", int, 5, False, None),
+        (("--repeats",), "repeats", int, 4, False, None),
+        (("--seed",), "seed", int, 0, False, None),
+        (("--per-fold-norm",), "per_fold_norm", None, False, False,
+         "learn the z-score on each training fold (default: z-score the file once before CV)"),
+        (("--report-out",), "report_out", None, None, True, None),
+    ],
+    "bench": [
+        _HELP,
+        (("--configs",), "configs", None, None, True, "JSON file with a list of config objects"),
+        (("--out-dir",), "out_dir", None, None, True, "directory for per-config report CSVs"),
+    ],
+}
+
+
+def test_every_flag_matches_the_table():
+    # the flags built from config fields must read as the hand-written ones
+    # did; a default is compared by its repr, so 0 and 0.0 differ
+    (subcommands,) = [a for a in _build_parser()._actions if a.choices]
+    assert list(subcommands.choices) == list(FLAG_TABLE)
+    for name, sub in subcommands.choices.items():
+        built = [(tuple(a.option_strings), a.dest, a.type, repr(a.default), a.required, a.help)
+                 for a in sub._actions]
+        assert built == [(*row[:3], repr(row[3]), *row[4:]) for row in FLAG_TABLE[name]], name

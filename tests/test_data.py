@@ -869,13 +869,29 @@ class TestGaussianSpec:
 
     @pytest.mark.parametrize("field, value, message", [
         ("mean_scale", 0.0, "mean_scale must be positive, got 0.0"),
+        ("mean_scale", -1.0, "mean_scale must be positive, got -1.0"),
         ("cov_scale", 0.0, "cov_scale must be positive, got 0.0"),
+        ("cov_scale", -1.0, "cov_scale must be positive, got -1.0"),
+        ("prior_pos", 0.0, r"prior_pos must lie in \(0, 1\), got 0.0"),
         ("prior_pos", 1.0, r"prior_pos must lie in \(0, 1\), got 1.0"),
-    ], ids=["mean_scale", "cov_scale", "prior_pos"])
+        ("outlier_pct", -0.5, r"outlier_pct must lie in \[0, 50\), got -0.5"),
+        ("outlier_pct", 50.0, r"outlier_pct must lie in \[0, 50\), got 50.0"),
+    ], ids=["mean_scale", "mean_scale-neg", "cov_scale", "cov_scale-neg",
+            "prior_pos-0", "prior_pos", "outlier_pct-neg", "outlier_pct-50"])
     def test_rejects_out_of_range_values(self, field, value, message):
         fields = {"d": 2, "n": 10, "prior_pos": 0.5, field: value}
         with pytest.raises(ValueError, match=f"^{message}$"):
             GaussianSpec(**fields)
+
+    @pytest.mark.parametrize("field, value", [
+        ("outlier_pct", 0.0), ("outlier_pct", 0), ("outlier_pct", np.float64(49.5)),
+        ("prior_pos", np.float64(0.5)), ("mean_scale", 2), ("cov_scale", np.float32(0.5)),
+    ])
+    def test_real_fields_are_stored_as_floats(self, field, value):
+        # outlier_pct's range [0, 50) is closed at 0
+        stored = getattr(GaussianSpec(**{"d": 2, "n": 10, "prior_pos": 0.5, field: value}), field)
+        assert type(stored) is float
+        assert stored == float(value)
 
 
 class TestGenGaussian:

@@ -636,6 +636,20 @@ class TestEmitTrace:
             step = float(cur[3])
             assert float(cur[1]) <= prev_value - step * (c * prev_gnorm * prev_gnorm)
 
+    def test_numpy_alpha0_writes_float_steps(self, tmp_path):
+        # F = |w|^2 / 4 takes the first rung at every step
+        def bowl(w):
+            return ObjectiveEval(value=0.25 * float(w @ w), gradient=0.5 * w)
+
+        cfg = LineSearchConfig(alpha0=np.float64(1.0))
+        _, trace = gd_backtracking(bowl, np.array([3.0, 4.0]), cfg)
+        out = tmp_path / "trace.csv"
+        emit_trace(trace, out)
+        column = TRACE_HEADER.split(",").index("step")
+        steps = [line.split(",")[column] for line in out.read_text().splitlines()[1:]]
+        assert len(steps) > 10
+        assert set(steps) == {"1.0"}
+
     def test_unwritable_path_raises(self, tmp_path):
         trace = self._fifty_iteration_trace()
         with pytest.raises(OSError):
@@ -672,8 +686,7 @@ class TestWrittenBytes:
 
     def test_trace_bytes(self, tmp_path):
         # by keyword, so a reorder of TraceRecord's fields, which sets the
-        # columns, shows; an int alpha0 such as LineSearchConfig(alpha0=1)
-        # is the step of the first rung
+        # columns, shows; an int field is written as an int
         trace = OptimizationTrace(initial_value=2.0, initial_grad_norm=3.0, records=[
             TraceRecord(iteration=1, value=0.5, grad_norm=5e-324, step=1, backtracks=0,
                         seconds=0.25),
@@ -686,6 +699,20 @@ class TestWrittenBytes:
             b"iter,objective,grad_norm,step,backtracks,seconds\n"
             b"1,0.5,5e-324,1,0,0.25\n"
             b"2,-0.0,0.1,0.5,3,1.5e-05\n"
+        )
+
+    def test_trace_numpy_scalars_are_written_as_floats(self, tmp_path):
+        # the trace's cells follow the report's rule, so no record field can
+        # be written as np.float64(...)
+        trace = OptimizationTrace(initial_value=2.0, initial_grad_norm=3.0, records=[
+            TraceRecord(iteration=1, value=np.float64(0.5), grad_norm=np.float32(0.25),
+                        step=np.float64(1.0), backtracks=0, seconds=np.float64(0.125)),
+        ])
+        path = tmp_path / "trace.csv"
+        emit_trace(trace, path)
+        assert path.read_bytes() == (
+            b"iter,objective,grad_norm,step,backtracks,seconds\n"
+            b"1,0.5,0.25,1.0,0,0.125\n"
         )
 
 

@@ -1,5 +1,7 @@
 """Tests for gradient descent with Armijo backtracking and the initializers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -61,21 +63,34 @@ class TestLineSearchConfig:
         assert cfg.grad_tol_rel == 1e-7
         assert cfg.max_backtracks == 60
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("c", 0.0, r"c must lie in \(0, 1\), got 0.0"),
+        ("c", 1.0, r"c must lie in \(0, 1\), got 1.0"),
+        ("beta", 0.0, r"beta must lie in \(0, 1\), got 0.0"),
+        ("beta", 1.0, r"beta must lie in \(0, 1\), got 1.0"),
+        ("alpha0", 0.0, "alpha0 must be positive, got 0.0"),
+        ("alpha0", -1.0, "alpha0 must be positive, got -1.0"),
+        ("grad_tol_rel", 0.0, "grad_tol_rel must be positive, got 0.0"),
+        ("grad_tol_rel", -1e-7, "grad_tol_rel must be positive, got -1e-07"),
+    ])
+    def test_rejects_out_of_range_values(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LineSearchConfig(**{field: value})
+
     def test_rejects_bad_fields(self):
-        with pytest.raises(ValueError):
-            LineSearchConfig(c=0.0)
-        with pytest.raises(ValueError):
-            LineSearchConfig(c=1.0)
-        with pytest.raises(ValueError):
-            LineSearchConfig(beta=1.0)
-        with pytest.raises(ValueError):
-            LineSearchConfig(alpha0=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^max_iters must be >= 1, got 0$"):
             LineSearchConfig(max_iters=0)
-        with pytest.raises(ValueError):
-            LineSearchConfig(grad_tol_rel=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^max_backtracks must be >= 1, got 0$"):
             LineSearchConfig(max_backtracks=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("c", np.float64(0.25)), ("beta", np.float32(0.5)), ("alpha0", 2),
+        ("alpha0", np.float64(1.0)), ("grad_tol_rel", 1), ("grad_tol_rel", np.float64(1e-7)),
+    ])
+    def test_real_fields_are_stored_as_floats(self, field, value):
+        stored = getattr(LineSearchConfig(**{field: value}), field)
+        assert type(stored) is float
+        assert stored == float(value)
 
 
 class TestGdBacktracking:
@@ -663,6 +678,26 @@ def test_trace_grad_norms_are_linalg_norms(method):
     assert _record_bytes([trace.initial_grad_norm, trace.records[-1].grad_norm]) == (
         _record_bytes([start, end])
     )
+
+
+def test_step_ladder_is_built_only_as_far_as_the_searches_go():
+    # a fit reads a few rungs of the ladder; building all max_backtracks + 1
+    # of them before the first evaluation took 14 MB and 0.45 s at 10**5
+    train, _ = gen_gaussian(GaussianSpec(d=5, n=200, prior_pos=0.5, seed=1))
+    moments = estimate_class_moments(train)
+    objective, w0 = error_objective(moments), init_w0_error(moments)
+    _, expected = gd_backtracking(objective, w0)
+    tracemalloc.start()
+    try:
+        _, trace = gd_backtracking(objective, w0, LineSearchConfig(max_backtracks=10**5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert expected.reason != REASON_LINE_SEARCH
+    assert (trace.reason, trace.evaluations) == (expected.reason, expected.evaluations)
+    assert _record_bytes([r[:5] for r in trace.records]) == (
+        _record_bytes([r[:5] for r in expected.records]))
 
 
 class TestInitW0Error:
