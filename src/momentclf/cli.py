@@ -76,12 +76,14 @@ def _from_args(cls, args: argparse.Namespace, **given):
     return cls(**flags, **given)
 
 
-def _check_outputs(outputs, inputs=()) -> None:
-    """Refuse, before any work, a file the command writes that would
-    overwrite a file it reads or writes, that is a directory or another
-    file that is not a regular one (a FIFO, a device: moving the output
-    into place would replace it), or whose directory does not exist or is
-    not a directory.
+def _check_files(outputs, inputs=()) -> None:
+    """Refuse, before any work, a file the command reads or writes that it
+    cannot use.  An input must exist and not be a directory.  The data file,
+    hashed and then parsed, must be a regular file; load_libsvm passes over
+    a twin that is not one.  Other inputs are read once and may be pipes,
+    not devices.  An output may not overwrite a file the command reads or
+    writes, be a directory or another non-regular file, which moving it into
+    place would replace, or have a parent that is not an existing directory.
 
     Both arguments are (flag, path) pairs, where a flag may be any label
     that starts the refusal; a None path is skipped.  A LIBSVM file
@@ -94,26 +96,30 @@ def _check_outputs(outputs, inputs=()) -> None:
         if path is None:
             continue
         data = flag in ("--data", "--out")
-        owner = "the data file or its binary twin" if data else f"the {flag} file"
-        for file in (path, _twin_path(path)) if data else (path,):
+        piped = not (written or data)  # an input read once
+        files = (path, _twin_path(path)) if data else (path,)
+        for file in files if written else files[:1]:
             target = Path(file)
             if written:
                 if target.parent.exists() and not target.parent.is_dir():
                     raise ValueError(f"{flag} {file}: {target.parent} is not a directory")
                 if not target.parent.is_dir():
                     raise ValueError(f"{flag} {file}: directory {target.parent} does not exist")
-                if target.is_dir():
-                    raise ValueError(f"{flag} {file} is a directory")
-                if target.exists() and not target.is_file():
-                    raise ValueError(f"{flag} {file} is not a regular file")
-                if target.resolve() in taken:
-                    raise ValueError(f"{flag} {file} names {taken[target.resolve()]}")
-            taken[target.resolve()] = owner
+            elif not target.exists():
+                raise ValueError(f"{flag} {file} does not exist")
+            if target.is_dir():
+                raise ValueError(f"{flag} {file} is a directory")
+            if target.exists() and not (target.is_file() or piped and target.is_fifo()):
+                raise ValueError(f"{flag} {file} is not a regular file{' or a pipe' * piped}")
+            if written and target.resolve() in taken:
+                raise ValueError(f"{flag} {file} names {taken[target.resolve()]}")
+        owner = "the data file or its binary twin" if data else f"the {flag} file"
+        taken.update((Path(file).resolve(), owner) for file in files)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     moments_out = args.moments_out or str(args.out) + ".moments"
-    _check_outputs([("--out", args.out), ("--moments-out", moments_out)])
+    _check_files([("--out", args.out), ("--moments-out", moments_out)])
     dataset, moments = gen_gaussian(_from_args(GaussianSpec, args))
     twin = save_libsvm(dataset, args.out)
     save_moments(moments, moments_out)
@@ -126,8 +132,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_train(args: argparse.Namespace) -> int:
     # lda and the direct methods never draw from the seed, so check it here
     _check_min("seed", args.seed, 0)
-    _check_outputs([("--model-out", args.model_out), ("--trace-out", args.trace_out)],
-                   [("--data", args.data), ("--moments", args.moments)])
+    _check_files([("--model-out", args.model_out), ("--trace-out", args.trace_out)],
+                 _input_files(args.data, args.moments))
     dataset, exact = load_source(args.method, args.data, args.moments, args.normalize)
     optimizer = _from_args(LineSearchConfig, args)
     model, trace = fit(args.method, dataset, exact, optimizer, args.seed)
@@ -150,6 +156,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    _check_files([], [("--model", args.model), ("--data", args.data)])
     model = load_model(args.model)
     dataset = load_libsvm(args.data, model.w.shape[0])
     if args.normalize:
@@ -160,13 +167,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _input_files(config: ExperimentConfig):
-    """The (flag, path) pairs of the files a config reads: data when it is a
-    path, and moments unless it is None or the generator."""
-    if isinstance(config.data, str):
-        yield "--data", config.data
-    if config.moments not in (None, "generator"):
-        yield "--moments", config.moments
+def _input_files(data, moments):
+    """The (flag, path) pairs of the files a fit of data with moments reads:
+    data when it is a path, and moments unless it is None or the generator."""
+    if isinstance(data, str):
+        yield "--data", data
+    if moments not in (None, "generator"):
+        yield "--moments", moments
 
 
 def _run_and_report(jobs, inputs=()) -> int:
@@ -176,8 +183,8 @@ def _run_and_report(jobs, inputs=()) -> int:
     every job's input files and the other reports.  A job with no completed
     run fails the command at the end.
     """
-    inputs = [*inputs, *(pair for _, config, _ in jobs for pair in _input_files(config))]
-    _check_outputs([(label, path) for label, _, path in jobs], inputs)
+    inputs = [*inputs, *(pair for _, c, _ in jobs for pair in _input_files(c.data, c.moments))]
+    _check_files([(label, path) for label, _, path in jobs], inputs)
     empty = []
     for _, config, path in jobs:
         report = run_experiment(config)
@@ -203,6 +210,7 @@ def _cmd_cv(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    _check_files([], [("--configs", args.configs)])
     with open(args.configs, "r", encoding="utf-8") as fh:
         entries = json.load(fh)
     if not isinstance(entries, list) or not entries:
@@ -224,11 +232,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             if "optimizer" in fields:
                 fields["optimizer"] = LineSearchConfig(**fields["optimizer"])
             config = ExperimentConfig(**fields)
-            for flag, path in _input_files(config):
-                if not Path(path).is_file():
-                    raise ValueError(f"no {flag[2:]} file {path}")
             jobs.append((f"config {name}", config, out_dir / f"{name}.csv"))
-        except (TypeError, ValueError) as exc:  # unknown or missing key, bad value or file
+        except (TypeError, ValueError) as exc:  # unknown or missing key, bad value
             raise ValueError(f"config {name}: {exc}") from None
     return _run_and_report(jobs, [("--configs", args.configs)])
 
@@ -298,7 +303,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except Exception as exc:  # surface a clean diagnostic, not a traceback
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -389,8 +389,8 @@ def load_libsvm(path, dim: int | None = None) -> Dataset:
     the text is parsed, with parse_libsvm's results and errors; dim is
     parse_libsvm's, so the parse pads a narrower file with zero columns and
     names the line above dim in a wider one.  The text is authoritative: a
-    stale, damaged or missing twin only costs the parse.  Loading never
-    writes a file.
+    stale, damaged or missing twin, or one that is not a regular file, only
+    costs the parse.  Loading never writes a file.
 
     The file is hashed, and then parsed if it must be, in reads of about
     128 KiB, so at most one block of its text is held at once.
@@ -408,6 +408,8 @@ def load_libsvm(path, dim: int | None = None) -> Dataset:
 
 def _read_twin(path: str, sha256: str) -> Dataset | None:
     """The dataset a twin at path holds for text of the given digest, or None."""
+    if not os.path.isfile(path):  # opening a FIFO would wait for a writer
+        return None
     try:
         # np.load(path) leaves its handle to the garbage collector when a
         # file with the zip magic is cut short; this one is closed here

@@ -2,10 +2,14 @@
 
 Tests named test_criterion_NN_* in test_acceptance.py are tallied and a
 summary block is appended to the terminal report so a release gate can be
-read off a plain pytest run.
+read off a plain pytest run.  The deadline fixture fails a test that
+blocks, on a FIFO say, instead of hanging the suite.
 """
 
 import re
+import signal
+
+import pytest
 
 CRITERIA = {
     1: "std_normal_cdf within 1e-12 of quadrature on 1000 points in [-8, 8]",
@@ -47,3 +51,18 @@ def pytest_terminal_summary(terminalreporter):
     for num in sorted(_results):
         description = CRITERIA.get(num, "")
         terminalreporter.write_line(f"criterion {num:02d} {_results[num]} - {description}")
+
+
+@pytest.fixture
+def deadline():
+    """Fail the test if it runs for more than 10 seconds (POSIX only)."""
+
+    def expire(signum, frame):
+        # pytest's failure is no Exception, so main's handler lets it through
+        pytest.fail("still running after 10 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -30,6 +31,7 @@ from momentclf import (
 from momentclf import cli
 from momentclf.cli import _build_parser, _from_args, main
 from momentclf.harness import REPORT_HEADER, TRACE_HEADER
+from momentclf.model import LinearModel
 
 
 @pytest.fixture(scope="module")
@@ -277,6 +279,96 @@ class TestOutputRule:
             assert Path(name).is_file() and not Path(name).is_symlink()
             assert Path(f"target-{name}").read_bytes() == b"kept\n"
         assert load_model("m.txt").dim == 4 and load_moments("out.moments").dim == 2
+
+
+class TestInputRule:
+    """Every file a command reads is checked, before any work, by the rule
+    that checks its outputs.
+
+    The data file, hashed and then parsed, must be a regular file: a FIFO
+    used to block train, eval and cv, and /dev/zero to be hashed forever.
+    The other inputs are read once and may be pipes but not devices, which
+    used to be read until memory ran out.  A missing input used to give
+    one message from bench and a bare OSError from the other commands.
+    """
+
+    ARGV = {
+        "train --data": ["train", "--method", "lda", "--data", "{path}", "--model-out", "o.txt"],
+        "eval --data": ["eval", "--model", "m.txt", "--data", "{path}"],
+        "cv --data": ["cv", "--method", "lda", "--data", "{path}", "--report-out", "o.csv"],
+        "bench data": ["bench", "--configs", "data.json", "--out-dir", "."],
+        "eval --model": ["eval", "--model", "{path}", "--data", "g.libsvm"],
+        "train --moments": ["train", "--method", "error-direct", "--data", "g.libsvm",
+                            "--moments", "{path}", "--model-out", "o.txt"],
+        "bench --configs": ["bench", "--configs", "{path}", "--out-dir", "."],
+        "bench moments": ["bench", "--configs", "moments.json", "--out-dir", "."],
+    }
+    PATHS = {"missing": "nofile", "directory": "adir", "fifo": "afifo", "device": "/dev/null"}
+    REFUSAL = {"missing": "does not exist", "directory": "is a directory",
+               "fifo": "is not a regular file", "device": "is not a regular file"}
+
+    @pytest.mark.parametrize("command, kind", [
+        *((command, kind) for command in ("train --data", "eval --data", "cv --data", "bench data")
+          for kind in ("missing", "directory", "fifo", "device")),
+        *((command, kind) for command in ("eval --model", "train --moments", "bench --configs",
+                                          "bench moments")
+          for kind in ("missing", "directory", "device")),
+    ])
+    def test_refused_before_any_work(self, generated, tmp_path, capsys, monkeypatch, deadline,
+                                     command, kind):
+        monkeypatch.chdir(tmp_path)
+        for suffix in ("", ".npz", ".moments"):
+            shutil.copy(str(generated) + suffix, "g.libsvm" + suffix)
+        save_model(LinearModel(w=np.ones(4)), "m.txt")
+        (tmp_path / "adir").mkdir()
+        os.mkfifo(tmp_path / "afifo")
+        path = self.PATHS[kind]
+        entry = {"name": "b", "method": "error-direct", "data": "g.libsvm"}
+        Path("data.json").write_text(json.dumps([{**entry, "data": path}]))
+        Path("moments.json").write_text(json.dumps([{**entry, "moments": path}]))
+        before = _snapshot(tmp_path)
+        assert main([arg.format(path=path) for arg in self.ARGV[command]]) == 1
+        flag = "--" + command.split()[-1].lstrip("-")
+        # only the data file must be a regular file
+        refusal = self.REFUSAL[kind] + (" or a pipe" if kind == "device" and flag != "--data"
+                                        else "")
+        assert capsys.readouterr().err == f"error: {flag} {path} {refusal}\n"
+        assert _snapshot(tmp_path) == before
+
+    @staticmethod
+    @contextlib.contextmanager
+    def _pipe(data: bytes):
+        """A /dev/fd path to the read end of a pipe that holds data and then ends."""
+        read, write = os.pipe()
+        os.write(write, data)
+        os.close(write)
+        try:
+            yield f"/dev/fd/{read}"
+        finally:
+            os.close(read)
+
+    def test_model_and_configs_may_be_pipes(self, generated, tmp_path, capsys, deadline):
+        model = tmp_path / "m.txt"
+        save_model(LinearModel(w=np.array([1.0, -2.0, 0.5, 0.0]), intercept=0.25), model)
+        assert main(["eval", "--model", str(model), "--data", str(generated)]) == 0
+        from_file = capsys.readouterr().out
+        with self._pipe(model.read_bytes()) as piped:
+            assert main(["eval", "--model", piped, "--data", str(generated)]) == 0
+        assert capsys.readouterr().out == from_file
+        entry = {"name": "b", "method": "lda", "data": str(generated), "folds": 2, "repeats": 1}
+        with self._pipe(json.dumps([entry]).encode()) as piped:
+            assert main(["bench", "--configs", piped, "--out-dir", str(tmp_path)]) == 0
+        assert (tmp_path / "b.csv").read_text().startswith(REPORT_HEADER)
+
+    def test_error_without_a_message_names_its_type(self, tmp_path, capsys, monkeypatch):
+        # a MemoryError() used to print "error: " and nothing after it
+        def exhausted(spec):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "gen_gaussian", exhausted)
+        assert main(["gen", "--d", "2", "--n", "40", "--prior-pos", "0.5",
+                     "--out", str(tmp_path / "o.libsvm")]) == 1
+        assert capsys.readouterr().err == "error: MemoryError\n"
 
 
 class TestTrain:
@@ -838,13 +930,14 @@ class TestBench:
 
     @staticmethod
     def _refused(tmp_path, capsys, entries, out_dir, label, configs="bench.json"):
-        """bench exits 1 with one error line for label and changes no file; returns the line."""
+        """bench exits 1 with one error line that starts with label and changes no file;
+        returns the line."""
         (tmp_path / configs).write_text(json.dumps(entries))
         before = _snapshot(tmp_path)
         assert main(["bench", "--configs", configs, "--out-dir", out_dir]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert len(err.splitlines()) == 1 and err.startswith(f"error: config {label} ")
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {label} ")
         assert _snapshot(tmp_path) == before
         return err
 
@@ -853,7 +946,7 @@ class TestBench:
         monkeypatch.chdir(tmp_path)
         shutil.copy(generated, "toy.csv")
         entry = {"name": "toy", "method": "lda", "data": "toy.csv", "folds": 3, "repeats": 1}
-        self._refused(tmp_path, capsys, [entry], ".", "toy")
+        self._refused(tmp_path, capsys, [entry], ".", "config toy")
 
     def test_report_may_not_overwrite_the_configs(self, generated, tmp_path, capsys,
                                                    monkeypatch):
@@ -861,7 +954,7 @@ class TestBench:
         monkeypatch.chdir(tmp_path)
         Path("out").mkdir()
         entry = {"name": "c", "method": "lda", "data": str(generated), "folds": 2, "repeats": 1}
-        err = self._refused(tmp_path, capsys, [entry], "out", "c", configs="out/c.csv")
+        err = self._refused(tmp_path, capsys, [entry], "out", "config c", configs="out/c.csv")
         assert err == "error: config c out/c.csv names the --configs file\n"
 
     # a missing input used to surface only when its entry ran, after the
@@ -874,15 +967,15 @@ class TestBench:
         monkeypatch.chdir(tmp_path)
         ok = {"name": "a", "method": "lda", "data": str(generated), "folds": 2, "repeats": 1}
         typo = {**ok, "name": "b", key: path}
-        err = self._refused(tmp_path, capsys, [ok, typo], ".", "b:")
-        assert err == f"error: config b: no {key} file {path}\n"
+        err = self._refused(tmp_path, capsys, [ok, typo], ".", f"--{key}")
+        assert err == f"error: --{key} {path} does not exist\n"
 
     def test_report_may_not_overwrite_a_sidecar(self, generated, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         shutil.copy(str(generated) + ".moments", "m.csv")
         entry = {"name": "m", "method": "lda", "data": str(generated), "moments": "m.csv",
                  "folds": 2, "repeats": 1}
-        self._refused(tmp_path, capsys, [entry], ".", "m")
+        self._refused(tmp_path, capsys, [entry], ".", "config m")
 
     # an unnamed entry i is config_<i>, so a named entry cannot take its report
     @pytest.mark.parametrize("first, second", [("twice", "twice"), ("config_01", None)],
@@ -893,18 +986,18 @@ class TestBench:
         Path("reports").mkdir()
         entry = {"method": "lda", "data": str(generated), "folds": 2, "repeats": 1}
         named = [{**entry, "name": name} if name else entry for name in (first, second)]
-        self._refused(tmp_path, capsys, named, "reports", first)
+        self._refused(tmp_path, capsys, named, "reports", f"config {first}")
 
     def test_missing_out_dir_is_refused(self, generated, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         entry = {"name": "ok", "method": "lda", "data": str(generated), "folds": 2, "repeats": 1}
-        self._refused(tmp_path, capsys, [entry], "nodir", "ok")
+        self._refused(tmp_path, capsys, [entry], "nodir", "config ok")
 
     def test_out_dir_that_is_a_file_is_refused(self, generated, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         Path("afile").touch()
         entry = {"name": "ok", "method": "lda", "data": str(generated), "folds": 2, "repeats": 1}
-        err = self._refused(tmp_path, capsys, [entry], "afile", "ok")
+        err = self._refused(tmp_path, capsys, [entry], "afile", "config ok")
         assert err == "error: config ok afile/ok.csv: afile is not a directory\n"
 
     def test_entry_with_no_completed_run_fails_the_sweep(self, generated, tmp_path, capsys):

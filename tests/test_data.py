@@ -494,6 +494,21 @@ class TestBinaryTwin:
         assert _outcome(lambda _: loaded, None) == _outcome(parse_libsvm, raw)
         assert loaded.features.flags.c_contiguous
 
+    @pytest.mark.parametrize("kind", ["fifo", "directory"])
+    def test_twin_that_is_not_a_regular_file_is_passed_over(self, tmp_path, monkeypatch,
+                                                            deadline, kind):
+        # a FIFO twin used to block the load until something wrote to it
+        path, twin = self._saved(tmp_path)
+        raw = path.read_bytes()
+        twin.unlink()
+        if kind == "fifo":
+            os.mkfifo(twin)
+        else:
+            twin.mkdir()
+        calls = self._parses(monkeypatch)
+        assert _outcome(load_libsvm, path) == _outcome(parse_libsvm, raw)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("name", sorted(_twin_cases()))
     def test_narrow_twin_gives_way_to_the_parse(self, tmp_path, monkeypatch, name):
         ds = _twin_cases()[name]
