@@ -2,8 +2,9 @@
 
 Subcommands: gen (synthesize a dataset, its binary twin and an
 exact-moments sidecar), train (fit one model on one file), eval (score a
-saved model), cv (repeated k-fold benchmark of one method), bench (sweep a
-JSON list of cv configs).
+saved model), cv (repeated k-fold benchmark of one method).  A sweep over
+configs is a shell loop over cv, or run_experiment(ExperimentConfig(...))
+in Python.
 All inputs arrive as flags; nothing is read from the environment.  The
 argument parser is built once per process, on the first main() call, and
 reused: parsing fills a fresh namespace and leaves the parser unchanged.
@@ -14,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -80,15 +80,16 @@ def _check_files(outputs, inputs=()) -> None:
     """Refuse, before any work, a file the command reads or writes that it
     cannot use.  An input must exist and not be a directory.  The data file,
     hashed and then parsed, must be a regular file; load_libsvm passes over
-    a twin that is not one.  Other inputs are read once and may be pipes,
-    not devices.  An output may not overwrite a file the command reads or
-    writes, be a directory or another non-regular file, which moving it into
-    place would replace, or have a parent that is not an existing directory.
+    a twin that is not one.  --model and --moments are read once and may be
+    pipes, not devices.  An output may not overwrite a file the command
+    reads or writes, be a directory or another non-regular file, which
+    moving it into place would replace, or have a parent that is not an
+    existing directory.
 
-    Both arguments are (flag, path) pairs, where a flag may be any label
-    that starts the refusal; a None path is skipped.  A LIBSVM file
-    (--data or --out) stands for its text and its binary twin, and a
-    refusal names the one it is about.
+    Both arguments are (flag, path) pairs, where the flag starts the
+    refusal; a None path is skipped.  A LIBSVM file (--data or --out)
+    stands for its text and its binary twin, and a refusal names the one
+    it is about.
     """
     taken = {}
     pairs = [(*pair, False) for pair in inputs] + [(*pair, True) for pair in outputs]
@@ -169,73 +170,27 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _input_files(data, moments):
     """The (flag, path) pairs of the files a fit of data with moments reads:
-    data when it is a path, and moments unless it is None or the generator."""
-    if isinstance(data, str):
-        yield "--data", data
+    data, and moments unless it is None or the generator."""
+    yield "--data", data
     if moments not in (None, "generator"):
         yield "--moments", moments
 
 
-def _run_and_report(jobs, inputs=()) -> int:
-    """Run (label, ExperimentConfig, report path) jobs, each to its report.
-
-    Every report is checked first against the given (flag, path) inputs,
-    every job's input files and the other reports.  A job with no completed
-    run fails the command at the end.
-    """
-    inputs = [*inputs, *(pair for _, c, _ in jobs for pair in _input_files(c.data, c.moments))]
-    _check_files([(label, path) for label, _, path in jobs], inputs)
-    empty = []
-    for _, config, path in jobs:
-        report = run_experiment(config)
-        emit_report(report, path)
-        print(f"wrote report to {path}")
-        head = f"{config.method} ({config.moment_source}): "
-        if report.completed_runs == 0:
-            print(head + f"no run completed (0/{len(report.runs)} runs)")
-            empty.append(str(path))
-            continue
-        summary = report.summary()
-        print(head + f"accuracy {summary.mean_accuracy:.6f} +- {summary.std_accuracy:.6f}, "
-              f"auc {summary.mean_auc:.6f} +- {summary.std_auc:.6f}, train "
-              f"{summary.mean_seconds:.4f}s over {report.completed_runs}/{len(report.runs)} runs")
-    if empty:
-        raise ValueError(f"no run completed for {', '.join(empty)}")
-    return 0
-
-
 def _cmd_cv(args: argparse.Namespace) -> int:
     config = _from_args(ExperimentConfig, args, optimizer=_from_args(LineSearchConfig, args))
-    return _run_and_report([("--report-out", config, args.report_out)])
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    _check_files([], [("--configs", args.configs)])
-    with open(args.configs, "r", encoding="utf-8") as fh:
-        entries = json.load(fh)
-    if not isinstance(entries, list) or not entries:
-        raise ValueError("configs file must hold a non-empty JSON list")
-    # build every config first so a bad entry fails before any sweep runs
-    out_dir = Path(args.out_dir)
-    jobs = []
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ValueError(f"config config_{i:02d}: entry must be a JSON object, got {entry!r}")
-        fields = dict(entry)
-        name = fields.pop("name", f"config_{i:02d}")
-        # each name is the file name of one report in the output directory
-        if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
-            raise ValueError(f"config config_{i:02d}: name must be a plain file name, got {name!r}")
-        try:
-            if isinstance(fields.get("data"), dict):
-                fields["data"] = GaussianSpec(**fields["data"])
-            if "optimizer" in fields:
-                fields["optimizer"] = LineSearchConfig(**fields["optimizer"])
-            config = ExperimentConfig(**fields)
-            jobs.append((f"config {name}", config, out_dir / f"{name}.csv"))
-        except (TypeError, ValueError) as exc:  # unknown or missing key, bad value
-            raise ValueError(f"config {name}: {exc}") from None
-    return _run_and_report(jobs, [("--configs", args.configs)])
+    _check_files([("--report-out", args.report_out)], _input_files(args.data, args.moments))
+    report = run_experiment(config)
+    emit_report(report, args.report_out)
+    print(f"wrote report to {args.report_out}")
+    head = f"{config.method} ({config.moment_source}): "
+    if report.completed_runs == 0:
+        print(head + f"no run completed (0/{len(report.runs)} runs)")
+        raise ValueError(f"no run completed for {args.report_out}")
+    summary = report.summary()
+    print(head + f"accuracy {summary.mean_accuracy:.6f} +- {summary.std_accuracy:.6f}, "
+          f"auc {summary.mean_auc:.6f} +- {summary.std_auc:.6f}, train "
+          f"{summary.mean_seconds:.4f}s over {report.completed_runs}/{len(report.runs)} runs")
+    return 0
 
 
 @functools.cache
@@ -289,11 +244,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            "file once before CV)")
     p_cv.add_argument("--report-out", required=True)
     p_cv.set_defaults(func=_cmd_cv)
-
-    p_bench = sub.add_parser("bench", help="run a JSON list of cv configs")
-    p_bench.add_argument("--configs", required=True, help="JSON file with a list of config objects")
-    p_bench.add_argument("--out-dir", required=True, help="directory for per-config report CSVs")
-    p_bench.set_defaults(func=_cmd_bench)
 
     return parser
 

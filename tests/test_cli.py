@@ -2,7 +2,6 @@
 
 import contextlib
 import dataclasses
-import json
 import math
 import os
 import re
@@ -235,14 +234,10 @@ class TestOutputRule:
          "--trace-out", "t.csv"],
         ["cv", "--method", "lda", "--data", "{data}", "--folds", "2", "--repeats", "1",
          "--report-out", "r.csv"],
-        ["bench", "--configs", "{configs}", "--out-dir", "."],
-    ], ids=["gen", "train", "cv", "bench"])
+    ], ids=["gen", "train", "cv"])
     def test_every_written_file_is_checked_before_any_work(self, generated, tmp_path, capsys,
                                                            monkeypatch, argv):
-        configs = tmp_path / "configs.json"
-        configs.write_text(json.dumps([{"name": "b", "method": "lda", "data": str(generated),
-                                        "folds": 2, "repeats": 1}]))
-        argv = [arg.format(data=generated, configs=configs) for arg in argv]
+        argv = [arg.format(data=generated) for arg in argv]
         first = tmp_path / "first"
         first.mkdir()
         monkeypatch.chdir(first)
@@ -288,30 +283,28 @@ class TestInputRule:
     The data file, hashed and then parsed, must be a regular file: a FIFO
     used to block train, eval and cv, and /dev/zero to be hashed forever.
     The other inputs are read once and may be pipes but not devices, which
-    used to be read until memory ran out.  A missing input used to give
-    one message from bench and a bare OSError from the other commands.
+    used to be read until memory ran out.  A missing input used to give a
+    bare OSError.
     """
 
     ARGV = {
         "train --data": ["train", "--method", "lda", "--data", "{path}", "--model-out", "o.txt"],
         "eval --data": ["eval", "--model", "m.txt", "--data", "{path}"],
         "cv --data": ["cv", "--method", "lda", "--data", "{path}", "--report-out", "o.csv"],
-        "bench data": ["bench", "--configs", "data.json", "--out-dir", "."],
         "eval --model": ["eval", "--model", "{path}", "--data", "g.libsvm"],
         "train --moments": ["train", "--method", "error-direct", "--data", "g.libsvm",
                             "--moments", "{path}", "--model-out", "o.txt"],
-        "bench --configs": ["bench", "--configs", "{path}", "--out-dir", "."],
-        "bench moments": ["bench", "--configs", "moments.json", "--out-dir", "."],
+        "cv --moments": ["cv", "--method", "error-direct", "--data", "g.libsvm",
+                         "--moments", "{path}", "--report-out", "o.csv"],
     }
     PATHS = {"missing": "nofile", "directory": "adir", "fifo": "afifo", "device": "/dev/null"}
     REFUSAL = {"missing": "does not exist", "directory": "is a directory",
                "fifo": "is not a regular file", "device": "is not a regular file"}
 
     @pytest.mark.parametrize("command, kind", [
-        *((command, kind) for command in ("train --data", "eval --data", "cv --data", "bench data")
+        *((command, kind) for command in ("train --data", "eval --data", "cv --data")
           for kind in ("missing", "directory", "fifo", "device")),
-        *((command, kind) for command in ("eval --model", "train --moments", "bench --configs",
-                                          "bench moments")
+        *((command, kind) for command in ("eval --model", "train --moments", "cv --moments")
           for kind in ("missing", "directory", "device")),
     ])
     def test_refused_before_any_work(self, generated, tmp_path, capsys, monkeypatch, deadline,
@@ -323,12 +316,9 @@ class TestInputRule:
         (tmp_path / "adir").mkdir()
         os.mkfifo(tmp_path / "afifo")
         path = self.PATHS[kind]
-        entry = {"name": "b", "method": "error-direct", "data": "g.libsvm"}
-        Path("data.json").write_text(json.dumps([{**entry, "data": path}]))
-        Path("moments.json").write_text(json.dumps([{**entry, "moments": path}]))
         before = _snapshot(tmp_path)
         assert main([arg.format(path=path) for arg in self.ARGV[command]]) == 1
-        flag = "--" + command.split()[-1].lstrip("-")
+        flag = command.split()[-1]
         # only the data file must be a regular file
         refusal = self.REFUSAL[kind] + (" or a pipe" if kind == "device" and flag != "--data"
                                         else "")
@@ -347,7 +337,7 @@ class TestInputRule:
         finally:
             os.close(read)
 
-    def test_model_and_configs_may_be_pipes(self, generated, tmp_path, capsys, deadline):
+    def test_model_and_moments_may_be_pipes(self, generated, tmp_path, capsys, deadline):
         model = tmp_path / "m.txt"
         save_model(LinearModel(w=np.array([1.0, -2.0, 0.5, 0.0]), intercept=0.25), model)
         assert main(["eval", "--model", str(model), "--data", str(generated)]) == 0
@@ -355,10 +345,17 @@ class TestInputRule:
         with self._pipe(model.read_bytes()) as piped:
             assert main(["eval", "--model", piped, "--data", str(generated)]) == 0
         assert capsys.readouterr().out == from_file
-        entry = {"name": "b", "method": "lda", "data": str(generated), "folds": 2, "repeats": 1}
-        with self._pipe(json.dumps([entry]).encode()) as piped:
-            assert main(["bench", "--configs", piped, "--out-dir", str(tmp_path)]) == 0
-        assert (tmp_path / "b.csv").read_text().startswith(REPORT_HEADER)
+        # train writes the same model, and cv the same report rows, timing aside
+        sidecar = Path(f"{generated}.moments")
+        fit = ["--method", "error-direct", "--data", str(generated), "--max-iters", "20"]
+        for argv, read in ((["train", *fit, "--model-out"], Path.read_bytes),
+                           (["cv", *fit, "--folds", "2", "--repeats", "1", "--report-out"],
+                            _masked_report)):
+            from_file, from_pipe = tmp_path / "from-file", tmp_path / "from-pipe"
+            assert main([*argv, str(from_file), "--moments", str(sidecar)]) == 0
+            with self._pipe(sidecar.read_bytes()) as piped:
+                assert main([*argv, str(from_pipe), "--moments", piped]) == 0
+            assert read(from_pipe) == read(from_file)
 
     def test_error_without_a_message_names_its_type(self, tmp_path, capsys, monkeypatch):
         # a MemoryError() used to print "error: " and nothing after it
@@ -807,218 +804,6 @@ class TestCv:
         assert not report_out.exists()
 
 
-class TestBench:
-    def test_sweeps_configs_to_csvs(self, generated, tmp_path, capsys):
-        configs = [
-            {
-                "name": "lda_file",
-                "method": "lda",
-                "data": str(generated),
-                "folds": 2,
-                "repeats": 1,
-                "seed": 3,
-            },
-            {
-                "name": "err_synth",
-                "method": "error-direct",
-                "moments": "generator",
-                "data": {"d": 3, "n": 100, "prior_pos": 0.5, "seed": 4},
-                "folds": 2,
-                "repeats": 1,
-                "seed": 3,
-                "optimizer": {"max_iters": 50},
-            },
-        ]
-        cfg_path = tmp_path / "configs.json"
-        cfg_path.write_text(json.dumps(configs))
-        out_dir = tmp_path / "reports"
-        out_dir.mkdir()
-        rc = main(["bench", "--configs", str(cfg_path), "--out-dir", str(out_dir)])
-        assert rc == 0
-        assert (out_dir / "lda_file.csv").exists()
-        assert (out_dir / "err_synth.csv").exists()
-        out = capsys.readouterr().out.splitlines()
-        assert out[0] == f"wrote report to {out_dir / 'lda_file.csv'}"
-        assert out[1].startswith("lda (empirical): accuracy ")
-        assert out[2] == f"wrote report to {out_dir / 'err_synth.csv'}"
-        assert out[3].startswith("error-direct (exact): accuracy ")
-
-    def test_empty_config_list_fails_cleanly(self, tmp_path, capsys):
-        cfg_path = tmp_path / "empty.json"
-        cfg_path.write_text("[]")
-        rc = main(["bench", "--configs", str(cfg_path), "--out-dir", str(tmp_path / "r")])
-        assert rc == 1
-        assert "error:" in capsys.readouterr().err
-
-    # a file is always z-scored, so normalize is no key; per_fold_norm is the one
-    # switch, and moments alone says where exact moments come from
-    @pytest.mark.parametrize("key, value", [("fold", 10), ("normalize", False),
-                                            ("moment_source", "exact"),
-                                            ("moments_path", "toy.libsvm.moments")])
-    def test_unknown_key_fails_before_running(self, generated, tmp_path, capsys, key, value):
-        cfg_path = tmp_path / "typo.json"
-        cfg_path.write_text(json.dumps([
-            {"name": "ok", "method": "lda", "data": str(generated), "folds": 2, "repeats": 1},
-            {"name": "typo", "method": "lda", "data": str(generated), key: value},
-        ]))
-        out_dir = tmp_path / "r"
-        out_dir.mkdir()
-        rc = main(["bench", "--configs", str(cfg_path), "--out-dir", str(out_dir)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: config typo: ")
-        assert f"unexpected keyword argument '{key}'" in err
-        assert list(out_dir.iterdir()) == []
-
-    @pytest.mark.parametrize("entry, message", [
-        ({"name": "bad", "per_fold_norm": "false"}, "config bad: per_fold_norm must be a bool"),
-        (1, "config config_01: entry must be a JSON object"),
-        ({"name": "bad", "folds": "3"}, "config bad: folds must be an int"),
-        ({"name": "bad", "optimizer": {"max_iters": True}}, "config bad: max_iters must be an int"),
-        ({"name": "bad", "optimizer": {"max_backtracks": 2.5}},
-         "config bad: max_backtracks must be an int"),
-        ({"name": "bad", "data": {"d": 2.5, "n": 40, "prior_pos": 0.5}},
-         "config bad: d must be an int"),
-        ({"name": "bad", "data": {"d": 2, "n": 40, "prior_pos": 0.5, "seed": 1.5}},
-         "config bad: seed must be an int"),
-        ({"name": "bad", "moments": 0}, "config bad: moments must be a str or None"),
-        ({"name": "bad", "method": "error-direct", "moments": True},
-         "config bad: moments must be a str or None"),
-        ({"name": "bad", "method": "error-direct", "moments": "generator"},
-         "config bad: moments 'generator' needs generated data"),
-        ({"name": "bad", "seed": -1}, "config bad: seed must be >= 0, got -1"),
-        ({"name": "bad", "data": {"d": 2, "n": 40, "prior_pos": 0.5, "seed": -2}},
-         "config bad: seed must be >= 0, got -2"),
-        ({"name": "bad", "data": {"d": 2, "n": 40, "prior_pos": 0.5, "mean_scale": True}},
-         "config bad: mean_scale must be a real number"),
-        ({"name": "bad", "data": {"d": 2, "n": 40, "prior_pos": "0.5"}},
-         "config bad: prior_pos must be a real number"),
-        ({"name": "bad", "optimizer": {"alpha0": True, "grad_tol_rel": True}},
-         "config bad: alpha0 must be a real number"),
-        ({"name": "bad", "optimizer": {"grad_tol_rel": True}},
-         "config bad: grad_tol_rel must be a real number"),
-        ({"name": "bad", "optimizer": {"grad_tol_rel": math.inf}},
-         "config bad: grad_tol_rel must be finite, got inf"),
-        ({"name": "bad", "optimizer": {"alpha0": math.inf}},
-         "config bad: alpha0 must be finite, got inf"),
-        ({"name": "bad", "optimizer": {"alpha0": 10**400}},
-         "config bad: alpha0 must be finite, got 1000"),
-        ({"name": "bad", "data": {"d": 2, "n": 40, "prior_pos": 0.5, "cov_scale": math.inf}},
-         "config bad: cov_scale must be finite, got inf"),
-        ({"name": "bad", "data": {"d": 2, "n": 40, "prior_pos": 0.5, "mean_scale": -math.inf}},
-         "config bad: mean_scale must be finite, got -inf"),
-        ({"name": "sub/b"}, "config config_01: name must be a plain file name, got 'sub/b'"),
-        ({"name": "/abs"}, "config config_01: name must be a plain file name"),
-        ({"name": ""}, "config config_01: name must be a plain file name"),
-        ({"name": "."}, "config config_01: name must be a plain file name"),
-        ({"name": ".."}, "config config_01: name must be a plain file name"),
-        ({"name": 5}, "config config_01: name must be a plain file name, got 5"),
-    ])
-    def test_malformed_entry_fails_before_running(self, generated, tmp_path, capsys,
-                                                  entry, message):
-        ok = {"name": "ok", "method": "lda", "data": str(generated), "folds": 2, "repeats": 1}
-        if isinstance(entry, dict):
-            entry = {**ok, **entry}
-        cfg_path = tmp_path / "bad.json"
-        cfg_path.write_text(json.dumps([ok, entry]))
-        out_dir = tmp_path / "r"
-        out_dir.mkdir()
-        rc = main(["bench", "--configs", str(cfg_path), "--out-dir", str(out_dir)])
-        assert rc == 1
-        assert capsys.readouterr().err.startswith("error: " + message)
-        assert list(out_dir.iterdir()) == []
-
-    @staticmethod
-    def _refused(tmp_path, capsys, entries, out_dir, label, configs="bench.json"):
-        """bench exits 1 with one error line that starts with label and changes no file;
-        returns the line."""
-        (tmp_path / configs).write_text(json.dumps(entries))
-        before = _snapshot(tmp_path)
-        assert main(["bench", "--configs", configs, "--out-dir", out_dir]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert len(err.splitlines()) == 1 and err.startswith(f"error: {label} ")
-        assert _snapshot(tmp_path) == before
-        return err
-
-    def test_report_may_not_overwrite_the_data(self, generated, tmp_path, capsys, monkeypatch):
-        # this sweep used to exit 0 and replace toy.csv with its report
-        monkeypatch.chdir(tmp_path)
-        shutil.copy(generated, "toy.csv")
-        entry = {"name": "toy", "method": "lda", "data": "toy.csv", "folds": 3, "repeats": 1}
-        self._refused(tmp_path, capsys, [entry], ".", "config toy")
-
-    def test_report_may_not_overwrite_the_configs(self, generated, tmp_path, capsys,
-                                                   monkeypatch):
-        # this sweep used to exit 0 and replace its own configs file with a report
-        monkeypatch.chdir(tmp_path)
-        Path("out").mkdir()
-        entry = {"name": "c", "method": "lda", "data": str(generated), "folds": 2, "repeats": 1}
-        err = self._refused(tmp_path, capsys, [entry], "out", "config c", configs="out/c.csv")
-        assert err == "error: config c out/c.csv names the --configs file\n"
-
-    # a missing input used to surface only when its entry ran, after the
-    # entries before it had written their reports
-    # a data path named like the moments sentinel is a path like any other
-    @pytest.mark.parametrize("key, path", [("data", "typo.data"), ("moments", "typo.moments"),
-                                           ("data", "generator")])
-    def test_missing_input_is_refused_before_any_entry_runs(self, generated, tmp_path, capsys,
-                                                            monkeypatch, key, path):
-        monkeypatch.chdir(tmp_path)
-        ok = {"name": "a", "method": "lda", "data": str(generated), "folds": 2, "repeats": 1}
-        typo = {**ok, "name": "b", key: path}
-        err = self._refused(tmp_path, capsys, [ok, typo], ".", f"--{key}")
-        assert err == f"error: --{key} {path} does not exist\n"
-
-    def test_report_may_not_overwrite_a_sidecar(self, generated, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        shutil.copy(str(generated) + ".moments", "m.csv")
-        entry = {"name": "m", "method": "lda", "data": str(generated), "moments": "m.csv",
-                 "folds": 2, "repeats": 1}
-        self._refused(tmp_path, capsys, [entry], ".", "config m")
-
-    # an unnamed entry i is config_<i>, so a named entry cannot take its report
-    @pytest.mark.parametrize("first, second", [("twice", "twice"), ("config_01", None)],
-                             ids=["same-name", "default-name"])
-    def test_two_entries_may_not_share_a_report(self, generated, tmp_path, capsys, monkeypatch,
-                                                first, second):
-        monkeypatch.chdir(tmp_path)
-        Path("reports").mkdir()
-        entry = {"method": "lda", "data": str(generated), "folds": 2, "repeats": 1}
-        named = [{**entry, "name": name} if name else entry for name in (first, second)]
-        self._refused(tmp_path, capsys, named, "reports", f"config {first}")
-
-    def test_missing_out_dir_is_refused(self, generated, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        entry = {"name": "ok", "method": "lda", "data": str(generated), "folds": 2, "repeats": 1}
-        self._refused(tmp_path, capsys, [entry], "nodir", "config ok")
-
-    def test_out_dir_that_is_a_file_is_refused(self, generated, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        Path("afile").touch()
-        entry = {"name": "ok", "method": "lda", "data": str(generated), "folds": 2, "repeats": 1}
-        err = self._refused(tmp_path, capsys, [entry], "afile", "config ok")
-        assert err == "error: config ok afile/ok.csv: afile is not a directory\n"
-
-    def test_entry_with_no_completed_run_fails_the_sweep(self, generated, tmp_path, capsys):
-        # coinciding class means give lda no direction, so every fold of "bad" fails
-        sidecar = tmp_path / "same-means.moments"
-        save_moments(ClassMoments(np.zeros(4), np.zeros(4), np.eye(4), np.eye(4), 0.5, 0.5),
-                     sidecar)
-        good = {"name": "good", "method": "lda", "data": str(generated), "folds": 2, "repeats": 1}
-        cfg_path = tmp_path / "bench.json"
-        cfg_path.write_text(json.dumps([{**good, "name": "bad", "moments": str(sidecar)}, good]))
-        rc = main(["bench", "--configs", str(cfg_path), "--out-dir", str(tmp_path)])
-        assert rc == 1
-        out, err = capsys.readouterr()
-        assert out.splitlines()[1] == "lda (exact): no run completed (0/2 runs)"
-        assert out.splitlines()[3].endswith(" over 2/2 runs")
-        assert err == f"error: no run completed for {tmp_path / 'bad.csv'}\n"
-        for name, completed in (("bad", 0), ("good", 2)):
-            rows = (tmp_path / f"{name}.csv").read_text().splitlines()[1:-1]
-            assert sum(row.split(",")[5] != "" for row in rows) == completed
-
-
 class TestParserBuiltOnce:
     """main() builds its parser once per process; no call sees another's flags."""
 
@@ -1146,11 +931,6 @@ FLAG_TABLE = {
         (("--per-fold-norm",), "per_fold_norm", None, False, False,
          "learn the z-score on each training fold (default: z-score the file once before CV)"),
         (("--report-out",), "report_out", None, None, True, None),
-    ],
-    "bench": [
-        _HELP,
-        (("--configs",), "configs", None, None, True, "JSON file with a list of config objects"),
-        (("--out-dir",), "out_dir", None, None, True, "directory for per-config report CSVs"),
     ],
 }
 

@@ -177,6 +177,24 @@ class TestConfigValidation:
         with pytest.raises(TypeError, match=f"^{field} must be"):
             ExperimentConfig(method="lda", data="some/file.libsvm", **{field: value})
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: GaussianSpec(d=2.5, n=40, prior_pos=0.5), "d must be an int, got 2.5"),
+        (lambda: GaussianSpec(d=2, n=40, prior_pos=0.5, seed=1.5), "seed must be an int, got 1.5"),
+        (lambda: GaussianSpec(d=2, n=40, prior_pos=0.5, mean_scale=True),
+         "mean_scale must be a real number, got True"),
+        (lambda: GaussianSpec(d=2, n=40, prior_pos="0.5"),
+         "prior_pos must be a real number, got '0.5'"),
+        (lambda: LineSearchConfig(max_iters=True), "max_iters must be an int, got True"),
+        (lambda: LineSearchConfig(max_backtracks=2.5), "max_backtracks must be an int, got 2.5"),
+        (lambda: LineSearchConfig(alpha0=True), "alpha0 must be a real number, got True"),
+        (lambda: LineSearchConfig(grad_tol_rel=True),
+         "grad_tol_rel must be a real number, got True"),
+    ])
+    def test_spec_and_optimizer_fields_need_their_types(self, build, message):
+        with pytest.raises(TypeError) as info:
+            build()
+        assert str(info.value) == message
+
     def test_data_must_be_a_spec_or_a_path(self):
         with pytest.raises(ValueError, match="^data must be a GaussianSpec or a file path string$"):
             ExperimentConfig(method="lda", data=3)
