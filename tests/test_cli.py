@@ -201,10 +201,19 @@ class TestOutputRule:
          "--out f.libsvm.npz is not a regular file"),
         (["train", "--method", "lda", "--data", "g.libsvm", "--model-out", "afile/m.txt"],
          "--model-out afile/m.txt: afile is not a directory"),
+        (["cv", "--method", "lda", "--data", "g.libsvm", "--report-out", "nodir/r.csv"],
+         "--report-out nodir/r.csv: directory nodir does not exist"),
+        (["cv", "--method", "lda", "--data", "g.libsvm", "--report-out", "afile/r.csv"],
+         "--report-out afile/r.csv: afile is not a directory"),
+        (["cv", "--method", "lda", "--data", "g.libsvm", "--report-out", "g.libsvm.npz"],
+         "--report-out g.libsvm.npz names the data file or its binary twin"),
+        (["cv", "--method", "lda", "--data", "g.libsvm", "--report-out", "/dev/null"],
+         "--report-out /dev/null is not a regular file"),
     ], ids=["model-is-trace", "report-is-data", "model-is-data", "trace-dir-missing",
             "model-is-twin", "report-is-sidecar", "model-is-directory", "report-is-directory",
             "model-is-fifo", "report-is-fifo", "trace-is-device", "twin-is-directory",
-            "twin-is-fifo", "model-dir-is-file"])
+            "twin-is-fifo", "model-dir-is-file", "report-dir-missing", "report-dir-is-file",
+            "report-is-twin", "report-is-device"])
     def test_refused_before_any_work(self, generated, tmp_path, capsys, monkeypatch, argv,
                                      message):
         monkeypatch.chdir(tmp_path)
@@ -366,6 +375,83 @@ class TestInputRule:
         assert main(["gen", "--d", "2", "--n", "40", "--prior-pos", "0.5",
                      "--out", str(tmp_path / "o.libsvm")]) == 1
         assert capsys.readouterr().err == "error: MemoryError\n"
+
+    # a data path spelled like the moments sentinel is a path like any other
+    @pytest.mark.parametrize("command", ["train --data", "cv --data"])
+    def test_data_named_generator_is_a_missing_file(self, tmp_path, capsys, monkeypatch,
+                                                    command):
+        monkeypatch.chdir(tmp_path)
+        assert main([arg.format(path="generator") for arg in self.ARGV[command]]) == 1
+        assert capsys.readouterr().err == "error: --data generator does not exist\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestKnobRule:
+    """A knob set by a flag is checked by its config's own rule, and a value
+    out of its range makes the command exit 1 with that rule's one line.
+
+    A flag of the wrong type is argparse's usage error, exit 2.  Either way
+    no file is written.
+    """
+
+    # each optimizer knob just outside its range; train and cv both take them
+    OPTIMIZER = [
+        (["--c", "0"], "c must lie in (0, 1), got 0.0"),
+        (["--c", "1"], "c must lie in (0, 1), got 1.0"),
+        (["--beta", "0"], "beta must lie in (0, 1), got 0.0"),
+        (["--beta", "1"], "beta must lie in (0, 1), got 1.0"),
+        (["--alpha0", "0"], "alpha0 must be positive, got 0.0"),
+        (["--alpha0=-inf"], "alpha0 must be finite, got -inf"),
+        (["--alpha0", "nan"], "alpha0 must be finite, got nan"),
+        # past the float range, the flag parses as inf
+        (["--alpha0", "1e400"], "alpha0 must be finite, got inf"),
+        (["--grad-tol-rel", "0"], "grad_tol_rel must be positive, got 0.0"),
+        (["--grad-tol-rel", "inf"], "grad_tol_rel must be finite, got inf"),
+        (["--max-iters", "0"], "max_iters must be >= 1, got 0"),
+        (["--max-backtracks", "0"], "max_backtracks must be >= 1, got 0"),
+    ]
+    # the knobs of the CV protocol, which only cv takes
+    PROTOCOL = [
+        (["--folds", "1"], "folds must be >= 2, got 1"),
+        (["--repeats", "0"], "repeats must be >= 1, got 0"),
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
+    ]
+    ARGV = {
+        "train": ["train", "--method", "error-direct", "--data", "g.libsvm",
+                  "--model-out", "m.txt", "--trace-out", "t.csv"],
+        "cv": ["cv", "--method", "error-direct", "--data", "g.libsvm",
+               "--moments", "g.libsvm.moments", "--report-out", "r.csv"],
+    }
+
+    @pytest.fixture
+    def workdir(self, generated, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for suffix in ("", ".npz", ".moments"):
+            shutil.copy(str(generated) + suffix, "g.libsvm" + suffix)
+        return tmp_path
+
+    @pytest.mark.parametrize("command, flags, message", [
+        *(("train", flags, message) for flags, message in OPTIMIZER),
+        *(("cv", flags, message) for flags, message in OPTIMIZER + PROTOCOL),
+    ])
+    def test_out_of_range_fails_cleanly(self, workdir, capsys, command, flags, message):
+        before = _snapshot(workdir)
+        assert main(self.ARGV[command] + flags) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert _snapshot(workdir) == before
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--folds", "2.5"], "argument --folds: invalid int value: '2.5'"),
+        (["--max-iters", "1e3"], "argument --max-iters: invalid int value: '1e3'"),
+        (["--alpha0", "one"], "argument --alpha0: invalid float value: 'one'"),
+    ])
+    def test_wrong_type_is_a_usage_error(self, workdir, capsys, flags, message):
+        before = _snapshot(workdir)
+        with pytest.raises(SystemExit) as raised:
+            main(self.ARGV["cv"] + flags)
+        assert raised.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+        assert _snapshot(workdir) == before
 
 
 class TestTrain:

@@ -189,11 +189,27 @@ class TestConfigValidation:
         (lambda: LineSearchConfig(alpha0=True), "alpha0 must be a real number, got True"),
         (lambda: LineSearchConfig(grad_tol_rel=True),
          "grad_tol_rel must be a real number, got True"),
+        (lambda: GaussianSpec(d=2, n=40.0, prior_pos=0.5), "n must be an int, got 40.0"),
+        (lambda: GaussianSpec(d=2, n=40, prior_pos=0.5, outlier_pct="1"),
+         "outlier_pct must be a real number, got '1'"),
+        (lambda: GaussianSpec(d=2, n=40, prior_pos=0.5, cov_scale=None),
+         "cov_scale must be a real number, got None"),
+        (lambda: LineSearchConfig(c=True), "c must be a real number, got True"),
+        (lambda: LineSearchConfig(beta="0.5"), "beta must be a real number, got '0.5'"),
     ])
     def test_spec_and_optimizer_fields_need_their_types(self, build, message):
         with pytest.raises(TypeError) as info:
             build()
         assert str(info.value) == message
+
+    # a file is always z-scored, so normalize is no field; per_fold_norm is the
+    # one switch, and moments alone says where exact moments come from
+    @pytest.mark.parametrize("key, value", [("fold", 10), ("normalize", False),
+                                            ("moment_source", "exact"),
+                                            ("moments_path", "toy.libsvm.moments")])
+    def test_unknown_field_is_refused(self, key, value):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{key}'"):
+            ExperimentConfig(method="lda", data="some/file.libsvm", **{key: value})
 
     def test_data_must_be_a_spec_or_a_path(self):
         with pytest.raises(ValueError, match="^data must be a GaussianSpec or a file path string$"):
