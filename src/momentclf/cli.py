@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: gen (synthesize a dataset, its binary twin and an
-exact-moments sidecar), train (fit one model on one file), eval (score a
-saved model), cv (repeated k-fold benchmark of one method).  A sweep over
-configs is a shell loop over cv, or run_experiment(ExperimentConfig(...))
-in Python.
+exact-moments sidecar), train (fit one model on one file or sidecar),
+eval (score a saved model), cv (repeated k-fold benchmark of one method).
+A sweep over configs is a shell loop over cv, or
+run_experiment(ExperimentConfig(...)) in Python.
 All inputs arrive as flags; nothing is read from the environment.  The
 argument parser is built once per process, on the first main() call, and
 reused: parsing fills a fresh namespace and leaves the parser unchanged.
@@ -143,11 +143,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if trace is not None:
         print(f"stopped after {trace.iterations} iterations ({trace.reason}), "
               f"objective {trace.final_value!r}, {trace.evaluations} evaluations")
-        # a class of n_c samples gives a covariance estimate of rank n_c - 1 at most
-        n_c = min(dataset.n_pos, dataset.n_neg)
-        if args.method in MOMENT_METHODS and exact is None and n_c - 1 < dataset.dim:
-            print(f"note: a class of {n_c} samples at d={dataset.dim} gives a singular "
-                  f"covariance estimate; the result depends on --max-iters")
+        if args.method in MOMENT_METHODS and exact is None:
+            # a class of n_c samples gives a covariance estimate of rank n_c - 1 at most
+            n_c = min(dataset.n_pos, dataset.n_neg)
+            if n_c - 1 < dataset.dim:
+                print(f"note: a class of {n_c} samples at d={dataset.dim} gives a singular "
+                      f"covariance estimate; the result depends on --max-iters")
         if args.trace_out:
             emit_trace(trace, args.trace_out)
             print(f"wrote trace to {args.trace_out}")
@@ -170,9 +171,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _input_files(data, moments):
     """The (flag, path) pairs of the files a fit of data with moments reads:
-    data, and moments unless it is None or the generator."""
+    both, unless the moments are the generator's; _check_files skips None."""
     yield "--data", data
-    if moments not in (None, "generator"):
+    if moments != "generator":
         yield "--moments", moments
 
 
@@ -211,15 +212,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--moments-out", default=None, help="sidecar path (default: OUT.moments)")
     p_gen.set_defaults(func=_cmd_gen)
 
-    # the flags train and cv share: which method fits which data, and how
-    fitting = argparse.ArgumentParser(add_help=False)
-    fitting.add_argument("--method", choices=METHODS, required=True)
-    fitting.add_argument("--data", required=True, help="LIBSVM path")
-    fitting.add_argument("--moments", default=ExperimentConfig.moments,
-                         help="exact-moments sidecar; selects exact moments")
-    _add_field_flags(fitting.add_argument_group("optimizer"), LineSearchConfig)
+    # the flags train and cv share; each gets its own --data action, which only cv requires
+    def add_fitting_flags(parser, data_required):
+        parser.add_argument("--method", choices=METHODS, required=True)
+        parser.add_argument("--data", required=data_required, help="LIBSVM path")
+        parser.add_argument("--moments", default=ExperimentConfig.moments,
+                            help="exact-moments sidecar; selects exact moments")
+        _add_field_flags(parser.add_argument_group("optimizer"), LineSearchConfig)
 
-    p_train = sub.add_parser("train", parents=[fitting], help="fit one model on one LIBSVM file")
+    p_train = sub.add_parser("train", help="fit one model on one LIBSVM file or sidecar")
+    add_fitting_flags(p_train, data_required=False)
     p_train.add_argument("--normalize", action="store_true", help="z-score the data first")
     p_train.add_argument("--seed", type=int, default=0, help="random-start seed")
     p_train.add_argument("--model-out", required=True)
@@ -235,7 +237,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--ties", choices=("strict", "midrank"), default="strict")
     p_eval.set_defaults(func=_cmd_eval)
 
-    p_cv = sub.add_parser("cv", parents=[fitting], help="repeated k-fold benchmark of one method")
+    p_cv = sub.add_parser("cv", help="repeated k-fold benchmark of one method")
+    add_fitting_flags(p_cv, data_required=True)
     p_cv.add_argument("--folds", type=int, default=ExperimentConfig.folds)
     p_cv.add_argument("--repeats", type=int, default=ExperimentConfig.repeats)
     p_cv.add_argument("--seed", type=int, default=ExperimentConfig.seed)

@@ -180,10 +180,10 @@ def _check_source(method: str, data: DataSource, moments: str | None) -> None:
 
 def load_source(
     method: str,
-    data: DataSource,
+    data: DataSource | None,
     moments: str | None = None,
     normalize: bool = False,
-) -> tuple[Dataset, ClassMoments | None]:
+) -> tuple[Dataset | None, ClassMoments | None]:
     """Load or generate a dataset and the exact moments method should use.
 
     The checks are ExperimentConfig's, and a sidecar path in moments must
@@ -191,9 +191,15 @@ def load_source(
     (see load_libsvm), and generated data must have it.  The returned
     moments are None when moments is.  normalize z-scores the data with its
     own statistics and maps the exact moments through the same z-score.
+    Data None, only with a sidecar and no normalize, reads just the sidecar.
     """
     _check_source(method, data, moments)
+    if data is None and (moments is None or normalize):
+        raise ValueError("a fit without data needs a sidecar of exact moments" if moments is None
+                         else "normalize learns the z-score from the data, so it needs data")
     exact = None if moments in (None, "generator") else load_moments(moments)
+    if data is None:
+        return None, exact
     if isinstance(data, GaussianSpec):
         dataset, generated = gen_gaussian(data)
         if moments == "generator":
@@ -220,16 +226,17 @@ def _zscored(moments: ClassMoments | None, stats: NormalizationStats) -> ClassMo
 
 def fit(
     method: str,
-    train: Dataset,
+    train: Dataset | None,
     exact_moments: ClassMoments | None,
     optimizer: LineSearchConfig,
     seed: int,
 ) -> tuple[LinearModel, OptimizationTrace | None]:
     """Train one method on one training set; the only method dispatch.
 
-    The MOMENT_METHODS use exact_moments when given and otherwise estimate
-    moments from train.  Logistic and hinge start from init_random(seed),
-    and logistic's ridge weight is 1/n.  Closed-form lda returns no trace.
+    The MOMENT_METHODS use exact_moments when given (train may then be
+    None) and otherwise estimate them from train.  Logistic and hinge start
+    from init_random(seed), and logistic's ridge weight is 1/n.  Closed-form
+    lda returns no trace.
     """
     if method in MOMENT_METHODS:
         moments = exact_moments if exact_moments is not None else estimate_class_moments(train)

@@ -667,6 +667,63 @@ class TestTrain:
         assert math.isfinite(float(metrics["auc"]))
 
 
+class TestSidecarOnlyTrain:
+    """A moment method's train given --moments needs no --data and reads
+    only the sidecar; a fit that would need the data refuses without it."""
+
+    @staticmethod
+    def _masked_trace(path):
+        # every column but the last, seconds, is output
+        return [row.rsplit(",", 1)[0] for row in path.read_text().splitlines()]
+
+    @pytest.mark.parametrize("method", ["error-direct", "auc-direct", "lda"])
+    def test_same_bytes_as_with_data(self, generated, tmp_path, capsys, monkeypatch, method):
+        runs = {}
+        for source in ("data", "sidecar"):
+            if source == "sidecar":  # any LIBSVM read now fails the run
+                def refuse(*args, **kwargs):
+                    raise AssertionError("a LIBSVM file was read")
+                monkeypatch.setattr("momentclf.harness.load_libsvm", refuse)
+                monkeypatch.setattr("momentclf.data.parse_libsvm", refuse)
+            model, trace = tmp_path / f"{source}.model", tmp_path / f"{source}.csv"
+            argv = ["train", "--method", method, "--moments", str(generated) + ".moments",
+                    "--model-out", str(model)]
+            argv += ["--data", str(generated)] if source == "data" else []
+            argv += ["--trace-out", str(trace)] if method != "lda" else []
+            assert main(argv) == 0
+            out, err = capsys.readouterr()
+            masked = self._masked_trace(trace) if method != "lda" else None
+            runs[source] = (model.read_bytes(), err, masked,
+                            out.replace(str(model), "MODEL").replace(str(trace), "TRACE"))
+        assert runs["sidecar"] == runs["data"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--method", "lda"], "a fit without data needs a sidecar of exact moments"),
+        (["--method", "error-direct", "--normalize"],
+         "a fit without data needs a sidecar of exact moments"),
+        (["--method", "lda", "--moments", "g.libsvm.moments", "--normalize"],
+         "normalize learns the z-score from the data, so it needs data"),
+        (["--method", "auc-direct", "--moments", "g.libsvm.moments", "--normalize",
+          "--trace-out", "t.csv"],
+         "normalize learns the z-score from the data, so it needs data"),
+        (["--method", "logistic", "--moments", "g.libsvm.moments"],
+         "logistic trains on samples, not moments; exact moments apply only to "
+         "error-direct, auc-direct, lda"),
+        (["--method", "hinge", "--moments", "g.libsvm.moments"],
+         "hinge trains on samples, not moments; exact moments apply only to "
+         "error-direct, auc-direct, lda"),
+    ], ids=["no-sidecar", "no-sidecar-normalize", "normalize", "normalize-trace", "logistic",
+            "hinge"])
+    def test_refused_without_data(self, generated, tmp_path, capsys, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        for suffix in ("", ".npz", ".moments"):
+            shutil.copy(str(generated) + suffix, "g.libsvm" + suffix)
+        before = _snapshot(tmp_path)
+        assert main(["train", *argv, "--model-out", "m.txt"]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert _snapshot(tmp_path) == before
+
+
 class TestEval:
     def test_index_too_wide_names_its_line(self, generated, tmp_path, capsys):
         model_out = tmp_path / "m.model"
@@ -879,6 +936,16 @@ class TestCv:
         assert capsys.readouterr().err.startswith("error: moments 'generator' needs generated data")
         assert not out.exists()
 
+    def test_data_stays_required(self, generated, tmp_path, capsys):
+        # folds need rows, so a sidecar does not stand in for --data as in train
+        report_out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as raised:
+            main(["cv", "--method", "lda", "--moments", str(generated) + ".moments",
+                  "--report-out", str(report_out)])
+        assert raised.value.code == 2
+        assert "the following arguments are required: --data" in capsys.readouterr().err
+        assert not report_out.exists()
+
     def test_no_normalize_is_rejected(self, generated, tmp_path, capsys):
         # cv always z-scores a file; --per-fold-norm is its one switch
         report_out = tmp_path / "x.csv"
@@ -959,19 +1026,27 @@ class TestConfigDefaults:
 
 
 _HELP = ("-h", "--help"), "help", None, "==SUPPRESS==", False, "show this help message and exit"
-_FITTING = [
-    (("--method",), "method", None, None, True, None),
-    (("--data",), "data", None, None, True, "LIBSVM path"),
-    (("--moments",), "moments", None, None, False, "exact-moments sidecar; selects exact moments"),
-    (("--c",), "c", float, 0.0001, False, "Armijo sufficient-decrease constant"),
-    (("--beta",), "beta", float, 0.5, False, "backtracking shrink factor"),
-    (("--alpha0",), "alpha0", float, 1.0, False, "initial step size"),
-    (("--max-iters",), "max_iters", int, 250, False, "maximum accepted steps"),
-    (("--grad-tol-rel",), "grad_tol_rel", float, 1e-07, False,
-     "stop when the gradient norm falls below this times its start value"),
-    (("--max-backtracks",), "max_backtracks", int, 60, False,
-     "maximum step shrinks per line search"),
-]
+
+
+def _fitting(data_required):
+    # train's --data is optional, since a moment method can fit a sidecar alone;
+    # cv's is required, since folds need rows
+    return [
+        (("--method",), "method", None, None, True, None),
+        (("--data",), "data", None, None, data_required, "LIBSVM path"),
+        (("--moments",), "moments", None, None, False,
+         "exact-moments sidecar; selects exact moments"),
+        (("--c",), "c", float, 0.0001, False, "Armijo sufficient-decrease constant"),
+        (("--beta",), "beta", float, 0.5, False, "backtracking shrink factor"),
+        (("--alpha0",), "alpha0", float, 1.0, False, "initial step size"),
+        (("--max-iters",), "max_iters", int, 250, False, "maximum accepted steps"),
+        (("--grad-tol-rel",), "grad_tol_rel", float, 1e-07, False,
+         "stop when the gradient norm falls below this times its start value"),
+        (("--max-backtracks",), "max_backtracks", int, 60, False,
+         "maximum step shrinks per line search"),
+    ]
+
+
 # every option of every subcommand: option strings, dest, type, default,
 # required and help, in the order the parser holds them
 FLAG_TABLE = {
@@ -993,7 +1068,7 @@ FLAG_TABLE = {
     ],
     "train": [
         _HELP,
-        *_FITTING,
+        *_fitting(data_required=False),
         (("--normalize",), "normalize", None, False, False, "z-score the data first"),
         (("--seed",), "seed", int, 0, False, "random-start seed"),
         (("--model-out",), "model_out", None, None, True, None),
@@ -1010,7 +1085,7 @@ FLAG_TABLE = {
     ],
     "cv": [
         _HELP,
-        *_FITTING,
+        *_fitting(data_required=True),
         (("--folds",), "folds", int, 5, False, None),
         (("--repeats",), "repeats", int, 4, False, None),
         (("--seed",), "seed", int, 0, False, None),

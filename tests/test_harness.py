@@ -403,6 +403,45 @@ class TestLoadSourceAndFit:
         _, empirical = load_source("error-direct", str(data_path))
         assert empirical is None
 
+    @pytest.mark.parametrize("method", ["error-direct", "auc-direct", "lda"])
+    def test_sidecar_alone_fits_as_with_data(self, raw_files, method):
+        # a moment method given exact moments never touches the samples
+        data_path, sidecar = raw_files
+        dataset, exact = load_source(method, str(data_path), str(sidecar))
+        none, alone = load_source(method, None, str(sidecar))
+        assert none is None
+        truth = load_moments(sidecar)
+        for name in ("mu_pos", "mu_neg", "sigma_pos", "sigma_neg"):
+            assert getattr(alone, name).tobytes() == getattr(truth, name).tobytes(), name
+        assert (alone.prior_pos, alone.prior_neg) == (truth.prior_pos, truth.prior_neg)
+        (model, trace), (model_alone, trace_alone) = (
+            fit(method, train, moments, LineSearchConfig(), seed=5)
+            for train, moments in ((dataset, exact), (None, alone)))
+        assert model_alone.w.tobytes() == model.w.tobytes()
+        assert model_alone.intercept == model.intercept
+        if method == "lda":
+            assert trace is None and trace_alone is None
+            return
+        # every trace value but the wall-clock seconds
+        assert [r[:-1] for r in trace_alone.records] == [r[:-1] for r in trace.records]
+        for name in ("initial_value", "initial_grad_norm", "reason", "evaluations"):
+            assert getattr(trace_alone, name) == getattr(trace, name), name
+
+    # the sidecar path names no file: each refusal comes before any read
+    @pytest.mark.parametrize("method, moments, normalize, message", [
+        ("lda", None, False, "a fit without data needs a sidecar of exact moments"),
+        ("error-direct", None, True, "a fit without data needs a sidecar of exact moments"),
+        ("auc-direct", "absent.moments", True,
+         "normalize learns the z-score from the data, so it needs data"),
+        ("logistic", "absent.moments", False, "logistic trains on samples, not moments"),
+        ("hinge", "absent.moments", False, "hinge trains on samples, not moments"),
+        ("error-direct", "generator", False, "moments 'generator' needs generated data"),
+    ])
+    def test_no_data_refusals(self, tmp_path, monkeypatch, method, moments, normalize, message):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError, match=message):
+            load_source(method, None, moments, normalize)
+
     def test_logistic_ridge_weight_is_one_over_n(self):
         ds, _ = gen_gaussian(GaussianSpec(d=3, n=120, prior_pos=0.5, seed=19))
         cfg = LineSearchConfig(max_iters=20)

@@ -8,9 +8,12 @@ import pytest
 from momentclf import (
     ClassMoments,
     DegenerateProjectionError,
+    GaussianSpec,
     auc_moments,
     auc_objective,
     error_objective,
+    estimate_class_moments,
+    gen_gaussian,
     std_normal_cdf,
 )
 
@@ -317,3 +320,30 @@ class TestInPlaceGradients:
             for w in reversed(points):
                 objective(w).gradient
             assert all(gradient.tobytes() == first for gradient, first in kept)
+
+
+class TestObjectivesOfEstimatedMoments:
+    """On moments estimated from a dataset, each objective at w is a function
+    of the scores s = Xw alone: the class fractions, and each class's mean
+    and (n_c - 1)-denominator standard deviation of s.  This ties the
+    estimator's denominator to the objectives through the data."""
+
+    @pytest.mark.parametrize("d", [2, 50, 800])
+    def test_values_from_the_scores(self, d):
+        # prior 0.3 weights the classes unequally, and mean scale 0.1 keeps
+        # both values far from 0 and 1 at every d, where a 1/n_c denominator
+        # moves them by 5e-6 or more; at d=800 the positive class's 600 rows
+        # give a singular estimate, which w'Sw does not see
+        dataset, _ = gen_gaussian(GaussianSpec(d=d, n=2000, prior_pos=0.3, seed=d,
+                                               mean_scale=0.1))
+        w = np.random.default_rng(d).standard_normal(d)
+        scores = dataset.features @ w
+        (m_pos, s_pos), (m_neg, s_neg) = ((scores[i].mean(), scores[i].std(ddof=1))
+                                          for i in (dataset.pos_index, dataset.neg_index))
+        pi_pos, pi_neg = dataset.n_pos / dataset.n, dataset.n_neg / dataset.n
+        moments = estimate_class_moments(dataset)
+        error = (pi_pos * (1.0 - std_normal_cdf(m_pos / s_pos))
+                 + pi_neg * std_normal_cdf(m_neg / s_neg))
+        assert abs(error_objective(moments)(w).value - error) <= 1e-12
+        auc = std_normal_cdf((m_pos - m_neg) / math.sqrt(s_pos**2 + s_neg**2))
+        assert abs((1.0 - auc_objective(auc_moments(moments))(w).value) - auc) <= 1e-12
